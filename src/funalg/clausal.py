@@ -423,7 +423,8 @@ class _Parser:
             clauses.append(self.parse_clause(name))
         self.expect("}")
         clauses = [_classify_clause(c, declared | {name}) for c in clauses]
-        _check_pattern(clauses, name)
+        for c in clauses:
+            _validate_pattern(c.pattern)
         _check_declared(name, clauses, declared)
         kind = _classify_kind(name, clauses)
         return ClausalDef(name, tuple(clauses), kind)
@@ -460,11 +461,6 @@ def _classify_clause(c: Clause, known_fns: set[str]) -> Clause:
         bound.update(lit_binders(new))
         bound.update(lit_used_vars(new))
     return Clause(c.pattern, tuple(out), c.result)
-
-
-def _check_pattern(clauses, name):
-    for c in clauses:
-        _validate_pattern(c.pattern)
 
 
 def _validate_pattern(p: QuasiTerm):
@@ -723,14 +719,6 @@ def _canon_binders(side: list[_State], bound: set[str],
         rest.append(_State(s.key, [lit_subst(l, sub) for l in s.lits[1:]],
                            term_subst(s.result, sub), s.is_default))
     return canon, rest
-
-
-def _complement(lit: Literal, fresh: _Fresh) -> Literal:
-    if isinstance(lit, VarZero):
-        return VarPair(lit.v, fresh("w"), fresh("w"))
-    if isinstance(lit, (VarSucc, VarPair)):
-        return VarZero(lit.v)
-    return replace(lit, negated=not lit.negated)
 
 
 def _walk(group: list[_State], prefix: list[Literal], bound: set[str],

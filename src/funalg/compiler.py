@@ -11,8 +11,10 @@ formula calculus built from D-dispatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from . import clausal as cl
+from .codec import tuple_encode
 from .derivation import (ADD, D as D_, Derivation, I, LT, MUL, ORACLE, S,
                          P, comp, mu)
 
@@ -103,43 +105,41 @@ class UnboundVariableError(ValueError):
 
 def pack_args(values) -> int:
     """Right-associated packing of a context assignment."""
-    from .codec import pair
-    values = list(values)
-    acc = values[-1]
-    for v in reversed(values[:-1]):
-        acc = pair(v, acc)
-    return acc
+    return tuple_encode(list(values))
 
 
 # --- Quasi-term compilation -----------------------------------------------
 
 
+def _term_d(t: cl.QuasiTerm, var: Callable[[str], Derivation],
+            env: dict[str, Derivation]) -> Derivation:
+    """The derivation of a quasi-term; var(name) gives each variable's."""
+    if isinstance(t, cl.Zero):
+        return Z_
+    if isinstance(t, cl.Var):
+        return var(t.name)
+    if isinstance(t, cl.Succ):
+        return comp(S, _term_d(t.arg, var, env))
+    if isinstance(t, cl.TPair):
+        return P(_term_d(t.left, var, env), _term_d(t.right, var, env))
+    if isinstance(t, cl.TAdd):
+        return comp(ADD, P(_term_d(t.left, var, env),
+                           _term_d(t.right, var, env)))
+    if isinstance(t, cl.TMul):
+        return comp(MUL, P(_term_d(t.left, var, env),
+                           _term_d(t.right, var, env)))
+    if isinstance(t, cl.App):
+        if t.fname not in env:
+            raise UnboundVariableError(
+                f"no derivation for function {t.fname!r}")
+        return comp(env[t.fname], _term_d(t.arg, var, env))
+    raise TypeError(t)
+
+
 def compile_term(t: cl.QuasiTerm, ctx: VarCtx,
                  env: dict[str, Derivation] | None = None) -> Derivation:
     """A derivation computing the quasi-term on the packed context."""
-    env = env or {}
-
-    def go(t):
-        if isinstance(t, cl.Zero):
-            return Z_
-        if isinstance(t, cl.Var):
-            return ctx.projection(t.name)
-        if isinstance(t, cl.Succ):
-            return comp(S, go(t.arg))
-        if isinstance(t, cl.TPair):
-            return P(go(t.left), go(t.right))
-        if isinstance(t, cl.TAdd):
-            return comp(ADD, P(go(t.left), go(t.right)))
-        if isinstance(t, cl.TMul):
-            return comp(MUL, P(go(t.left), go(t.right)))
-        if isinstance(t, cl.App):
-            if t.fname not in env:
-                raise UnboundVariableError(
-                    f"no derivation for function {t.fname!r}")
-            return comp(env[t.fname], go(t.arg))
-        raise TypeError(t)
-
-    return go(t)
+    return _term_d(t, ctx.projection, env or {})
 
 
 # --- Quasi-bounded formulas -------------------------------------------------
@@ -309,26 +309,11 @@ def compile_explicit(d: cl.ClausalDef,
     for c in sd.clauses:
         bind: dict[str, Derivation] = {argvar: I}
 
-        def term_d(t: cl.QuasiTerm) -> Derivation:
-            if isinstance(t, cl.Zero):
-                return Z_
-            if isinstance(t, cl.Var):
-                if t.name not in bind:
-                    raise UnboundVariableError(
-                        f"unbound variable {t.name!r} in {d.name}")
-                return bind[t.name]
-            if isinstance(t, cl.Succ):
-                return comp(S, term_d(t.arg))
-            if isinstance(t, cl.TPair):
-                return P(term_d(t.left), term_d(t.right))
-            if isinstance(t, cl.TAdd):
-                return comp(ADD, P(term_d(t.left), term_d(t.right)))
-            if isinstance(t, cl.TMul):
-                return comp(MUL, P(term_d(t.left), term_d(t.right)))
-            if t.fname not in env:
+        def var(name: str) -> Derivation:
+            if name not in bind:
                 raise UnboundVariableError(
-                    f"no derivation for function {t.fname!r}")
-            return comp(env[t.fname], term_d(t.arg))
+                    f"unbound variable {name!r} in {d.name}")
+            return bind[name]
 
         guards: list[Derivation] = []
         for lit in c.literals:
@@ -342,21 +327,19 @@ def compile_explicit(d: cl.ClausalDef,
                 bind[lit.w1] = comp(HD, bind[lit.v])
                 bind[lit.w2] = comp(TL, bind[lit.v])
             elif isinstance(lit, cl.AppEq):
-                if lit.fname not in env:
-                    raise UnboundVariableError(
-                        f"no derivation for function {lit.fname!r}")
-                bind[lit.out] = comp(env[lit.fname], term_d(lit.arg))
+                bind[lit.out] = _term_d(cl.App(lit.fname, lit.arg), var, env)
             elif isinstance(lit, cl.Rel):
-                a, b = term_d(lit.left), term_d(lit.right)
+                a = _term_d(lit.left, var, env)
+                b = _term_d(lit.right, var, env)
                 g = lt_d(a, b) if lit.rel == "<" else eq_d(a, b)
                 guards.append(not_d(g) if lit.negated else g)
             else:
-                g = comp(ORACLE, term_d(lit.term))
+                g = comp(ORACLE, _term_d(lit.term, var, env))
                 guards.append(not_d(g) if lit.negated else g)
         guard = ONE
         for g in guards:
             guard = g if guard is ONE else and_d(guard, g)
-        compiled.append((guard, term_d(c.result)))
+        compiled.append((guard, _term_d(c.result, var, env)))
 
     acc = Z_
     for guard, result in reversed(compiled):

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 
 class Op(Enum):
@@ -55,14 +56,51 @@ class Derivation:
         return n
 
     def nodes(self) -> Iterator["Derivation"]:
-        stack = [self]
+        """Each distinct node reachable from this one, once (by identity)."""
+        seen, stack = set(), [self]
         while stack:
             d = stack.pop()
-            yield d
-            stack.extend(d.children)
+            if id(d) not in seen:
+                seen.add(id(d))
+                yield d
+                stack.extend(d.children)
 
     def __repr__(self):
         return f"Derivation({d_print(self)!r})"
+
+
+def fold(root, kids: Callable[[Any], tuple], f: Callable[[Any, list], Any]):
+    """f(node, [results of kids(node)]) over the DAG below root.
+
+    f runs once per distinct node (by identity), children first and left
+    to right: the order, and so the first error, of a memoized recursion.
+    The walk uses an explicit stack and drops a result once its last
+    parent has used it, so deep chains of strings take linear memory.
+    """
+    uses: dict[int, int] = {}  # parents per node, counted per edge
+    order, entered = [], set()
+    stack = [(root, False)]
+    while stack:
+        node, leaving = stack.pop()
+        if leaving:
+            order.append(node)
+        elif id(node) not in entered:
+            entered.add(id(node))
+            stack.append((node, True))
+            for k in reversed(kids(node)):
+                uses[id(k)] = uses.get(id(k), 0) + 1
+                if id(k) not in entered:
+                    stack.append((k, False))
+    done = {}
+    for node in order:
+        args = []
+        for k in kids(node):
+            args.append(done[id(k)])
+            uses[id(k)] -= 1
+            if not uses[id(k)]:
+                del done[id(k)]
+        done[id(node)] = f(node, args)
+    return done[id(root)]
 
 
 # Atom singletons; compound constructors.
@@ -141,11 +179,14 @@ _HEAD_OF = {Op.P: "P", Op.COMP: "comp", Op.MU: "mu",
 _OP_OF_HEAD = {v: k for k, v in _HEAD_OF.items()}
 
 
-def d_print(d: Derivation) -> str:
-    if ARITY[d.op] == 0:
+def _print_rule(d: Derivation, kids: list[str]) -> str:
+    if not kids:
         return _ATOM_OF[d.op]
-    inner = " ".join(d_print(c) for c in d.children)
-    return f"({_HEAD_OF[d.op]} {inner})"
+    return f"({_HEAD_OF[d.op]} {' '.join(kids)})"
+
+
+def d_print(d: Derivation) -> str:
+    return fold(d, lambda n: n.children, _print_rule)
 
 
 class ParseError(ValueError):
@@ -154,61 +195,51 @@ class ParseError(ValueError):
         self.offset = offset
 
 
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
 def d_parse(text: str) -> Derivation:
     """Parse the S-expression derivation format."""
-    toks: list[tuple[str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            toks.append((c, i))
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            toks.append((text[i:j], i))
-            i = j
-    pos = 0
-
-    def parse_one() -> Derivation:
-        nonlocal pos
-        if pos >= len(toks):
-            raise ParseError("unexpected end of input", len(text))
-        tok, off = toks[pos]
-        pos += 1
+    # one frame per open '(': its operator token, offset, children so far
+    frames: list[tuple[str, int, list[Derivation]]] = []
+    root = None
+    toks = _TOKEN.finditer(text)
+    for m in toks:
+        tok, off = m.group(), m.start()
+        if root is not None:
+            raise ParseError("trailing input", off)
+        if tok == "(":
+            head = next(toks, None)
+            if head is None:
+                raise ParseError("missing operator after '('", off)
+            if head.group() not in _OP_OF_HEAD:
+                raise ParseError(f"unknown operator {head.group()!r}",
+                                 head.start())
+            frames.append((head.group(), off, []))
+            continue
         if tok == ")":
-            raise ParseError("unexpected ')'", off)
-        if tok != "(":
-            if tok not in _OP_OF_ATOM:
-                raise ParseError(f"unknown atom {tok!r}", off)
-            return Derivation(_OP_OF_ATOM[tok])
-        if pos >= len(toks):
-            raise ParseError("missing operator after '('", off)
-        headtok, hoff = toks[pos]
-        pos += 1
-        if headtok not in _OP_OF_HEAD:
-            raise ParseError(f"unknown operator {headtok!r}", hoff)
-        op = _OP_OF_HEAD[headtok]
-        kids = []
-        while True:
-            if pos >= len(toks):
-                raise ParseError("missing ')'", len(text))
-            if toks[pos][0] == ")":
-                pos += 1
-                break
-            kids.append(parse_one())
-        if len(kids) != ARITY[op]:
-            raise ParseError(
-                f"{headtok} takes {ARITY[op]} children, got {len(kids)}", off)
-        return Derivation(op, tuple(kids))
-
-    d = parse_one()
-    if pos != len(toks):
-        raise ParseError("trailing input", toks[pos][1])
-    return d
+            if not frames:
+                raise ParseError("unexpected ')'", off)
+            name, start, kids = frames.pop()
+            op = _OP_OF_HEAD[name]
+            if len(kids) != ARITY[op]:
+                raise ParseError(
+                    f"{name} takes {ARITY[op]} children, got {len(kids)}",
+                    start)
+            node = Derivation(op, tuple(kids))
+        elif tok in _OP_OF_ATOM:
+            node = Derivation(_OP_OF_ATOM[tok])
+        else:
+            raise ParseError(f"unknown atom {tok!r}", off)
+        if frames:
+            frames[-1][2].append(node)
+        else:
+            root = node
+    if frames:
+        raise ParseError("missing ')'", len(text))
+    if root is None:
+        raise ParseError("unexpected end of input", len(text))
+    return root
 
 
 # --- Standard enumeration --------------------------------------------------
@@ -235,20 +266,20 @@ def _class_tags(c: AlgebraClass) -> list[Op]:
 @lru_cache(maxsize=None)
 def _counts(cname: str, k: int) -> int:
     """Number of derivations of the class with exactly k operator nodes."""
-    c = CLASSES[cname]
     if k <= 0:
         return 0
-    total = 0
-    for op in _class_tags(c):
-        a = ARITY[op]
-        if a == 0:
-            total += 1 if k == 1 else 0
-        elif a == 1:
-            total += _counts(cname, k - 1)
-        else:
-            total += sum(_counts(cname, i) * _counts(cname, k - 1 - i)
-                         for i in range(1, k - 1))
-    return total
+    return sum(_op_count(cname, op, k) for op in _class_tags(CLASSES[cname]))
+
+
+def _op_count(cname: str, op: Op, k: int) -> int:
+    """Number of derivations of the class with k nodes and root op."""
+    a = ARITY[op]
+    if a == 0:
+        return 1 if k == 1 else 0
+    if a == 1:
+        return _counts(cname, k - 1)
+    return sum(_counts(cname, i) * _counts(cname, k - 1 - i)
+               for i in range(1, k - 1))
 
 
 @lru_cache(maxsize=None)
@@ -276,21 +307,14 @@ def index_of(d: Derivation, c) -> int:
     for op in _class_tags(c):
         if op is d.op:
             break
-        a = ARITY[op]
-        if a == 0:
-            idx += 1 if k == 1 else 0
-        elif a == 1:
-            idx += _counts(c.name, k - 1)
-        else:
-            idx += sum(_counts(c.name, i) * _counts(c.name, k - 1 - i)
-                       for i in range(1, k - 1))
+        idx += _op_count(c.name, op, k)
     a = ARITY[d.op]
     if a == 1:
         child = d.children[0]
         idx += index_of(child, c) - _block_start(c.name, k - 1)
     elif a == 2:
         g, h = d.children
-        kg, kh = g.node_count(), h.node_count()
+        kh = h.node_count()
         ig, ih = index_of(g, c), index_of(h, c)
         # pairs whose first index precedes ig
         for i in range(1, k - 1):
@@ -298,7 +322,6 @@ def index_of(d: Derivation, c) -> int:
                          _counts(c.name, i))
             idx += before * _counts(c.name, k - 1 - i)
         idx += ih - _block_start(c.name, kh)
-        del kg
     return idx
 
 
@@ -314,19 +337,13 @@ def derivation_at(i: int, c) -> Derivation:
             raise EnumerationError("index out of enumerated range")
     r = i - _block_start(c.name, k)
     for op in _class_tags(c):
-        a = ARITY[op]
-        if a == 0:
-            cnt = 1 if k == 1 else 0
-        elif a == 1:
-            cnt = _counts(c.name, k - 1)
-        else:
-            cnt = sum(_counts(c.name, j) * _counts(c.name, k - 1 - j)
-                      for j in range(1, k - 1))
+        cnt = _op_count(c.name, op, k)
         if r < cnt:
             break
         r -= cnt
     else:
         raise EnumerationError("index decoding failed")
+    a = ARITY[op]
     if a == 0:
         return Derivation(op)
     if a == 1:
@@ -367,20 +384,23 @@ class PolyBound:
     args: tuple["PolyBound", ...] = field(default=())
 
     def __call__(self, n: int) -> int:
-        if self.kind == "const":
-            return self.value
-        if self.kind == "var":
-            return n
-        a, b = (arg(n) for arg in self.args)
-        return a + b if self.kind == "add" else a * b
+        def rule(b: PolyBound, v: list[int]) -> int:
+            if b.kind == "const":
+                return b.value
+            if b.kind == "var":
+                return n
+            return v[0] + v[1] if b.kind == "add" else v[0] * v[1]
+        return fold(self, lambda b: b.args, rule)
 
     def __str__(self):
-        if self.kind == "const":
-            return str(self.value)
-        if self.kind == "var":
-            return "n"
-        sep = " + " if self.kind == "add" else " * "
-        return "(" + sep.join(str(a) for a in self.args) + ")"
+        def rule(b: PolyBound, v: list[str]) -> str:
+            if b.kind == "const":
+                return str(b.value)
+            if b.kind == "var":
+                return "n"
+            sep = " + " if b.kind == "add" else " * "
+            return "(" + sep.join(v) + ")"
+        return fold(self, lambda b: b.args, rule)
 
 
 def _const(k: int) -> PolyBound:
@@ -399,15 +419,14 @@ def _pmul(a: PolyBound, b: PolyBound) -> PolyBound:
 
 
 def _subst(b: PolyBound, inner: PolyBound) -> PolyBound:
-    if b.kind == "var":
-        return inner
-    if b.kind == "const":
-        return b
-    return PolyBound(b.kind, args=tuple(_subst(a, inner) for a in b.args))
+    def rule(p: PolyBound, args: list[PolyBound]) -> PolyBound:
+        if p.kind == "var":
+            return inner
+        return PolyBound(p.kind, args=tuple(args)) if args else p
+    return fold(b, lambda p: p.args, rule)
 
 
-def poly_bound(d: Derivation) -> PolyBound:
-    """A monotone polynomial dominating the function of the derivation."""
+def _bound_rule(d: Derivation, kids: list[PolyBound]) -> PolyBound:
     op = d.op
     if op in (Op.PR, Op.E, Op.SMASH):
         raise UnboundedOperatorError(f"{op.value} has no polynomial bound")
@@ -421,11 +440,15 @@ def poly_bound(d: Derivation) -> PolyBound:
         return _const(1)
     if op in (Op.I, Op.D, Op.MU, Op.BPR, Op.SNR):
         return _VAR
+    bg, bh = kids
     if op is Op.P:
-        bg, bh = (poly_bound(c) for c in d.children)
         s = _padd(_padd(bg, bh), _const(2))
         return _pmul(s, s)
-    if op is Op.COMP:
-        bg, bh = (poly_bound(c) for c in d.children)
-        return _subst(bg, bh)
-    raise AssertionError(op)
+    return _subst(bg, bh)  # comp
+
+
+def poly_bound(d: Derivation) -> PolyBound:
+    """A monotone polynomial dominating the function of the derivation."""
+    # the other operators bound their value by their argument, or not at all
+    return fold(d, lambda n: n.children if n.op in (Op.P, Op.COMP) else (),
+                _bound_rule)

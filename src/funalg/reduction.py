@@ -20,10 +20,9 @@ from .clausal import (AppEq, Clause, ClausalDef, Literal, Succ, TPair, Var,
                       VarPair, VarZero, Zero, check_recursive_restrictions)
 from .compiler import (HD, ONE, PRED, TL, Z_, UnboundVariableError,
                        compile_explicit, const, dd, eq_d, lt_d)
-from .derivation import (ADD, Derivation, I, LT, MUL, S, comp, mu, P, pr,
-                         snr)
+from .derivation import (ADD, Derivation, I, LT, MUL, PolyBound, S, comp,
+                         fold, mu, P, pr, snr)
 from .evaluator import Budget, eval_memo
-from .derivation import PolyBound
 
 
 class ReductionError(ValueError):
@@ -45,6 +44,10 @@ class ReductionArtifacts:
 
 # Stepper applications grouped per iteration in the J = 1 reduction.
 _GROUP = 8
+# The SNR reduction unrolls at most this many recursive calls per clause,
+# and checks the size bound by interpretation on [0, _VALIDATE_TO].
+_UNROLL_LIMIT = 8
+_VALIDATE_TO = 24
 
 
 # --- small derivation arithmetic helpers -------------------------------------
@@ -239,18 +242,19 @@ def reduce_recursive_to_pr(d: ClausalDef,
 
 def poly_to_derivation(b: PolyBound) -> Derivation:
     """Compile a polynomial bound to a derivation computing it."""
-    if b.kind == "const":
-        return const(b.value)
-    if b.kind == "var":
-        return I
-    x, y = (poly_to_derivation(a) for a in b.args)
-    return add_d(x, y) if b.kind == "add" else mul_d(x, y)
+    def rule(p: PolyBound, args: list[Derivation]) -> Derivation:
+        if p.kind == "const":
+            return const(p.value)
+        if p.kind == "var":
+            return I
+        x, y = args
+        return add_d(x, y) if p.kind == "add" else mul_d(x, y)
+    return fold(b, lambda p: p.args, rule)
 
 
 def reduce_bounded_nested_to_snr(d: ClausalDef, bound: PolyBound,
-                                 env: dict[str, Derivation] | None = None,
-                                 unroll_limit: int = 8,
-                                 validate_to: int = 24) -> Derivation:
+                                 env: dict[str, Derivation] | None = None
+                                 ) -> Derivation:
     """Translate a bounded nested definition to special nested recursion.
 
     The machine state is v = x*b + d where the lower digit d packs the
@@ -260,17 +264,17 @@ def reduce_bounded_nested_to_snr(d: ClausalDef, bound: PolyBound,
     parameter carries (R, R^J, b).
 
     The bound is checked dynamically: the definition is interpreted on
-    [0, validate_to] and any output above bound(x) raises BoundViolation.
+    [0, _VALIDATE_TO] and any output above bound(x) raises BoundViolation.
     """
     env = dict(env or {})
     if d.kind != "recursive":
         raise ReductionError(f"{d.name} is not recursive")
     check_recursive_restrictions(d)
     h_def, J = build_dispatcher(d)
-    if J > unroll_limit:
+    if J > _UNROLL_LIMIT:
         raise ReductionError(
-            f"J = {J} exceeds the unrolling limit {unroll_limit}")
-    for x in range(validate_to + 1):
+            f"J = {J} exceeds the unrolling limit {_UNROLL_LIMIT}")
+    for x in range(_VALIDATE_TO + 1):
         val = cl.eval_clausal([d], d.name, x,
                               budget=Budget(max_steps=10**7))
         if val > bound(x):
@@ -341,7 +345,7 @@ def reduce_bounded_nested_to_snr(d: ClausalDef, bound: PolyBound,
     result = comp(snr(g1, h1), P(v0, q0))
 
     # spot-check the construction against direct interpretation
-    for x in (0, 1, 2, 3, 5, 8, min(13, validate_to)):
+    for x in (0, 1, 2, 3, 5, 8, min(13, _VALIDATE_TO)):
         want = cl.eval_clausal([d], d.name, x,
                                budget=Budget(max_steps=10**7))
         got = eval_memo(result, x, budget=Budget(max_steps=10**8))

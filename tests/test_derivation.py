@@ -5,12 +5,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from funalg.derivation import (ARITY, CLASSES, DA, DEA, Derivation,
-                               EnumerationError, I, Op, P, PRA, ParseError,
-                               PolyBound, S, SA, TA, UnboundedOperatorError,
+from funalg.derivation import (ARITY, CLASSES, DA, DEA, E, SMASH,
+                               AlgebraClass, Derivation, EnumerationError, I,
+                               Op, P, PRA, ParseError, PolyBound, S, SA, TA,
+                               UnboundedOperatorError,
                                comp, d_parse, d_print, derivation_at,
-                               enumerate_derivations, index_of, mu,
+                               enumerate_derivations, fold, index_of, mu,
                                poly_bound, pr, snr, validate)
+from funalg.evaluator import eval_naive
 
 
 def test_arity_enforced():
@@ -138,3 +140,249 @@ def test_poly_bound_str_evaluates_consistently(n):
 def test_node_count():
     assert S.node_count() == 1
     assert comp(S, P(I, I)).node_count() == 5
+
+
+# --- recursive oracles ---------------------------------------------------
+#
+# The plain recursive walkers the fold-based ones replaced.  They expand
+# shared subterms and stop at the recursion limit, so they only run on
+# small inputs here.
+
+_ATOM = {Op.S: "S", Op.ADD: "add", Op.MUL: "mul", Op.LT: "lt", Op.I: "I",
+         Op.D: "D", Op.E: "E", Op.SMASH: "smash", Op.ORACLE: "X"}
+_HEAD = {Op.P: "P", Op.COMP: "comp", Op.MU: "mu",
+         Op.PR: "pr", Op.BPR: "bpr", Op.SNR: "snr"}
+
+
+def rec_print(d):
+    if ARITY[d.op] == 0:
+        return _ATOM[d.op]
+    inner = " ".join(rec_print(c) for c in d.children)
+    return f"({_HEAD[d.op]} {inner})"
+
+
+def rec_parse(text):
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "()":
+            toks.append((c, i))
+            i += 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in "()":
+                j += 1
+            toks.append((text[i:j], i))
+            i = j
+    atoms = {v: k for k, v in _ATOM.items()}
+    heads = {v: k for k, v in _HEAD.items()}
+    pos = 0
+
+    def parse_one():
+        nonlocal pos
+        if pos >= len(toks):
+            raise ParseError("unexpected end of input", len(text))
+        tok, off = toks[pos]
+        pos += 1
+        if tok == ")":
+            raise ParseError("unexpected ')'", off)
+        if tok != "(":
+            if tok not in atoms:
+                raise ParseError(f"unknown atom {tok!r}", off)
+            return Derivation(atoms[tok])
+        if pos >= len(toks):
+            raise ParseError("missing operator after '('", off)
+        headtok, hoff = toks[pos]
+        pos += 1
+        if headtok not in heads:
+            raise ParseError(f"unknown operator {headtok!r}", hoff)
+        op = heads[headtok]
+        kids = []
+        while True:
+            if pos >= len(toks):
+                raise ParseError("missing ')'", len(text))
+            if toks[pos][0] == ")":
+                pos += 1
+                break
+            kids.append(parse_one())
+        if len(kids) != ARITY[op]:
+            raise ParseError(
+                f"{headtok} takes {ARITY[op]} children, got {len(kids)}", off)
+        return Derivation(op, tuple(kids))
+
+    d = parse_one()
+    if pos != len(toks):
+        raise ParseError("trailing input", toks[pos][1])
+    return d
+
+
+def rec_bound_call(b, n):
+    if b.kind == "const":
+        return b.value
+    if b.kind == "var":
+        return n
+    x, y = (rec_bound_call(a, n) for a in b.args)
+    return x + y if b.kind == "add" else x * y
+
+
+def rec_bound_str(b):
+    if b.kind == "const":
+        return str(b.value)
+    if b.kind == "var":
+        return "n"
+    sep = " + " if b.kind == "add" else " * "
+    return "(" + sep.join(rec_bound_str(a) for a in b.args) + ")"
+
+
+def rec_subst(b, inner):
+    if b.kind == "var":
+        return inner
+    if b.kind == "const":
+        return b
+    return PolyBound(b.kind, args=tuple(rec_subst(a, inner) for a in b.args))
+
+
+def rec_poly_bound(d):
+    var, one = PolyBound("var"), PolyBound("const", 1)
+    op = d.op
+    if op in (Op.PR, Op.E, Op.SMASH):
+        raise UnboundedOperatorError(f"{op.value} has no polynomial bound")
+    if op is Op.S:
+        return PolyBound("add", args=(var, one))
+    if op is Op.ADD:
+        return PolyBound("mul", args=(PolyBound("const", 2), var))
+    if op is Op.MUL:
+        return PolyBound("mul", args=(var, var))
+    if op in (Op.LT, Op.ORACLE):
+        return one
+    if op in (Op.I, Op.D, Op.MU, Op.BPR, Op.SNR):
+        return var
+    bg, bh = (rec_poly_bound(c) for c in d.children)
+    if op is Op.P:
+        s = PolyBound("add", args=(PolyBound("add", args=(bg, bh)),
+                                   PolyBound("const", 2)))
+        return PolyBound("mul", args=(s, s))
+    return rec_subst(bg, bh)
+
+
+def _random_dag(rng, cls, steps):
+    """A derivation of the class whose children are drawn from a pool of
+    earlier nodes, so subterms are shared."""
+    ops = [op for op in Op if op in cls.allowed]
+    pool = [Derivation(op) for op in ops if ARITY[op] == 0]
+    for _ in range(steps):
+        op = rng.choice(ops)
+        pool.append(Derivation(op, tuple(rng.choice(pool[-6:])
+                                         for _ in range(ARITY[op]))))
+    return pool[-1]
+
+
+def _samples():
+    # every class, plus all operators at once, where several operators
+    # without a bound compete to be reported first
+    yield from (P(E, pr(S, S)), comp(SMASH, E),
+                P(comp(I, SMASH), P(pr(S, S), E)))
+    rng = random.Random(11)
+    for cls in [*CLASSES.values(), AlgebraClass("all", frozenset(Op))]:
+        for _ in range(40):
+            yield _random_derivation(rng, cls, rng.randint(0, 5))
+            yield _random_dag(rng, cls, rng.randint(1, 9))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return rec_print(parse(text))
+    except ParseError as e:
+        return (str(e), e.offset)
+
+
+def _mutants(rng, text):
+    for _ in range(6):
+        i = rng.randrange(len(text) + 1)
+        yield text[:i] + text[i + 1:]
+        yield text[:i]
+        yield text[:i] + rng.choice(["(", ")", " ", "q", "S", "(mu"]) \
+            + text[i:]
+        yield f"{text[:i]} {rng.choice(['(comp', ')', 'E', '(P S'])} " \
+            + text[i:]
+
+
+def test_print_and_parse_match_recursive_oracles():
+    rng = random.Random(5)
+    for d in _samples():
+        text = d_print(d)
+        assert text == rec_print(d)
+        assert rec_print(d_parse(text)) == text
+        for m in _mutants(rng, text):
+            assert _parse_outcome(d_parse, m) == _parse_outcome(rec_parse, m)
+
+
+def test_parse_error_cases_match_oracle():
+    for text in ("", "  ", ")", "(", "( ", "(comp", "(comp S", "(comp S S",
+                 "(comp S S S)", "(mu)", "(frob S)", "(S S)", "((", "()",
+                 "q", "S S", "S )", "(comp S S) (", "(mu S",
+                 "(comp\u00a0S\x1cS)", "(mu\u2003S)x"):
+        assert _parse_outcome(d_parse, text) == _parse_outcome(rec_parse,
+                                                                text), text
+
+
+def test_poly_bound_matches_recursive_oracle():
+    for d in _samples():
+        try:
+            want = rec_poly_bound(d)
+        except UnboundedOperatorError as e:
+            with pytest.raises(UnboundedOperatorError) as got:
+                poly_bound(d)
+            assert str(got.value) == str(e)
+            continue
+        b = poly_bound(d)
+        assert str(b) == rec_bound_str(want)
+        for n in (0, 1, 2, 7, 30):
+            assert b(n) == rec_bound_call(want, n)
+
+
+def test_fold_visits_each_distinct_node_once_children_first():
+    t = I
+    for _ in range(40):
+        t = P(t, t)
+    seen = []
+
+    def rule(d, kids):
+        assert all(id(c) in {id(x) for x in seen} for c in d.children)
+        seen.append(d)
+        return 1 + sum(kids)
+
+    # the tree has 2^41 - 1 nodes; the DAG has 41
+    assert fold(t, lambda d: d.children, rule) == 2 ** 41 - 1
+    assert len(seen) == 41
+    assert len(list(t.nodes())) == 41
+    assert validate(t, DA)
+
+
+def test_deep_comp_chain_has_no_recursion_limit():
+    depth = 5000
+    d = I
+    for _ in range(depth):
+        d = comp(S, d)
+    text = d_print(d)
+    assert text == "(comp S " * depth + "I" + ")" * depth
+    back = d_parse(text)
+    assert d_print(back) == text
+    assert validate(back, DA) and validate(back, PRA)
+    assert not validate(comp(pr(S, S), back), DA)
+    b = poly_bound(back)
+    assert b(3) == 5003 == eval_naive(back, 3)
+    assert str(b) == "(" * depth + "n" + " + 1)" * depth
+
+
+def test_poly_bound_of_p_tower_closed_form():
+    t = I
+    for _ in range(12):
+        t = P(t, t)
+    want = 3
+    for _ in range(12):
+        want = (2 * want + 2) ** 2
+    assert poly_bound(t)(3) == want
