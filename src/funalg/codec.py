@@ -7,6 +7,7 @@ by one, so that 0 is never a pair and head/tail strictly shrink.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Sequence
@@ -80,10 +81,7 @@ def list_len(x: int) -> int:
 
 def list_concat(x: int, y: int) -> int:
     """List concatenation: 0 + y = y, (v,x) + y = (v, x + y)."""
-    if x == 0:
-        return y
-    v, rest = unpair(x)
-    return pair(v, list_concat(rest, y))
+    return tuple_encode([*list_decode(x), y])
 
 
 # --- 0-1 sequence codes: the sequence b0..b(n-1) is the binary number
@@ -156,7 +154,9 @@ class FinSet:
         return FinSet(tuple(sorted(set(xs))))
 
     def __contains__(self, x: int) -> bool:
-        return x in set(self.elements)
+        elems = self.elements
+        i = bisect_left(elems, x)
+        return i < len(elems) and elems[i] == x
 
     def __iter__(self):
         return iter(self.elements)

@@ -27,6 +27,13 @@ class Op(Enum):
     ORACLE = "X"
 
 
+# A dense int per operator, in declaration order, so the evaluator can
+# dispatch on ints instead of hashing enum members.
+for _code, _op in enumerate(Op):
+    _op.code = _code
+del _code, _op
+
+
 ARITY = {
     Op.S: 0, Op.ADD: 0, Op.MUL: 0, Op.LT: 0, Op.I: 0, Op.D: 0,
     Op.E: 0, Op.SMASH: 0, Op.ORACLE: 0,

@@ -1,15 +1,34 @@
 """Metered big-step evaluation of derivations.
 
-Evaluation runs on an explicit stack of generators (one per operator node
-being evaluated), so recursion depth is bounded only by the budget, never
-by the host interpreter's call stack.
+Evaluation is one loop over an explicit stack of frames, one frame per
+compound node being evaluated, so recursion depth is bounded only by the
+budget, never by the host interpreter's call stack.  Leaves are computed
+inline and push no frame.
+
+The meter, which is the cost model of every reduction criterion:
+
+- a step is charged for each compound entry, each leaf and each pr/bpr
+  iteration;
+- with memo=True, a compound call whose (node, argument) this evaluation
+  has already computed is a memo hit and costs no step;
+- peak_bits is the widest argument or value seen, in bits;
+- max_depth counts frames, leaves included: a leaf called from a frame
+  at depth k sits at depth k + 1, and the root is at depth 1;
+- the expansion log receives (node, argument) for each call of a pr, bpr
+  or snr node, memo hits included, and (node, <w, p>) for each pr/bpr
+  iteration w; the root call is not logged.
+
+A step is checked against the budget as it is charged and a width as it
+is seen.  E and smash check the width of their value before computing it.
+On return or BudgetExceeded the meter holds the counts so far.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
-from .codec import head, pair, tail, unpair
+from .codec import pair, unpair
 from .derivation import Derivation, Op
 
 
@@ -41,119 +60,14 @@ class BudgetExceeded(RuntimeError):
 
 _EMPTY: frozenset[int] = frozenset()
 
-
-def _leaf_s(x, oracle):
-    return x + 1
-
-
-def _leaf_add(x, oracle):
-    return 0 if x == 0 else head(x) + tail(x)
-
-
-def _leaf_mul(x, oracle):
-    return 0 if x == 0 else head(x) * tail(x)
-
-
-def _leaf_lt(x, oracle):
-    return 0 if x == 0 else (1 if head(x) < tail(x) else 0)
-
-
-def _leaf_i(x, oracle):
-    return x
-
-
-def _leaf_d(x, oracle):
-    if x == 0 or tail(x) == 0:
-        return 0
-    v, (y, z) = head(x), unpair(tail(x))
-    return y if v == 0 else z
-
-
-def _leaf_e(x, oracle):
-    return 1 << x
-
-
-def _leaf_smash(x, oracle):
-    return 1 << (x.bit_length() ** 2)
-
-
-def _leaf_oracle(x, oracle):
-    return 1 if x in oracle else 0
-
-
-_LEAF = {
-    Op.S: _leaf_s,
-    Op.ADD: _leaf_add,
-    Op.MUL: _leaf_mul,
-    Op.LT: _leaf_lt,
-    Op.I: _leaf_i,
-    Op.D: _leaf_d,
-    Op.E: _leaf_e,
-    Op.SMASH: _leaf_smash,
-    Op.ORACLE: _leaf_oracle,
-}
-
-
-def _eval_node(d: Derivation, x: int, oracle):
-    """Generator computing one compound node; yields (node, arg) sub-calls."""
-    op = d.op
-    if op is Op.P:
-        g, h = d.children
-        a = yield (g, x)
-        b = yield (h, x)
-        return pair(a, b)
-    if op is Op.COMP:
-        g, h = d.children
-        v = yield (h, x)
-        return (yield (g, v))
-    if op is Op.MU:
-        if x == 0:
-            return 0
-        (g,) = d.children
-        bnd, p = head(x), tail(x)
-        for z in range(bnd):
-            if (yield (g, pair(z, p))) == 1:
-                return z
-        return bnd
-    if op is Op.PR or op is Op.BPR:
-        # Recursion on the first component is linear, so it is run
-        # bottom-up: f(0,p) = g(p), f(w+1,p) = h(<w, f(w,p), p>).
-        if x == 0:
-            return 0
-        g, h = d.children
-        v, p = head(x), tail(x)
-        clamp = op is Op.BPR
-        r = yield (g, p)
-        if clamp and r > p:
-            r = 0
-        for w in range(v):
-            yield (None, (d, w, p))
-            r = yield (h, pair(w, pair(r, p)))
-            if clamp and r > p:
-                r = 0
-        return r
-    if op is Op.SNR:
-        if x == 0:
-            return 0
-        g, h = d.children
-        v, p = head(x), tail(x)
-        r = yield (g, pair(v, p))
-        if r == 0:
-            return 0
-        a, b = unpair(r)
-        if a == 0 and b < v:
-            u = yield (d, pair(b, p))
-            w = yield (h, pair(v, pair(u, p)))
-            if w < v:
-                return (yield (d, pair(w, p)))
-            return 0
-        if a == 1 and b <= p:
-            return b
-        return 0
-    raise AssertionError(op)
-
-
-_REC_OPS = (Op.PR, Op.BPR, Op.SNR)
+# Op codes (declaration order of Op): the compound operators are
+# _P.._SNR, and of them the recursions are _PR.._SNR.
+_S, _ADD, _MUL, _LT, _I, _D = (op.code for op in (
+    Op.S, Op.ADD, Op.MUL, Op.LT, Op.I, Op.D))
+_P, _COMP, _MU, _PR, _BPR, _SNR = (op.code for op in (
+    Op.P, Op.COMP, Op.MU, Op.PR, Op.BPR, Op.SNR))
+_E, _SMASH, _ORACLE = Op.E.code, Op.SMASH.code, Op.ORACLE.code
+_ROOT = -1  # the pseudo-frame that calls the root node
 
 
 def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
@@ -166,101 +80,245 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
     on (node, arg) for the duration of this call, so each distinct
     argument is expanded at most once (course-of-values evaluation).
     expansion_log, if given, receives a (node, arg) entry for every
-    recursion-node invocation.
+    recursion-node invocation.  Raises TypeError unless d is a Derivation
+    and x an int, and ValueError if x is negative.
     """
+    if not isinstance(d, Derivation):
+        raise TypeError(f"expected a Derivation, got {type(d).__name__}")
+    if not isinstance(x, int):
+        raise TypeError(f"expected an int argument, got {type(x).__name__}")
+    if x < 0:
+        raise ValueError(f"argument must be a natural number, got {x}")
     if oracle is None:
         oracle = _EMPTY
     if budget is None:
         budget = Budget()
     if meter is None:
         meter = Meter()
+    max_steps, max_bits = budget.max_steps, budget.max_bits
+    log = expansion_log
     cache: dict[tuple[int, int], int] = {}
-
-    def note_bits(v: int):
-        b = v.bit_length()
-        if b > meter.peak_bits:
-            meter.peak_bits = b
-            if b > budget.max_bits:
-                raise BudgetExceeded("bits", meter)
-
-    def begin(node: Derivation, arg: int):
-        meter.steps += 1
-        if meter.steps > budget.max_steps:
-            raise BudgetExceeded("steps", meter)
-        if arg.bit_length() > meter.peak_bits:
-            note_bits(arg)
-        return _eval_node(node, arg, oracle)
-
-    if not d.children:
-        meter.steps += 1
-        if meter.steps > budget.max_steps:
-            raise BudgetExceeded("steps", meter)
-        note_bits(x)
-        result = _LEAF[d.op](x, oracle)
-        meter.max_depth = max(meter.max_depth, 1)
-        note_bits(result)
-        return result
-
-    leaf = _LEAF
-    max_steps = budget.max_steps
-    stack: list = [begin(d, x)]
-    keys: list = [None]
-    meter.max_depth = max(meter.max_depth, 1)
-    send_val = None
-    result = None
     cache_get = cache.get
-    while stack:
-        gen = stack[-1]
-        try:
-            node, arg = gen.send(send_val)
-        except StopIteration as stop:
-            result = stop.value
-            note_bits(result)
-            key = keys.pop()
-            stack.pop()
-            if key is not None:
-                cache[key] = result
-            send_val = result
-            continue
-        if node is None:
-            # step charge for an in-node recursion expansion
-            meter.steps += 1
-            if meter.steps > max_steps:
-                raise BudgetExceeded("steps", meter)
-            if expansion_log is not None:
-                rec, w, p = arg
-                expansion_log.append((rec, pair(w, p)))
-            send_val = None
-            continue
-        if not node.children:
-            meter.steps += 1
-            if meter.steps > max_steps:
-                raise BudgetExceeded("steps", meter)
-            if arg.bit_length() > meter.peak_bits:
-                note_bits(arg)
-            v = leaf[node.op](arg, oracle)
-            if v.bit_length() > meter.peak_bits:
-                note_bits(v)
-            if len(stack) >= meter.max_depth:
-                meter.max_depth = len(stack) + 1
-            send_val = v
-            continue
-        send_val = None
-        key = None
-        if expansion_log is not None and node.op in _REC_OPS:
-            expansion_log.append((node, arg))
-        if memo:
-            key = (id(node), arg)
-            cached = cache_get(key)
-            if cached is not None:
-                meter.memo_hits += 1
-                send_val = cached
+    steps, peak = meter.steps, meter.peak_bits
+    hits, maxd = meter.memo_hits, meter.max_depth
+    lim = 1 << peak  # a value is wider than peak iff it is >= lim
+    # Saved frames: (node, code, arg, pc, memo key, v, p, w).  The current
+    # frame lives in the same locals, plus its depth; v, p and w are its
+    # operator's variables and pc says where it resumes.  The root
+    # pseudo-frame, at depth 0, calls d at x and returns the value.
+    stack: list[tuple] = []
+    node, c, a, pc, key, dep = d, _ROOT, x, 0, None, 0
+    v = p = w = val = 0
+    try:
+        while True:
+            # Resume the current frame with val: it calls cn at ca, or
+            # leaves cn None and returns val.
+            cn = None
+            if c == _COMP:
+                if pc == 0:
+                    pc = 1
+                    cn = node.children[1]
+                    ca = a
+                elif pc == 1:
+                    pc = 2
+                    cn = node.children[0]
+                    ca = val
+            elif c == _P:
+                if pc == 0:
+                    pc = 1
+                    cn = node.children[0]
+                    ca = a
+                elif pc == 1:
+                    pc = 2
+                    v = val
+                    cn = node.children[1]
+                    ca = a
+                else:
+                    s = v + val
+                    val = (s * (s + 1) >> 1) + v + 1  # <v, val>
+            elif c == _MU:
+                # a = <v, p>: the least w < v with g(<w, p>) = 1, else v
+                if pc == 0:
+                    pc = 1
+                    w = 0
+                    v, p = unpair(a) if a else (0, 0)
+                elif val == 1:
+                    v = w
+                else:
+                    w += 1
+                if w < v:
+                    cn = node.children[0]
+                    s = w + p
+                    ca = (s * (s + 1) >> 1) + w + 1  # <w, p>
+                else:
+                    val = v
+            elif c == _PR or c == _BPR:
+                # a = <v, p>, run bottom-up: f(0, p) = g(p),
+                # f(w + 1, p) = h(<w, f(w, p), p>); bpr clamps above p to 0
+                if pc == 0:
+                    if a:
+                        pc = 1
+                        w = 0
+                        v, p = unpair(a)
+                        cn = node.children[0]
+                        ca = p
+                    else:
+                        val = 0
+                else:
+                    if pc == 1:
+                        pc = 2
+                    else:
+                        w += 1
+                    if c == _BPR and val > p:
+                        val = 0
+                    if w < v:
+                        steps += 1
+                        if steps > max_steps:
+                            raise BudgetExceeded("steps", meter)
+                        if log is not None:
+                            log.append((node, pair(w, p)))
+                        cn = node.children[1]
+                        s = val + p
+                        t = (s * (s + 1) >> 1) + val + 1
+                        s = w + t
+                        ca = (s * (s + 1) >> 1) + w + 1  # <w, <val, p>>
+            elif c == _SNR:
+                # a = <v, p>; g(a) = <0, b> with b < v answers
+                # f(<h(<v, <f(<b, p>), p>>), p>) when h's value is below v,
+                # <1, b> with b <= p answers b, anything else 0
+                if pc == 0:
+                    if a:
+                        pc = 1
+                        v, p = unpair(a)
+                        cn = node.children[0]
+                        ca = a
+                    else:
+                        val = 0
+                elif pc == 1:
+                    if val:
+                        t, b = unpair(val)
+                        if t == 0 and b < v:
+                            pc = 2
+                            cn = node
+                            ca = pair(b, p)
+                        elif t == 1 and b <= p:
+                            val = b
+                        else:
+                            val = 0
+                elif pc == 2:
+                    pc = 3
+                    cn = node.children[1]
+                    ca = pair(v, pair(val, p))
+                elif pc == 3:
+                    if val < v:
+                        pc = 4
+                        cn = node
+                        ca = pair(val, p)
+                    else:
+                        val = 0
+            elif pc == 0:  # the root pseudo-frame
+                pc = 1
+                cn = node
+                ca = a
+            else:
+                return val
+
+            if cn is None:  # return val to the saved frame
+                if val >= lim:
+                    peak = val.bit_length()
+                    lim = 1 << peak
+                    if peak > max_bits:
+                        raise BudgetExceeded("bits", meter)
+                if key is not None:
+                    cache[key] = val
+                node, c, a, pc, key, v, p, w = stack.pop()
+                dep -= 1
                 continue
-        stack.append(begin(node, arg))
-        keys.append(key)
-        if len(stack) > meter.max_depth:
-            meter.max_depth = len(stack)
-    return result
+
+            cc = cn.op.code
+            if _P <= cc <= _SNR:  # enter a compound node
+                if log is not None and cc >= _PR and dep:
+                    log.append((cn, ca))
+                if memo:
+                    k = (id(cn), ca)
+                    hit = cache_get(k)
+                    if hit is not None:
+                        hits += 1
+                        val = hit
+                        continue
+                else:
+                    k = None
+                steps += 1
+                if steps > max_steps:
+                    raise BudgetExceeded("steps", meter)
+                if ca >= lim:
+                    peak = ca.bit_length()
+                    lim = 1 << peak
+                    if peak > max_bits:
+                        raise BudgetExceeded("bits", meter)
+                stack.append((node, c, a, pc, key, v, p, w))
+                node, c, a, pc, key = cn, cc, ca, 0, k
+                dep += 1
+                if dep > maxd:
+                    maxd = dep
+                continue
+
+            # a leaf, at depth dep + 1
+            steps += 1
+            if steps > max_steps:
+                raise BudgetExceeded("steps", meter)
+            if ca >= lim:
+                peak = ca.bit_length()
+                lim = 1 << peak
+                if peak > max_bits:
+                    raise BudgetExceeded("bits", meter)
+            if cc == _I:
+                val = ca
+            elif cc == _S:
+                val = ca + 1
+            elif cc <= _D:  # add, mul, lt, D: the projections of ca
+                if ca:
+                    s = (isqrt(8 * ca - 7) - 1) >> 1
+                    t = ca - 1 - (s * (s + 1) >> 1)
+                    b = s - t  # ca = <t, b>
+                    if cc == _ADD:
+                        val = t + b
+                    elif cc == _MUL:
+                        val = t * b
+                    elif cc == _LT:
+                        val = 1 if t < b else 0
+                    elif b:  # D: <t, <y, z>> gives y if t = 0, else z
+                        s = (isqrt(8 * b - 7) - 1) >> 1
+                        val = b - 1 - (s * (s + 1) >> 1)
+                        if t:
+                            val = s - val
+                    else:
+                        val = 0
+                else:
+                    val = 0
+            elif cc == _ORACLE:
+                val = 1 if ca in oracle else 0
+            else:  # E, smash: 1 << e has e + 1 bits
+                e = ca if cc == _E else ca.bit_length() ** 2
+                if e >= peak and e >= max_bits:
+                    peak = e + 1
+                    if not dep:  # as below
+                        maxd = max(maxd, 1)
+                    raise BudgetExceeded("bits", meter)
+                val = 1 << e
+            if val >= lim:
+                peak = val.bit_length()
+                lim = 1 << peak
+                if peak > max_bits:
+                    # the root leaf's depth counts before its value's width
+                    if not dep:
+                        maxd = max(maxd, 1)
+                    raise BudgetExceeded("bits", meter)
+            if dep >= maxd:
+                maxd = dep + 1
+    finally:
+        meter.steps, meter.peak_bits = steps, peak
+        meter.memo_hits, meter.max_depth = hits, maxd
 
 
 def eval_naive(d: Derivation, x: int, oracle=None,

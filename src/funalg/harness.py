@@ -21,7 +21,7 @@ from .compiler import FBoundedEx, FOracle, FRel
 from .clausal import Succ, TAdd, Var
 from .derivation import (ADD, Derivation, E, I, P, S, bpr, comp, mu, snr,
                          poly_bound)
-from .evaluator import Budget, Meter, eval_memo, eval_naive
+from .evaluator import Budget, BudgetExceeded, Meter, eval_memo, eval_naive
 
 
 class PredicateError(ValueError):
@@ -115,7 +115,7 @@ def scaling_study(d: Derivation, mode: CharMode, sizes,
     """Measure memoized step counts of predicate d across input sizes.
 
     Deterministic for a fixed seed.  A budget overrun stops measurement
-    and flags the report as truncated.
+    and flags the report as truncated; any other error propagates.
     """
     rng = random.Random(seed)
     rows: list[tuple[int, int, int]] = []
@@ -128,7 +128,7 @@ def scaling_study(d: Derivation, mode: CharMode, sizes,
                 inp = _random_finset(rng, size)
             try:
                 _, meter = char_run(d, mode, inp, budget=budget)
-            except Exception:
+            except BudgetExceeded:
                 truncated = True
                 break
             rows.append((size, meter.steps, meter.peak_bits))

@@ -117,20 +117,34 @@ def test_reduce_bad_bound(capsys, corpus_file):
 
 
 def test_meter_csv(capsys):
-    code, out, _ = run(capsys, "meter", "--d", "(comp S S)", "--mode",
+    code, out, _ = run(capsys, "meter", "--d", "(comp lt (P I S))", "--mode",
                        "zero", "--sizes", "4,8,16", "--seed", "3")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "size,steps,peak_bits"
+    assert len(lines) == 11  # three trials per size
     assert lines[-1].startswith("# fitted_exponent=")
 
 
 def test_meter_deterministic(capsys):
-    a = run(capsys, "meter", "--d", "(comp S S)", "--mode", "zero",
+    a = run(capsys, "meter", "--d", "(comp lt (P I S))", "--mode", "zero",
             "--sizes", "4,8", "--seed", "3")
-    b = run(capsys, "meter", "--d", "(comp S S)", "--mode", "zero",
+    b = run(capsys, "meter", "--d", "(comp lt (P I S))", "--mode", "zero",
             "--sizes", "4,8", "--seed", "3")
-    assert a == b
+    assert a == b and a[0] == 0
+
+
+def test_meter_non_predicate_is_an_error(capsys):
+    code, out, err = run(capsys, "meter", "--d", "(comp S S)", "--mode",
+                         "zero", "--sizes", "4")
+    assert code == 1 and out == ""
+    assert "PredicateError" in err
+
+
+def test_eval_negative_argument(capsys):
+    code, out, err = run(capsys, "eval", "--d", "S", "--arg", "-1")
+    assert code == 1 and out == ""
+    assert "ValueError" in err
 
 
 def test_usage_error_exit_2():

@@ -148,3 +148,16 @@ def test_base_pair_roundtrip():
         for x in range(12):
             for y in range(b):
                 assert base_unpair(base_pair(x, y, b), b) == (x, y)
+
+
+@given(st.lists(st.integers(0, 60)), st.integers(-3, 70))
+def test_finset_membership(xs, q):
+    assert (q in FinSet.of(*xs)) == (q in set(xs))
+
+
+@given(st.lists(st.integers(0, 9), max_size=8),
+       st.lists(st.integers(0, 9), max_size=8))
+def test_list_concat(a, b):
+    # a code about doubles in width per element: 20 zeros take 166,373 bits
+    assert codec.list_concat(list_encode(a), list_encode(b)) == \
+        list_encode(a + b)

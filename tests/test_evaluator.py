@@ -1,13 +1,23 @@
 """Metered big-step evaluation of derivations."""
 
+import dataclasses
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from funalg.codec import FinSet, pair
-from funalg.derivation import (D, Derivation, E, I, LT, Op, P, S, SMASH,
-                               bpr, comp, d_parse, mu, pr, snr)
+import oracle_evaluator
+from funalg import evaluator
+from funalg.clausal import parse_cl
+from funalg.codec import FinSet, list_encode, pair
+from funalg.corpus import CORPUS_TEXT
+from funalg.derivation import (ARITY, CLASSES, D, Derivation, E, I, LT, Op,
+                               P, PolyBound, S, SMASH, bpr, comp, d_parse,
+                               mu, pr, snr)
 from funalg.evaluator import (Budget, BudgetExceeded, Meter, eval_memo,
                               eval_naive, evaluate, meter_line)
+from funalg.reduction import (reduce_bounded_nested_to_snr,
+                              reduce_recursive_to_pr)
 
 
 def test_successor_chain_meter():
@@ -192,3 +202,149 @@ def test_expansion_log_records_recursions():
 def test_determinism(x):
     d = comp(S, P(I, S))
     assert eval_naive(d, x) == eval_naive(d, x)
+
+
+# --- argument and width checks ------------------------------------------
+
+
+@pytest.mark.parametrize("d", [S, E, comp(S, S), mu(I), pr(I, I), snr(I, I)])
+@pytest.mark.parametrize("ev", [eval_naive, eval_memo])
+def test_negative_argument_rejected(d, ev):
+    m = Meter()
+    with pytest.raises(ValueError):
+        ev(d, -5, meter=m)
+    assert m == Meter()
+
+
+def test_non_derivation_or_non_int_rejected():
+    with pytest.raises(TypeError):
+        eval_memo(lambda: S, 3)
+    with pytest.raises(TypeError):
+        eval_naive(S, 2.5)
+
+
+def test_exponential_tower_exceeds_bits_not_memory():
+    d = comp(E, comp(E, comp(E, comp(E, comp(E, S)))))
+    m = Meter()
+    with pytest.raises(BudgetExceeded) as e:
+        eval_naive(d, 3, meter=m)  # E(2^65536) would be 2^65536 + 1 wide
+    assert e.value.kind == "bits" and e.value.meter is m
+    assert m.peak_bits == 2**65536 + 1
+
+
+@pytest.mark.parametrize("d, x, width", [
+    (E, 10**9, 10**9 + 1),
+    (SMASH, 2**2000, 2001**2 + 1),
+    (comp(S, E), 10**9, 10**9 + 1),
+], ids=["E", "smash", "inner E"])
+def test_wide_result_raises_before_computing(d, x, width):
+    m = Meter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as e:
+            eval_naive(d, x, meter=m)
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.value.kind == "bits" and m.peak_bits == width
+    assert allocated < 10**6  # 1 << x is never built
+
+
+def test_op_codes_group_compound_operators():
+    # the evaluator tells compound and recursion nodes by code ranges
+    for op in Op:
+        assert (evaluator._P <= op.code <= evaluator._SNR) == (ARITY[op] > 0)
+        assert (evaluator._PR <= op.code <= evaluator._SNR) == (
+            op in (Op.PR, Op.BPR, Op.SNR))
+
+
+# --- differential test against the generator evaluator ------------------
+
+
+def _outcome(ev, d, x, oracle, budget, memo, meter0, logged):
+    """Value or budget kind, the meter at return or raise, and the log."""
+    meter = dataclasses.replace(meter0)
+    log = [] if logged else None
+    try:
+        out = ev(d, x, oracle=oracle, budget=budget, meter=meter, memo=memo,
+                 expansion_log=log)
+    except BudgetExceeded as e:
+        assert e.meter is meter
+        out = ("BudgetExceeded", e.kind)
+    return out, meter, log and [(id(n), a) for n, a in log]
+
+
+def _assert_same(d, x, oracle=None, budget=None, memo=False, meter0=Meter(),
+                 logged=True):
+    args = (d, x, oracle, budget, memo, meter0, logged)
+    assert _outcome(evaluate, *args) == _outcome(oracle_evaluator.evaluate,
+                                                 *args)
+
+
+@st.composite
+def _dags(draw, allowed):
+    """A random derivation over the operators, its nodes shared at random.
+
+    A child is often the newest node and both children of a binary node
+    are often one node, so memoized runs see memo hits.
+    """
+    ops = sorted(allowed, key=lambda op: op.code)
+    pool = draw(st.permutations([Derivation(op) for op in ops
+                                 if ARITY[op] == 0]))
+    for _ in range(draw(st.integers(0, 12))):
+        op = draw(st.sampled_from([op for op in ops if ARITY[op]]))
+        index = st.just(len(pool) - 1) | st.integers(0, len(pool) - 1)
+        kids = [pool[draw(index)] for _ in range(ARITY[op])]
+        if len(kids) == 2 and draw(st.booleans()):
+            kids[1] = kids[0]
+        pool.append(Derivation(op, tuple(kids)))
+    return pool[-1]
+
+
+_ARGS = st.one_of(st.integers(0, 64),
+                  st.builds(pair, st.integers(0, 12), st.integers(0, 300)),
+                  st.integers(0, 2**80))
+_ORACLES = st.none() | st.lists(st.integers(0, 40)).map(
+    lambda xs: FinSet.of(*xs))
+_METERS = st.builds(Meter, st.integers(0, 20), st.integers(0, 24),
+                    st.integers(0, 3), st.integers(0, 4))
+
+
+@pytest.mark.parametrize("allowed", [c.allowed for c in CLASSES.values()]
+                         + [frozenset(Op)],
+                         ids=[*CLASSES, "all"])
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_matches_generator_evaluator(allowed, data):
+    d = data.draw(_dags(allowed))
+    # the oracle builds 1 << x before checking its width: keep x small
+    bits = st.integers(1, 20 if Op.E in allowed else 200)
+    _assert_same(d, data.draw(_ARGS), data.draw(_ORACLES),
+                 Budget(data.draw(st.integers(1, 1500)), data.draw(bits)),
+                 data.draw(st.booleans()), data.draw(_METERS),
+                 data.draw(st.booleans()))
+
+
+@pytest.mark.parametrize("d, x, bits", [
+    (S, 31, 5), (E, 4, 4), (SMASH, 3, 4), (comp(S, I), 31, 5),
+    (comp(E, I), 4, 4), (P(I, I), 7, 5), (mu(I), pair(3, 9), 6),
+], ids=["S", "E", "smash", "inner S", "inner E", "P", "mu"])
+def test_matches_generator_evaluator_at_width_limit(d, x, bits):
+    # a value one bit wider than the budget, at the root and below it
+    for memo in (False, True):
+        _assert_same(d, x, budget=Budget(100, bits), memo=memo)
+
+
+def test_matches_generator_evaluator_on_reductions():
+    defs = {c.name: c for c in parse_cl(CORPUS_TEXT)}
+    snr_l = reduce_bounded_nested_to_snr(defs["L"], PolyBound("var"))
+    pr_l = reduce_recursive_to_pr(defs["L"]).result
+    for x in (0, 5, 17, 40):
+        _assert_same(snr_l, x, memo=True)
+    for x in (0, 1):  # naive SNR evaluation is exponential in x
+        _assert_same(snr_l, x)
+    _assert_same(snr_l, 5, budget=Budget(100_000, 10**6))
+    for memo in (False, True):
+        _assert_same(pr_l, list_encode([1]), memo=memo)
+        _assert_same(pr_l, list_encode([2, 1]), memo=memo,
+                     budget=Budget(20_000, 300))

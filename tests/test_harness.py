@@ -117,3 +117,9 @@ def test_doubling_clamp_is_boolean():
     dc = doubling_clamp_predicate()
     got = [char_run(dc, CharMode.ZERO, x)[0] for x in range(6)]
     assert got == [False, True, True, False, False, False]
+
+
+def test_scaling_study_propagates_errors():
+    # only a budget overrun truncates; an uncalled predicate factory is a bug
+    with pytest.raises(TypeError):
+        scaling_study(membership_predicate, CharMode.ONE, [4])
