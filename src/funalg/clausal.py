@@ -9,9 +9,13 @@ and interprets definitions directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable
 
 from .codec import head, pair, tail
+from .derivation import fold
 from .evaluator import Budget, BudgetExceeded, Meter
 
 # --- Quasi-terms ------------------------------------------------------------
@@ -59,36 +63,56 @@ class App:
 QuasiTerm = Zero | Var | Succ | TPair | TAdd | TMul | App
 
 
+# The shape of quasi-terms, stated once by term_kids and term_build.  The
+# walkers below are rules for derivation.fold on it; anything that is not
+# a compound term is a leaf, which each rule handles or rejects.
+
+
+def term_kids(t: QuasiTerm) -> tuple:
+    """The child terms of t, left to right."""
+    cls = type(t)
+    if cls is Succ or cls is App:
+        return (t.arg,)
+    if cls is TPair or cls is TAdd or cls is TMul:
+        return (t.left, t.right)
+    return ()
+
+
+def term_build(t: QuasiTerm, kids) -> QuasiTerm:
+    """The compound term t with its child terms replaced by kids."""
+    return App(t.fname, *kids) if type(t) is App else type(t)(*kids)
+
+
 def term_vars(t: QuasiTerm) -> set[str]:
-    if isinstance(t, Zero):
-        return set()
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, (Succ, App)):
-        return term_vars(t.arg)
-    return term_vars(t.left) | term_vars(t.right)
+    return fold(t, term_kids,
+                lambda n, k: {n.name} if type(n) is Var else set().union(*k))
+
+
+def _renames_nothing(sub: dict[str, str]) -> bool:
+    return list(sub) == list(sub.values())
 
 
 def term_subst(t: QuasiTerm, sub: dict[str, str]) -> QuasiTerm:
-    if isinstance(t, Zero):
+    if _renames_nothing(sub):
         return t
-    if isinstance(t, Var):
-        return Var(sub.get(t.name, t.name))
-    if isinstance(t, Succ):
-        return Succ(term_subst(t.arg, sub))
-    if isinstance(t, App):
-        return App(t.fname, term_subst(t.arg, sub))
-    return type(t)(term_subst(t.left, sub), term_subst(t.right, sub))
+
+    def rule(n: QuasiTerm, kids: list[QuasiTerm]) -> QuasiTerm:
+        if type(n) is Var:
+            return Var(sub.get(n.name, n.name))
+        return term_build(n, kids) if kids else n
+    return fold(t, term_kids, rule)
+
+
+def _apps_rule(t: QuasiTerm, kids: list[list[App]]) -> list[App]:
+    apps = [a for k in kids for a in k]
+    if type(t) is App:
+        apps.append(t)
+    return apps
 
 
 def term_apps(t: QuasiTerm) -> list[App]:
-    if isinstance(t, (Zero, Var)):
-        return []
-    if isinstance(t, App):
-        return term_apps(t.arg) + [t]
-    if isinstance(t, Succ):
-        return term_apps(t.arg)
-    return term_apps(t.left) + term_apps(t.right)
+    """The applications in t, innermost and leftmost first."""
+    return fold(t, term_kids, _apps_rule)
 
 
 # --- Literals and clauses ---------------------------------------------------
@@ -136,40 +160,46 @@ class OracleMem:
 Literal = AppEq | VarZero | VarSucc | VarPair | Rel | OracleMem
 
 
+# The shape of literals, stated once: per kind, the fields holding
+# quasi-terms, the fields naming variables it reads, the fields naming
+# variables it binds, and the tag of its refinement key (see _lit_key).
+_LIT_SHAPE = {
+    AppEq: (("arg",), (), ("out",), "app"),
+    VarZero: ((), ("v",), (), "zero"),
+    VarSucc: ((), ("v",), ("w",), "succ"),
+    VarPair: ((), ("v",), ("w1", "w2"), "pair"),
+    Rel: (("left", "right"), (), (), "rel"),
+    OracleMem: (("term",), (), (), "mem"),
+}
+
+
+def _lit_map(lit: Literal, on_term, on_name) -> Literal:
+    """lit with on_term applied to its terms, in field order, and on_name
+    to the variables it reads and binds."""
+    terms, used, binders, _ = _LIT_SHAPE[type(lit)]
+    new = {f: on_term(getattr(lit, f)) for f in terms}
+    new.update((f, on_name(getattr(lit, f))) for f in used + binders)
+    return type(lit)(**(vars(lit) | new))
+
+
 def lit_subst(lit: Literal, sub: dict[str, str]) -> Literal:
-    r = sub.get
-    if isinstance(lit, AppEq):
-        return AppEq(lit.fname, term_subst(lit.arg, sub), r(lit.out, lit.out))
-    if isinstance(lit, VarZero):
-        return VarZero(r(lit.v, lit.v))
-    if isinstance(lit, VarSucc):
-        return VarSucc(r(lit.v, lit.v), r(lit.w, lit.w))
-    if isinstance(lit, VarPair):
-        return VarPair(r(lit.v, lit.v), r(lit.w1, lit.w1), r(lit.w2, lit.w2))
-    if isinstance(lit, Rel):
-        return Rel(term_subst(lit.left, sub), lit.rel,
-                   term_subst(lit.right, sub), lit.negated)
-    return OracleMem(term_subst(lit.term, sub), lit.negated)
+    if _renames_nothing(sub):
+        return lit
+    return _lit_map(lit, lambda t: term_subst(t, sub),
+                    lambda v: sub.get(v, v))
+
+
+def _lit_terms(lit: Literal) -> list[QuasiTerm]:
+    return [getattr(lit, f) for f in _LIT_SHAPE[type(lit)][0]]
 
 
 def lit_binders(lit: Literal) -> tuple[str, ...]:
-    if isinstance(lit, AppEq):
-        return (lit.out,)
-    if isinstance(lit, VarSucc):
-        return (lit.w,)
-    if isinstance(lit, VarPair):
-        return (lit.w1, lit.w2)
-    return ()
+    return tuple(getattr(lit, f) for f in _LIT_SHAPE[type(lit)][2])
 
 
 def lit_used_vars(lit: Literal) -> set[str]:
-    if isinstance(lit, AppEq):
-        return term_vars(lit.arg)
-    if isinstance(lit, (VarZero, VarSucc, VarPair)):
-        return {lit.v}
-    if isinstance(lit, Rel):
-        return term_vars(lit.left) | term_vars(lit.right)
-    return term_vars(lit.term)
+    used = {getattr(lit, f) for f in _LIT_SHAPE[type(lit)][1]}
+    return used.union(*map(term_vars, _lit_terms(lit)))
 
 
 @dataclass(frozen=True)
@@ -184,37 +214,29 @@ class ClausalDef:
     name: str
     clauses: tuple[Clause, ...]
     kind: str  # "explicit" or "recursive"
-    measure: str = "identity"
-    parameterized: bool = False
 
-    def is_recursive(self) -> bool:
-        return self.kind == "recursive"
+    @cached_property
+    def _strict(self) -> "ClausalDef":
+        # kept once made; a refinement failure is not, so it raises again.
+        # Strict terms hold no applications: each one is an AppEq literal.
+        _, clauses = _run_walk(self, complete=True)
+        recursive = any(type(l) is AppEq and l.fname == self.name
+                        for c in clauses for l in c.literals)
+        return ClausalDef(self.name, tuple(clauses),
+                          "recursive" if recursive else "explicit")
 
 
-def _clause_self_calls(name: str, c: Clause) -> bool:
+def _clause_calls(c: Clause) -> list[str]:
+    """The functions a clause applies, in order: per literal, an AppEq's
+    own function, then those applied inside its terms; then the result's."""
+    names = []
     for lit in c.literals:
-        if isinstance(lit, AppEq) and lit.fname == name:
-            return True
+        if type(lit) is AppEq:
+            names.append(lit.fname)
         for t in _lit_terms(lit):
-            if any(a.fname == name for a in term_apps(t)):
-                return True
-    return any(a.fname == name for a in term_apps(c.result))
-
-
-def _lit_terms(lit: Literal):
-    if isinstance(lit, AppEq):
-        return [lit.arg]
-    if isinstance(lit, Rel):
-        return [lit.left, lit.right]
-    if isinstance(lit, OracleMem):
-        return [lit.term]
-    return []
-
-
-def _classify_kind(name: str, clauses) -> str:
-    return ("recursive"
-            if any(_clause_self_calls(name, c) for c in clauses)
-            else "explicit")
+            names.extend(a.fname for a in term_apps(t))
+    names.extend(a.fname for a in term_apps(c.result))
+    return names
 
 
 # --- Errors -----------------------------------------------------------------
@@ -243,8 +265,6 @@ class ClausalEvalError(RuntimeError):
 
 
 # --- Parser -----------------------------------------------------------------
-
-_SYMBOLS = ("->", "{", "}", "(", ")", ";", ",", "&", "!", "=", "<", "+", "*")
 
 
 def _tokenize(text: str):
@@ -360,9 +380,7 @@ class _Parser:
         if self.at_sym("!"):
             self.next()
             inner = self.parse_lit()
-            if isinstance(inner, Rel):
-                return replace(inner, negated=not inner.negated)
-            if isinstance(inner, OracleMem):
+            if isinstance(inner, (Rel, OracleMem)):
                 return replace(inner, negated=not inner.negated)
             self.err("only relations and oracle atoms can be negated")
         t1 = self.parse_term()
@@ -425,9 +443,12 @@ class _Parser:
         clauses = [_classify_clause(c, declared | {name}) for c in clauses]
         for c in clauses:
             _validate_pattern(c.pattern)
-        _check_declared(name, clauses, declared)
-        kind = _classify_kind(name, clauses)
-        return ClausalDef(name, tuple(clauses), kind)
+        calls = [f for c in clauses for f in _clause_calls(c)]
+        for f in calls:
+            if f != name and f not in declared:
+                raise CLSyntaxError(f"undeclared function {f!r}", 0, 0)
+        return ClausalDef(name, tuple(clauses),
+                          "recursive" if name in calls else "explicit")
 
 
 def _classify_clause(c: Clause, known_fns: set[str]) -> Clause:
@@ -463,34 +484,19 @@ def _classify_clause(c: Clause, known_fns: set[str]) -> Clause:
     return Clause(c.pattern, tuple(out), c.result)
 
 
+_PATTERN_NODES = (Zero, Var, Succ, TPair)
+
+
 def _validate_pattern(p: QuasiTerm):
-    if isinstance(p, (Zero, Var)):
-        return
-    if isinstance(p, Succ):
-        _validate_pattern(p.arg)
-        return
-    if isinstance(p, TPair):
-        _validate_pattern(p.left)
-        _validate_pattern(p.right)
-        return
-    raise RefinementError(f"invalid pattern {term_str(p)}")
+    # descend only through valid nodes, so the leftmost outermost invalid
+    # node is the one reported
+    def kids(t: QuasiTerm) -> tuple:
+        return term_kids(t) if type(t) in _PATTERN_NODES else ()
 
-
-def _check_declared(name, clauses, declared: set[str]):
-    ok = declared | {name}
-    for c in clauses:
-        apps = []
-        for lit in c.literals:
-            if isinstance(lit, AppEq):
-                apps.append(lit.fname)
-                apps.extend(a.fname for a in term_apps(lit.arg))
-            else:
-                for t in _lit_terms(lit):
-                    apps.extend(a.fname for a in term_apps(t))
-        apps.extend(a.fname for a in term_apps(c.result))
-        for f in apps:
-            if f not in ok:
-                raise CLSyntaxError(f"undeclared function {f!r}", 0, 0)
+    def rule(t: QuasiTerm, _):
+        if type(t) not in _PATTERN_NODES:
+            raise RefinementError(f"invalid pattern {term_str(t)}")
+    fold(p, kids, rule)
 
 
 def parse_cl(text: str) -> list[ClausalDef]:
@@ -510,36 +516,32 @@ def parse_cl(text: str) -> list[ClausalDef]:
 # --- Printer ----------------------------------------------------------------
 
 
-def term_str(t: QuasiTerm) -> str:
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, Var):
+_TERM_FORMATS = {Zero: "0", Succ: "S({})", TPair: "({}, {})",
+                 TAdd: "{} + {}", TMul: "{} * {}"}
+
+
+def _str_rule(t: QuasiTerm, s: list[str]) -> str:
+    if type(t) is Var:
         return t.name
-    if isinstance(t, Succ):
-        return f"S({term_str(t.arg)})"
-    if isinstance(t, TPair):
-        return f"({term_str(t.left)}, {term_str(t.right)})"
-    if isinstance(t, TAdd):
-        return f"{term_str(t.left)} + {term_str(t.right)}"
-    if isinstance(t, TMul):
-        return f"{term_str(t.left)} * {term_str(t.right)}"
-    return f"{t.fname}({term_str(t.arg)})"
+    if type(t) is App:
+        return f"{t.fname}({s[0]})"
+    return _TERM_FORMATS[type(t)].format(*s)
+
+
+def term_str(t: QuasiTerm) -> str:
+    return fold(t, term_kids, _str_rule)
+
+
+_LIT_FORMATS = {AppEq: "{fname}({arg}) = {out}", VarZero: "{v} = 0",
+                VarSucc: "{v} = S({w})", VarPair: "{v} = ({w1}, {w2})",
+                Rel: "{left} {rel} {right}", OracleMem: "{term} in X"}
 
 
 def lit_str(lit: Literal) -> str:
-    if isinstance(lit, AppEq):
-        return f"{lit.fname}({term_str(lit.arg)}) = {lit.out}"
-    if isinstance(lit, VarZero):
-        return f"{lit.v} = 0"
-    if isinstance(lit, VarSucc):
-        return f"{lit.v} = S({lit.w})"
-    if isinstance(lit, VarPair):
-        return f"{lit.v} = ({lit.w1}, {lit.w2})"
-    if isinstance(lit, Rel):
-        s = f"{term_str(lit.left)} {lit.rel} {term_str(lit.right)}"
-        return f"! {s}" if lit.negated else s
-    s = f"{term_str(lit.term)} in X"
-    return f"! {s}" if lit.negated else s
+    parts = vars(lit) | {f: term_str(t) for f, t in
+                         zip(_LIT_SHAPE[type(lit)][0], _lit_terms(lit))}
+    s = _LIT_FORMATS[type(lit)].format_map(parts)
+    return f"! {s}" if parts.get("negated") else s
 
 
 def print_cl(defs) -> str:
@@ -564,9 +566,15 @@ def print_cl(defs) -> str:
 
 
 class _Fresh:
-    def __init__(self, taken: set[str]):
-        self.taken = set(taken)
-        self.n = 0
+    """Names base1, base2, ... that are not taken.  taken() gives the
+    names in use; it runs on the first call, as most walks need none."""
+
+    def __init__(self, taken: Callable[[], set[str]]):
+        self.taken_by, self.n = taken, 0
+
+    @cached_property
+    def taken(self) -> set[str]:
+        return set(self.taken_by())
 
     def __call__(self, base: str = "q") -> str:
         while True:
@@ -578,48 +586,37 @@ class _Fresh:
 
 
 def _clause_all_vars(c: Clause) -> set[str]:
-    vs = set(term_vars(c.pattern)) | set(term_vars(c.result))
+    vs = term_vars(c.pattern) | term_vars(c.result)
     for lit in c.literals:
-        vs |= lit_used_vars(lit)
-        vs |= set(lit_binders(lit))
+        vs |= lit_used_vars(lit) | set(lit_binders(lit))
     return vs
 
 
 def _flatten_pattern(c: Clause, argvar: str) -> Clause:
     """Move a head pattern into antecedent literals over a plain variable."""
-    if isinstance(c.pattern, Var):
-        if c.pattern.name == argvar:
-            return c
-        sub = {c.pattern.name: argvar}
-        return Clause(Var(argvar),
-                      tuple(lit_subst(l, sub) for l in c.literals),
-                      term_subst(c.result, sub))
-    fresh = _Fresh(_clause_all_vars(c) | {argvar})
+    fresh = _Fresh(lambda: _clause_all_vars(c) | {argvar})
     lits: list[Literal] = []
+    subs: dict[str, str] = {}
 
-    def decomp(v: str, p: QuasiTerm):
-        if isinstance(p, Zero):
+    # The fold runs on occurrences (variable, pattern), one per position;
+    # kids splits each in pre-order and names the parts that split further.
+    def kids(o: tuple) -> list:
+        v, p = o
+        cls = type(p)
+        if cls is Zero:
             lits.append(VarZero(v))
-        elif isinstance(p, Var):
+        elif cls is Var:
             subs[p.name] = v
-        elif isinstance(p, Succ):
-            w = p.arg.name if isinstance(p.arg, Var) else fresh()
-            lits.append(VarSucc(v, w))
-            if not isinstance(p.arg, Var):
-                decomp(w, p.arg)
-        elif isinstance(p, TPair):
-            w1 = p.left.name if isinstance(p.left, Var) else fresh()
-            w2 = p.right.name if isinstance(p.right, Var) else fresh()
-            lits.append(VarPair(v, w1, w2))
-            if not isinstance(p.left, Var):
-                decomp(w1, p.left)
-            if not isinstance(p.right, Var):
-                decomp(w2, p.right)
+        elif cls is Succ or cls is TPair:
+            ws = [k.name if type(k) is Var else fresh() for k in term_kids(p)]
+            lits.append(VarSucc(v, *ws) if cls is Succ else VarPair(v, *ws))
+            return [(w, k) for w, k in zip(ws, term_kids(p))
+                    if type(k) is not Var]
         else:
             raise RefinementError(f"invalid pattern {term_str(p)}")
+        return []
 
-    subs: dict[str, str] = {}
-    decomp(argvar, c.pattern)
+    fold((argvar, c.pattern), kids, lambda o, _: None)
     body = [lit_subst(l, subs) for l in c.literals]
     return Clause(Var(argvar), tuple(lits) + tuple(body),
                   term_subst(c.result, subs))
@@ -627,31 +624,31 @@ def _flatten_pattern(c: Clause, argvar: str) -> Clause:
 
 def _unnest_clause(c: Clause) -> Clause:
     """Replace nested applications by AppEq literals, innermost first."""
-    fresh = _Fresh(_clause_all_vars(c))
+    fresh = _Fresh(lambda: _clause_all_vars(c))
     out: list[Literal] = []
 
+    # The fold runs on occurrences [term, name], one per position, so an App
+    # object that occurs twice is unnested twice.  kids names each App in
+    # pre-order and the rule emits its AppEq in post-order, as a recursive
+    # descent that names an App before stripping its argument would.
+    def kids(o: list) -> list:
+        if type(o[0]) is App:
+            o[1] = fresh("z")
+        return [[k, None] for k in term_kids(o[0])]
+
+    def rule(o: list, args: list[QuasiTerm]) -> QuasiTerm:
+        t, z = o
+        if z is None:
+            return term_build(t, args) if args else t
+        out.append(AppEq(t.fname, args[0], z))
+        return Var(z)
+
     def strip(t: QuasiTerm) -> QuasiTerm:
-        if isinstance(t, (Zero, Var)):
-            return t
-        if isinstance(t, Succ):
-            return Succ(strip(t.arg))
-        if isinstance(t, App):
-            z = fresh("z")
-            out.append(AppEq(t.fname, strip(t.arg), z))
-            return Var(z)
-        return type(t)(strip(t.left), strip(t.right))
+        return fold([t, None], kids, rule)
 
     for lit in c.literals:
-        if isinstance(lit, AppEq):
-            arg = strip(lit.arg)
-            out.append(AppEq(lit.fname, arg, lit.out))
-        elif isinstance(lit, Rel):
-            out.append(Rel(strip(lit.left), lit.rel, strip(lit.right),
-                           lit.negated))
-        elif isinstance(lit, OracleMem):
-            out.append(OracleMem(strip(lit.term), lit.negated))
-        else:
-            out.append(lit)
+        out.append(_lit_map(lit, strip, lambda v: v) if _lit_terms(lit)
+                   else lit)
     result = strip(c.result)
     return Clause(c.pattern, tuple(out), result)
 
@@ -660,13 +657,8 @@ def _normalize(d: ClausalDef) -> tuple[str, list[Clause]]:
     if isinstance(d.clauses[0].pattern, Var):
         argvar = d.clauses[0].pattern.name
     else:
-        argvar = "x"
-        taken = set()
-        for c in d.clauses:
-            taken |= _clause_all_vars(c)
-        f = _Fresh(taken)
-        if argvar in taken:
-            argvar = f("x")
+        taken = set().union(*map(_clause_all_vars, d.clauses))
+        argvar = _Fresh(lambda: taken)("x") if "x" in taken else "x"
     clauses = [_unnest_clause(_flatten_pattern(c, argvar))
                for c in d.clauses]
     return argvar, clauses
@@ -680,22 +672,13 @@ class _State:
     key: float          # original clause position (defaults get fractions)
     lits: list
     result: QuasiTerm
-    is_default: bool = False
 
 
-def _lit_key(lit: Literal):
-    """Identity of a first literal, ignoring the names it binds."""
-    if isinstance(lit, AppEq):
-        return ("app", lit.fname, lit.arg)
-    if isinstance(lit, VarZero):
-        return ("zero", lit.v)
-    if isinstance(lit, VarSucc):
-        return ("succ", lit.v)
-    if isinstance(lit, VarPair):
-        return ("pair", lit.v)
-    if isinstance(lit, Rel):
-        return ("rel", lit.left, lit.rel, lit.right, lit.negated)
-    return ("mem", lit.term, lit.negated)
+def _lit_key(lit: Literal) -> tuple:
+    """Identity of a first literal, ignoring the names it binds: its tag,
+    then its other fields in order."""
+    _, _, binders, tag = _LIT_SHAPE[type(lit)]
+    return (tag, *(v for f, v in vars(lit).items() if f not in binders))
 
 
 def _canon_binders(side: list[_State], bound: set[str],
@@ -717,7 +700,7 @@ def _canon_binders(side: list[_State], bound: set[str],
         own = lit_binders(s.lits[0])
         sub = dict(zip(own, wanted))
         rest.append(_State(s.key, [lit_subst(l, sub) for l in s.lits[1:]],
-                           term_subst(s.result, sub), s.is_default))
+                           term_subst(s.result, sub)))
     return canon, rest
 
 
@@ -735,7 +718,8 @@ def _walk(group: list[_State], prefix: list[Literal], bound: set[str],
         for v in term_vars(s.result):
             if v not in bound:
                 raise RefinementError(f"unbound variable {v!r} in result")
-        trace.append(f"{indent}complete clause -> {term_str(s.result)}")
+        if not complete:
+            trace.append(f"{indent}complete clause -> {term_str(s.result)}")
         out.append((s.key, Clause(Var(argvar), tuple(prefix), s.result)))
         return
 
@@ -754,12 +738,29 @@ def _walk(group: list[_State], prefix: list[Literal], bound: set[str],
                 raise RefinementError(
                     f"stale variable reuse: {s.lits[0].out!r} already bound")
         canon, rest = _canon_binders(group, bound, fresh)
-        trace.append(f"{indent}introduce {lit_str(canon)}")
+        if not complete:
+            trace.append(f"{indent}introduce {lit_str(canon)}")
         _walk(rest, prefix + [canon], bound | set(lit_binders(canon)),
               trace, complete, fresh, argvar, out, depth)
         return
 
     kinds = {k[0] for k in keys}
+
+    def or_default(side: list[_State], make_lit,
+                   missing: str) -> list[_State]:
+        # an empty side of a split is non-exhaustive; completion gives it
+        # one clause, on make_lit(), answering 0 after the group's clauses
+        if side:
+            return side
+        if not complete:
+            raise RefinementError(f"non-exhaustive: missing {missing}")
+        return [_State(max(s.key for s in group) + 0.25, [make_lit()],
+                       Zero())]
+
+    def walk_past_first(side: list[_State]):
+        _walk([_State(s.key, s.lits[1:], s.result) for s in side],
+              prefix + [side[0].lits[0]], bound, trace, complete, fresh,
+              argvar, out, depth + 1)
 
     # Rules 2/3: zero/successor or zero/pair split on one variable.
     if kinds <= {"zero", "succ", "pair"}:
@@ -770,29 +771,19 @@ def _walk(group: list[_State], prefix: list[Literal], bound: set[str],
         v = subj.pop()
         if "succ" in kinds and "pair" in kinds:
             raise RefinementError(f"mixed successor/pair split on {v!r}")
-        other = "succ" if "succ" in kinds else "pair"
-        rule = 2 if other == "succ" else 3
-        zeros = [s for s in group if isinstance(s.lits[0], VarZero)]
-        nonz = [s for s in group if not isinstance(s.lits[0], VarZero)]
-        if not zeros:
-            if not complete:
-                raise RefinementError(f"non-exhaustive: missing case {v} = 0")
-            zeros = [_State(max(s.key for s in group) + 0.25,
-                            [VarZero(v)], Zero(), True)]
-        if not nonz:
-            if not complete:
-                raise RefinementError(
-                    f"non-exhaustive: missing non-zero case for {v}")
-            lit = (VarSucc(v, fresh("w")) if other == "succ"
-                   else VarPair(v, fresh("w"), fresh("w")))
-            nonz = [_State(max(s.key for s in group) + 0.25,
-                           [lit], Zero(), True)]
-        trace.append(f"{indent}rule {rule} split on {v}: "
-                     f"0 | {'S(w)' if other == 'succ' else '(w1,w2)'}")
-        _walk([_State(s.key, s.lits[1:], s.result, s.is_default)
-               for s in zeros],
-              prefix + [VarZero(v)], bound, trace, complete, fresh,
-              argvar, out, depth + 1)
+        succ = "succ" in kinds
+        zeros = or_default(
+            [s for s in group if isinstance(s.lits[0], VarZero)],
+            lambda: VarZero(v), f"case {v} = 0")
+        nonz = or_default(
+            [s for s in group if not isinstance(s.lits[0], VarZero)],
+            lambda: (VarSucc(v, fresh("w")) if succ
+                     else VarPair(v, fresh("w"), fresh("w"))),
+            f"non-zero case for {v}")
+        if not complete:
+            trace.append(f"{indent}rule {2 if succ else 3} split on {v}: "
+                         f"0 | {'S(w)' if succ else '(w1,w2)'}")
+        walk_past_first(zeros)
         canon, rest = _canon_binders(nonz, bound, fresh)
         _walk(rest, prefix + [canon], bound | set(lit_binders(canon)),
               trace, complete, fresh, argvar, out, depth + 1)
@@ -805,28 +796,16 @@ def _walk(group: list[_State], prefix: list[Literal], bound: set[str],
             raise RefinementError(
                 "clauses split on different relations: "
                 + " vs ".join(sorted(lit_str(l) for l in firsts)))
-        pos = [s for s in group if not s.lits[0].negated]
-        neg = [s for s in group if s.lits[0].negated]
         base = replace(firsts[0], negated=False)
-        if not pos:
-            if not complete:
-                raise RefinementError(
-                    f"non-exhaustive: missing case {lit_str(base)}")
-            pos = [_State(max(s.key for s in group) + 0.25,
-                          [base], Zero(), True)]
-        if not neg:
-            if not complete:
-                raise RefinementError(
-                    "non-exhaustive: missing case "
-                    f"{lit_str(replace(base, negated=True))}")
-            neg = [_State(max(s.key for s in group) + 0.25,
-                          [replace(base, negated=True)], Zero(), True)]
-        trace.append(f"{indent}rule 4 split on {lit_str(base)}")
-        for side in (pos, neg):
-            _walk([_State(s.key, s.lits[1:], s.result, s.is_default)
-                   for s in side],
-                  prefix + [side[0].lits[0]], bound, trace, complete,
-                  fresh, argvar, out, depth + 1)
+        negd = replace(base, negated=True)
+        pos = or_default([s for s in group if not s.lits[0].negated],
+                         lambda: base, f"case {lit_str(base)}")
+        neg = or_default([s for s in group if s.lits[0].negated],
+                         lambda: negd, f"case {lit_str(negd)}")
+        if not complete:
+            trace.append(f"{indent}rule 4 split on {lit_str(base)}")
+        walk_past_first(pos)
+        walk_past_first(neg)
         return
 
     raise RefinementError(
@@ -835,18 +814,16 @@ def _walk(group: list[_State], prefix: list[Literal], bound: set[str],
 
 
 def _run_walk(d: ClausalDef, complete: bool):
+    # the trace replays a check; completion keeps only its first line
     argvar, clauses = _normalize(d)
-    taken = {argvar}
-    for c in clauses:
-        taken |= _clause_all_vars(c)
-    fresh = _Fresh(taken)
+    fresh = _Fresh(lambda: {argvar}.union(*map(_clause_all_vars, clauses)))
     states = [_State(float(i), list(c.literals), c.result)
               for i, c in enumerate(clauses)]
     trace: list[str] = [f"argument variable {argvar}"]
     out: list[tuple[float, Clause]] = []
     _walk(states, [], {argvar}, trace, complete, fresh, argvar, out, 0)
     out.sort(key=lambda kv: kv[0])
-    return trace, argvar, [c for _, c in out]
+    return trace, [c for _, c in out]
 
 
 def check_refinement(d: ClausalDef) -> list[str]:
@@ -855,18 +832,15 @@ def check_refinement(d: ClausalDef) -> list[str]:
     The trace is a human-readable replay of the refinement steps proving
     the antecedents pairwise disjoint and exhaustive.  Raises
     RefinementError otherwise."""
-    trace, _, _ = _run_walk(d, complete=False)
-    return trace
+    return _run_walk(d, complete=False)[0]
 
 
 def complete_to_strict(d: ClausalDef) -> ClausalDef:
     """Normalize to strict form: plain-variable heads, unnested
     applications, and default clauses (yielding 0) making the antecedents
-    exhaustive and disjoint."""
-    _, _, strict = _run_walk(d, complete=True)
-    kind = _classify_kind(d.name, strict)
-    return ClausalDef(d.name, tuple(strict), kind,
-                      measure=d.measure, parameterized=d.parameterized)
+    exhaustive and disjoint.  The form is computed once per definition
+    object; raises RefinementError, on every call, if d has none."""
+    return d._strict
 
 
 # --- Restrictions on recursive definitions ----------------------------------
@@ -884,8 +858,6 @@ def check_recursive_restrictions(d: ClausalDef) -> RestrictionReport:
     """Check identity-measure and parameterization restrictions."""
     if d.kind != "recursive":
         raise RestrictionError(f"{d.name} is not recursive")
-    if d.measure != "identity":
-        raise RestrictionError("only the identity measure is supported")
     sd = complete_to_strict(d)
     argvar = sd.clauses[0].pattern.name
     notes = []
@@ -894,23 +866,15 @@ def check_recursive_restrictions(d: ClausalDef) -> RestrictionReport:
         isinstance(l, AppEq) and l.fname != d.name
         for c in sd.clauses for l in c.literals)
     param_ok = True
-    param_var = None
     for c in sd.clauses:
         below = set()      # variables provably strictly below the argument
-        weak = {argvar}    # variables weakly below (<=) the argument
         for lit in c.literals:
-            if isinstance(lit, VarSucc):
-                if lit.v in weak or lit.v in below:
-                    below.add(lit.w)
-            elif isinstance(lit, VarPair):
-                if lit.v in weak or lit.v in below:
-                    below.update((lit.w1, lit.w2))
-                    if lit.v == argvar and param_var is None:
-                        param_var = lit.w2
+            if isinstance(lit, (VarSucc, VarPair)):
+                if lit.v == argvar or lit.v in below:
+                    below.update(lit_binders(lit))
             elif isinstance(lit, AppEq) and lit.fname == d.name:
                 t = lit.arg
-                statically_ok = isinstance(t, Var) and t.name in below
-                if not statically_ok:
+                if not (isinstance(t, Var) and t.name in below):
                     dynamic = True
                     notes.append(
                         f"recursive call {d.name}({term_str(t)}) needs a "
@@ -947,11 +911,8 @@ def check_recursive_restrictions(d: ClausalDef) -> RestrictionReport:
 # --- Direct interpretation ---------------------------------------------------
 
 
-def _build_env(defs) -> dict[str, ClausalDef]:
-    env = {}
-    for d in defs:
-        env[d.name] = complete_to_strict(d)
-    return env
+_ARITH = {Zero: lambda: 0, Succ: lambda a: a + 1, TPair: pair,
+          TAdd: operator.add, TMul: operator.mul}
 
 
 def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
@@ -959,13 +920,20 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
                  meter: Meter | None = None) -> int:
     """Interpret a CL program: evaluate fname at x.
 
-    Recursive self-calls are dynamically checked against the identity
-    measure (argument strictly decreasing)."""
+    Every definition is brought to strict form, in order; strict terms hold
+    no applications, since each is an AppEq literal.  Recursive self-calls
+    are dynamically checked against the identity measure (argument
+    strictly decreasing).  Raises TypeError unless x is an int and
+    ValueError if x is negative."""
+    if not isinstance(x, int):
+        raise TypeError(f"expected an int argument, got {type(x).__name__}")
+    if x < 0:
+        raise ValueError(f"argument must be a natural number, got {x}")
     if budget is None:
         budget = Budget()
     if meter is None:
         meter = Meter()
-    env = _build_env(defs)
+    env = {d.name: complete_to_strict(d) for d in defs}
     if fname not in env:
         raise ClausalEvalError(f"undefined function {fname!r}")
 
@@ -974,30 +942,14 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
         if meter.steps > budget.max_steps:
             raise BudgetExceeded("steps", meter)
 
-    def ev_term(t: QuasiTerm, b: dict[str, int], caller: str,
-                arg: int, depth: int) -> int:
-        if isinstance(t, Zero):
-            return 0
-        if isinstance(t, Var):
-            if t.name not in b:
-                raise ClausalEvalError(f"unbound variable {t.name!r}")
-            return b[t.name]
-        if isinstance(t, Succ):
-            return ev_term(t.arg, b, caller, arg, depth) + 1
-        if isinstance(t, TPair):
-            return pair(ev_term(t.left, b, caller, arg, depth),
-                        ev_term(t.right, b, caller, arg, depth))
-        if isinstance(t, TAdd):
-            return (ev_term(t.left, b, caller, arg, depth)
-                    + ev_term(t.right, b, caller, arg, depth))
-        if isinstance(t, TMul):
-            return (ev_term(t.left, b, caller, arg, depth)
-                    * ev_term(t.right, b, caller, arg, depth))
-        v = ev_term(t.arg, b, caller, arg, depth)
-        if t.fname == caller and v >= arg:
-            raise MeasureViolation(
-                f"{caller}({v}) called from {caller}({arg})")
-        return call(t.fname, v, depth + 1)
+    def ev_term(t: QuasiTerm, b: dict[str, int]) -> int:
+        def rule(n: QuasiTerm, v: list[int]) -> int:
+            if type(n) is Var:
+                if n.name not in b:
+                    raise ClausalEvalError(f"unbound variable {n.name!r}")
+                return b[n.name]
+            return _ARITH[type(n)](*v)
+        return fold(t, term_kids, rule)
 
     def call(f: str, x: int, depth: int) -> int:
         tick()
@@ -1011,42 +963,35 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
         argvar = d.clauses[0].pattern.name
         for c in d.clauses:
             b = {argvar: x}
-            if _try_clause(c, b, f, x, depth):
-                return ev_term(c.result, b, f, x, depth)
+            for lit in c.literals:  # the first literal that fails skips c
+                tick()
+                if isinstance(lit, VarZero):
+                    if b[lit.v] != 0:
+                        break
+                elif isinstance(lit, VarSucc):
+                    if b[lit.v] == 0:
+                        break
+                    b[lit.w] = b[lit.v] - 1
+                elif isinstance(lit, VarPair):
+                    if b[lit.v] == 0:
+                        break
+                    b[lit.w1], b[lit.w2] = head(b[lit.v]), tail(b[lit.v])
+                elif isinstance(lit, AppEq):
+                    v = ev_term(lit.arg, b)
+                    if lit.fname == f and v >= x:
+                        raise MeasureViolation(
+                            f"{f}({v}) called from {f}({x})")
+                    b[lit.out] = call(lit.fname, v, depth + 1)
+                elif isinstance(lit, Rel):
+                    l = ev_term(lit.left, b)
+                    r = ev_term(lit.right, b)
+                    if (l == r if lit.rel == "=" else l < r) == lit.negated:
+                        break
+                elif (ev_term(lit.term, b) in oracle) == lit.negated:
+                    break
+            else:
+                return ev_term(c.result, b)
         raise ClausalEvalError(
             f"no applicable clause in {f} at {x} (internal error)")
-
-    def _try_clause(c: Clause, b: dict[str, int], f: str, x: int,
-                    depth: int) -> bool:
-        for lit in c.literals:
-            tick()
-            if isinstance(lit, VarZero):
-                if b[lit.v] != 0:
-                    return False
-            elif isinstance(lit, VarSucc):
-                if b[lit.v] == 0:
-                    return False
-                b[lit.w] = b[lit.v] - 1
-            elif isinstance(lit, VarPair):
-                if b[lit.v] == 0:
-                    return False
-                b[lit.w1], b[lit.w2] = head(b[lit.v]), tail(b[lit.v])
-            elif isinstance(lit, AppEq):
-                v = ev_term(lit.arg, b, f, x, depth)
-                if lit.fname == f and v >= x:
-                    raise MeasureViolation(
-                        f"{f}({v}) called from {f}({x})")
-                b[lit.out] = call(lit.fname, v, depth + 1)
-            elif isinstance(lit, Rel):
-                l = ev_term(lit.left, b, f, x, depth)
-                r = ev_term(lit.right, b, f, x, depth)
-                holds = l == r if lit.rel == "=" else l < r
-                if holds == lit.negated:
-                    return False
-            else:
-                holds = ev_term(lit.term, b, f, x, depth) in oracle
-                if holds == lit.negated:
-                    return False
-        return True
 
     return call(fname, x, 0)

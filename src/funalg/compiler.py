@@ -16,7 +16,7 @@ from typing import Callable
 from . import clausal as cl
 from .codec import tuple_encode
 from .derivation import (ADD, D as D_, Derivation, I, LT, MUL, ORACLE, S,
-                         P, comp, mu)
+                         P, comp, fold, mu)
 
 # --- Base combinators ---------------------------------------------------
 
@@ -114,26 +114,33 @@ def pack_args(values) -> int:
 def _term_d(t: cl.QuasiTerm, var: Callable[[str], Derivation],
             env: dict[str, Derivation]) -> Derivation:
     """The derivation of a quasi-term; var(name) gives each variable's."""
-    if isinstance(t, cl.Zero):
-        return Z_
-    if isinstance(t, cl.Var):
-        return var(t.name)
-    if isinstance(t, cl.Succ):
-        return comp(S, _term_d(t.arg, var, env))
-    if isinstance(t, cl.TPair):
-        return P(_term_d(t.left, var, env), _term_d(t.right, var, env))
-    if isinstance(t, cl.TAdd):
-        return comp(ADD, P(_term_d(t.left, var, env),
-                           _term_d(t.right, var, env)))
-    if isinstance(t, cl.TMul):
-        return comp(MUL, P(_term_d(t.left, var, env),
-                           _term_d(t.right, var, env)))
-    if isinstance(t, cl.App):
-        if t.fname not in env:
-            raise UnboundVariableError(
-                f"no derivation for function {t.fname!r}")
-        return comp(env[t.fname], _term_d(t.arg, var, env))
-    raise TypeError(t)
+    def kids(n: cl.QuasiTerm) -> tuple:
+        # an unknown function fails before its argument, as in a descent
+        if type(n) is cl.App and n.fname not in env:
+            return ()
+        return cl.term_kids(n)
+
+    def rule(n: cl.QuasiTerm, k: list[Derivation]) -> Derivation:
+        cls = type(n)
+        if cls is cl.Var:
+            return var(n.name)
+        if cls is cl.Zero:
+            return Z_
+        if cls is cl.Succ:
+            return comp(S, k[0])
+        if cls is cl.TPair:
+            return P(k[0], k[1])
+        if cls is cl.TAdd:
+            return comp(ADD, P(k[0], k[1]))
+        if cls is cl.TMul:
+            return comp(MUL, P(k[0], k[1]))
+        if cls is cl.App:
+            if n.fname not in env:
+                raise UnboundVariableError(
+                    f"no derivation for function {n.fname!r}")
+            return comp(env[n.fname], k[0])
+        raise TypeError(n)
+    return fold(t, kids, rule)
 
 
 def compile_term(t: cl.QuasiTerm, ctx: VarCtx,
@@ -220,10 +227,7 @@ def compile_formula(phi: QuasiFormula, ctx: VarCtx,
     if isinstance(phi, FQuasiBoundedEx):
         inner = VarCtx((phi.var,) + ctx.vars)
         body = compile_formula(phi.body, inner, env)
-        if phi.fname not in env:
-            raise UnboundVariableError(
-                f"no derivation for function {phi.fname!r}")
-        witness = comp(env[phi.fname], compile_term(phi.arg, ctx, env))
+        witness = compile_term(cl.App(phi.fname, phi.arg), ctx, env)
         return comp(body, P(witness, I))
     raise TypeError(phi)
 

@@ -6,6 +6,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 from typing import Any, Callable, Iterator
 
 
@@ -72,6 +73,15 @@ class Derivation:
                 yield d
                 stack.extend(d.children)
 
+    def __eq__(self, other):
+        if type(other) is not Derivation:
+            return NotImplemented
+        return _dag_eq(self, other, attrgetter("op"), attrgetter("children"))
+
+    def __hash__(self):
+        return fold(self, lambda d: d.children,
+                    lambda d, hs: hash((d.op, *hs)))
+
     def __repr__(self):
         return f"Derivation({d_print(self)!r})"
 
@@ -81,33 +91,60 @@ def fold(root, kids: Callable[[Any], tuple], f: Callable[[Any, list], Any]):
 
     f runs once per distinct node (by identity), children first and left
     to right: the order, and so the first error, of a memoized recursion.
-    The walk uses an explicit stack and drops a result once its last
-    parent has used it, so deep chains of strings take linear memory.
+    kids runs once per distinct node too, before f and in pre-order
+    (parents first, left to right), so it may hand down what a top-down
+    walk would.  A result is dropped once its last parent has used it,
+    so deep chains of strings take linear memory.
     """
-    uses: dict[int, int] = {}  # parents per node, counted per edge
-    order, entered = [], set()
-    stack = [(root, False)]
+    root_kids = kids(root)
+    if not root_kids:  # a leaf: nothing to walk
+        return f(root, [])
+    # A recursion's frames: (node, kids, iterator over the kids not yet
+    # entered); a node met again is done already, as DAGs have no cycles.
+    uses = {id(root): 1}  # parents per node, counted per edge
+    order = []            # (node, kids), children before parents
+    stack = [(root, root_kids, iter(root_kids))]
     while stack:
-        node, leaving = stack.pop()
-        if leaving:
-            order.append(node)
-        elif id(node) not in entered:
-            entered.add(id(node))
-            stack.append((node, True))
-            for k in reversed(kids(node)):
-                uses[id(k)] = uses.get(id(k), 0) + 1
-                if id(k) not in entered:
-                    stack.append((k, False))
+        node, ks, rest = stack[-1]
+        for k in rest:
+            if id(k) in uses:
+                uses[id(k)] += 1
+                continue
+            uses[id(k)] = 1
+            kk = kids(k)
+            if kk:
+                stack.append((k, kk, iter(kk)))
+                break
+            order.append((k, kk))
+        else:
+            stack.pop()
+            order.append((node, ks))
     done = {}
-    for node in order:
+    for node, ks in order:
         args = []
-        for k in kids(node):
-            args.append(done[id(k)])
-            uses[id(k)] -= 1
-            if not uses[id(k)]:
-                del done[id(k)]
+        for k in ks:
+            if uses[id(k)] == 1:
+                args.append(done.pop(id(k)))
+            else:
+                uses[id(k)] -= 1
+                args.append(done[id(k)])
         done[id(node)] = f(node, args)
     return done[id(root)]
+
+
+def _dag_eq(a, b, key: Callable, kids: Callable) -> bool:
+    """Structural equality of two DAGs; each pair of nodes is compared once."""
+    seen, stack = set(), [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        kx, ky = kids(x), kids(y)
+        if key(x) != key(y) or len(kx) != len(ky):
+            return False
+        stack.extend(zip(kx, ky))
+    return True
 
 
 # Atom singletons; compound constructors.
@@ -408,6 +445,19 @@ class PolyBound:
             sep = " + " if b.kind == "add" else " * "
             return "(" + sep.join(v) + ")"
         return fold(self, lambda b: b.args, rule)
+
+    def __eq__(self, other):
+        if type(other) is not PolyBound:
+            return NotImplemented
+        return _dag_eq(self, other, attrgetter("kind", "value"),
+                       attrgetter("args"))
+
+    def __hash__(self):
+        return fold(self, lambda b: b.args,
+                    lambda b, hs: hash((b.kind, b.value, *hs)))
+
+    def __repr__(self):
+        return f"PolyBound({str(self)!r})"
 
 
 def _const(k: int) -> PolyBound:

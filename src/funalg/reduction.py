@@ -113,9 +113,7 @@ def build_dispatcher(d: ClausalDef) -> tuple[ClausalDef, int]:
             for c in sd.clauses)
     if J == 0:
         raise ReductionError(f"{d.name} is not recursive")
-    taken = {argvar}
-    for c in sd.clauses:
-        taken |= cl._clause_all_vars(c)
+    taken = {argvar}.union(*map(cl._clause_all_vars, sd.clauses))
     v, *cs = _fresh_names(taken, ["v"] + [f"c{i}" for i in range(J + 1)])
     clauses: list[Clause] = [Clause(Var(v), (VarZero(v),), Zero())]
     seen: set = set()

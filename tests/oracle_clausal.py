@@ -1,0 +1,250 @@
+"""The recursive quasi-term walkers, kept as differential oracles.
+
+These are the walkers funalg.clausal and funalg.compiler shipped before
+each became a rule for derivation.fold: one isinstance ladder per walker,
+recursing on the term.  They raise RecursionError on deep terms, so the
+tests compare them with the package on shallow ones; see
+test_clausal_walkers.py.  The interpreter's term evaluation is kept
+without its App branch, since strict-form terms hold no applications.
+"""
+
+from __future__ import annotations
+
+from funalg import clausal as cl
+from funalg.clausal import (App, AppEq, Clause, Literal, OracleMem,
+                            QuasiTerm, RefinementError, Rel, Succ, TAdd,
+                            TMul, TPair, Var, VarPair, VarSucc, VarZero, Zero)
+from funalg.codec import pair
+from funalg.compiler import Z_, UnboundVariableError
+from funalg.derivation import ADD, MUL, P, S, comp
+
+
+def term_vars(t: QuasiTerm) -> set[str]:
+    if isinstance(t, Zero):
+        return set()
+    if isinstance(t, Var):
+        return {t.name}
+    if isinstance(t, (Succ, App)):
+        return term_vars(t.arg)
+    return term_vars(t.left) | term_vars(t.right)
+
+
+def term_subst(t: QuasiTerm, sub: dict[str, str]) -> QuasiTerm:
+    if isinstance(t, Zero):
+        return t
+    if isinstance(t, Var):
+        return Var(sub.get(t.name, t.name))
+    if isinstance(t, Succ):
+        return Succ(term_subst(t.arg, sub))
+    if isinstance(t, App):
+        return App(t.fname, term_subst(t.arg, sub))
+    return type(t)(term_subst(t.left, sub), term_subst(t.right, sub))
+
+
+def term_apps(t: QuasiTerm) -> list[App]:
+    if isinstance(t, (Zero, Var)):
+        return []
+    if isinstance(t, App):
+        return term_apps(t.arg) + [t]
+    if isinstance(t, Succ):
+        return term_apps(t.arg)
+    return term_apps(t.left) + term_apps(t.right)
+
+
+def term_str(t: QuasiTerm) -> str:
+    if isinstance(t, Zero):
+        return "0"
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Succ):
+        return f"S({term_str(t.arg)})"
+    if isinstance(t, TPair):
+        return f"({term_str(t.left)}, {term_str(t.right)})"
+    if isinstance(t, TAdd):
+        return f"{term_str(t.left)} + {term_str(t.right)}"
+    if isinstance(t, TMul):
+        return f"{term_str(t.left)} * {term_str(t.right)}"
+    return f"{t.fname}({term_str(t.arg)})"
+
+
+def lit_subst(lit: Literal, sub: dict[str, str]) -> Literal:
+    r = sub.get
+    if isinstance(lit, AppEq):
+        return AppEq(lit.fname, term_subst(lit.arg, sub), r(lit.out, lit.out))
+    if isinstance(lit, VarZero):
+        return VarZero(r(lit.v, lit.v))
+    if isinstance(lit, VarSucc):
+        return VarSucc(r(lit.v, lit.v), r(lit.w, lit.w))
+    if isinstance(lit, VarPair):
+        return VarPair(r(lit.v, lit.v), r(lit.w1, lit.w1), r(lit.w2, lit.w2))
+    if isinstance(lit, Rel):
+        return Rel(term_subst(lit.left, sub), lit.rel,
+                   term_subst(lit.right, sub), lit.negated)
+    return OracleMem(term_subst(lit.term, sub), lit.negated)
+
+
+def lit_binders(lit: Literal) -> tuple[str, ...]:
+    if isinstance(lit, AppEq):
+        return (lit.out,)
+    if isinstance(lit, VarSucc):
+        return (lit.w,)
+    if isinstance(lit, VarPair):
+        return (lit.w1, lit.w2)
+    return ()
+
+
+def lit_used_vars(lit: Literal) -> set[str]:
+    if isinstance(lit, AppEq):
+        return term_vars(lit.arg)
+    if isinstance(lit, (VarZero, VarSucc, VarPair)):
+        return {lit.v}
+    if isinstance(lit, Rel):
+        return term_vars(lit.left) | term_vars(lit.right)
+    return term_vars(lit.term)
+
+
+def validate_pattern(p: QuasiTerm):
+    if isinstance(p, (Zero, Var)):
+        return
+    if isinstance(p, Succ):
+        validate_pattern(p.arg)
+        return
+    if isinstance(p, TPair):
+        validate_pattern(p.left)
+        validate_pattern(p.right)
+        return
+    raise RefinementError(f"invalid pattern {term_str(p)}")
+
+
+class _Fresh:
+    def __init__(self, taken: set[str]):
+        self.taken = set(taken)
+        self.n = 0
+
+    def __call__(self, base: str = "q") -> str:
+        while True:
+            self.n += 1
+            name = f"{base}{self.n}"
+            if name not in self.taken:
+                self.taken.add(name)
+                return name
+
+
+def clause_all_vars(c: Clause) -> set[str]:
+    vs = set(term_vars(c.pattern)) | set(term_vars(c.result))
+    for lit in c.literals:
+        vs |= lit_used_vars(lit)
+        vs |= set(lit_binders(lit))
+    return vs
+
+
+def flatten_pattern(c: Clause, argvar: str) -> Clause:
+    """Move a head pattern into antecedent literals over a plain variable."""
+    if isinstance(c.pattern, Var):
+        if c.pattern.name == argvar:
+            return c
+        sub = {c.pattern.name: argvar}
+        return Clause(Var(argvar),
+                      tuple(lit_subst(l, sub) for l in c.literals),
+                      term_subst(c.result, sub))
+    fresh = _Fresh(clause_all_vars(c) | {argvar})
+    lits: list[Literal] = []
+
+    def decomp(v: str, p: QuasiTerm):
+        if isinstance(p, Zero):
+            lits.append(VarZero(v))
+        elif isinstance(p, Var):
+            subs[p.name] = v
+        elif isinstance(p, Succ):
+            w = p.arg.name if isinstance(p.arg, Var) else fresh()
+            lits.append(VarSucc(v, w))
+            if not isinstance(p.arg, Var):
+                decomp(w, p.arg)
+        elif isinstance(p, TPair):
+            w1 = p.left.name if isinstance(p.left, Var) else fresh()
+            w2 = p.right.name if isinstance(p.right, Var) else fresh()
+            lits.append(VarPair(v, w1, w2))
+            if not isinstance(p.left, Var):
+                decomp(w1, p.left)
+            if not isinstance(p.right, Var):
+                decomp(w2, p.right)
+        else:
+            raise RefinementError(f"invalid pattern {term_str(p)}")
+
+    subs: dict[str, str] = {}
+    decomp(argvar, c.pattern)
+    body = [lit_subst(l, subs) for l in c.literals]
+    return Clause(Var(argvar), tuple(lits) + tuple(body),
+                  term_subst(c.result, subs))
+
+
+def unnest_clause(c: Clause) -> Clause:
+    """Replace nested applications by AppEq literals, innermost first."""
+    fresh = _Fresh(clause_all_vars(c))
+    out: list[Literal] = []
+
+    def strip(t: QuasiTerm) -> QuasiTerm:
+        if isinstance(t, (Zero, Var)):
+            return t
+        if isinstance(t, Succ):
+            return Succ(strip(t.arg))
+        if isinstance(t, App):
+            z = fresh("z")
+            out.append(AppEq(t.fname, strip(t.arg), z))
+            return Var(z)
+        return type(t)(strip(t.left), strip(t.right))
+
+    for lit in c.literals:
+        if isinstance(lit, AppEq):
+            arg = strip(lit.arg)
+            out.append(AppEq(lit.fname, arg, lit.out))
+        elif isinstance(lit, Rel):
+            out.append(Rel(strip(lit.left), lit.rel, strip(lit.right),
+                           lit.negated))
+        elif isinstance(lit, OracleMem):
+            out.append(OracleMem(strip(lit.term), lit.negated))
+        else:
+            out.append(lit)
+    result = strip(c.result)
+    return Clause(c.pattern, tuple(out), result)
+
+
+def ev_term(t: QuasiTerm, b: dict[str, int]) -> int:
+    """The interpreter's value of an application-free term."""
+    if isinstance(t, Zero):
+        return 0
+    if isinstance(t, Var):
+        if t.name not in b:
+            raise cl.ClausalEvalError(f"unbound variable {t.name!r}")
+        return b[t.name]
+    if isinstance(t, Succ):
+        return ev_term(t.arg, b) + 1
+    if isinstance(t, TPair):
+        return pair(ev_term(t.left, b), ev_term(t.right, b))
+    if isinstance(t, TAdd):
+        return ev_term(t.left, b) + ev_term(t.right, b)
+    return ev_term(t.left, b) * ev_term(t.right, b)
+
+
+def term_d(t: QuasiTerm, var, env):
+    """The derivation of a quasi-term; var(name) gives each variable's."""
+    if isinstance(t, Zero):
+        return Z_
+    if isinstance(t, Var):
+        return var(t.name)
+    if isinstance(t, Succ):
+        return comp(S, term_d(t.arg, var, env))
+    if isinstance(t, TPair):
+        return P(term_d(t.left, var, env), term_d(t.right, var, env))
+    if isinstance(t, TAdd):
+        return comp(ADD, P(term_d(t.left, var, env),
+                           term_d(t.right, var, env)))
+    if isinstance(t, TMul):
+        return comp(MUL, P(term_d(t.left, var, env),
+                           term_d(t.right, var, env)))
+    if isinstance(t, App):
+        if t.fname not in env:
+            raise UnboundVariableError(
+                f"no derivation for function {t.fname!r}")
+        return comp(env[t.fname], term_d(t.arg, var, env))
+    raise TypeError(t)

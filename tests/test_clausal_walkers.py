@@ -1,0 +1,198 @@
+"""The quasi-term walkers as fold rules, against their recursive oracles,
+on deep terms, and the strict form kept per definition."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle_clausal as oracle
+from funalg import clausal as cl
+from funalg.clausal import (App, AppEq, Clause, ClausalDef, OracleMem,
+                            RefinementError, Rel, Succ, TAdd, TMul, TPair,
+                            Var, VarPair, VarSucc, VarZero, Zero,
+                            complete_to_strict, eval_clausal, parse_cl,
+                            print_cl)
+from funalg.codec import pair
+from funalg.compiler import (UnboundVariableError, VarCtx, compile_explicit,
+                             compile_term, eval_term_direct)
+from funalg.corpus import corpus_defs
+from funalg.derivation import d_print
+from funalg.evaluator import Budget, eval_naive
+
+# z1 and q1 are the first fresh names the normalization hands out
+NAMES = ("x", "y", "z1", "q1")
+FNS = ("f", "g")
+
+
+@st.composite
+def terms(draw, max_nodes=10, apps=True, names=NAMES):
+    """A random term; a node's children are mostly recent nodes, often
+    one node twice, so terms nest deeply and subterms (applications
+    included) can occur more than once as one object."""
+    pool = []
+    kinds = ["zero", "var", "succ", "pair", "add", "mul"] + (
+        ["app", "app"] if apps else [])
+    for _ in range(draw(st.integers(1, max_nodes))):
+        def sub():
+            if pool and draw(st.integers(0, 3)):
+                return pool[-1 - draw(st.integers(0, min(2, len(pool) - 1)))]
+            return Var(draw(st.sampled_from(names)))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            t = Zero()
+        elif kind == "var":
+            t = Var(draw(st.sampled_from(names)))
+        elif kind == "succ":
+            t = Succ(sub())
+        elif kind == "app":
+            t = App(draw(st.sampled_from(FNS)), sub())
+        else:
+            t = {"pair": TPair, "add": TAdd, "mul": TMul}[kind](sub(), sub())
+        pool.append(t)
+    return pool[-1]
+
+
+names = st.sampled_from(NAMES)
+
+
+@st.composite
+def literals(draw):
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return AppEq(draw(st.sampled_from(FNS)), draw(terms()), draw(names))
+    if kind == 1:
+        return VarZero(draw(names))
+    if kind == 2:
+        return VarSucc(draw(names), draw(names))
+    if kind == 3:
+        return VarPair(draw(names), draw(names), draw(names))
+    if kind == 4:
+        return Rel(draw(terms()), draw(st.sampled_from("=<")), draw(terms()),
+                   draw(st.booleans()))
+    return OracleMem(draw(terms()), draw(st.booleans()))
+
+
+@st.composite
+def clauses(draw):
+    return Clause(draw(terms(max_nodes=5)),
+                  tuple(draw(st.lists(literals(), max_size=3))),
+                  draw(terms()))
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (RefinementError, UnboundVariableError, TypeError) as e:
+        return type(e).__name__, str(e)
+
+
+@given(terms(), st.dictionaries(names, names))
+@settings(max_examples=200)
+def test_term_walkers_match_recursive_oracles(t, sub):
+    assert cl.term_vars(t) == oracle.term_vars(t)
+    assert cl.term_str(t) == oracle.term_str(t)
+    assert cl.term_subst(t, sub) == oracle.term_subst(t, sub)
+    got, want = cl.term_apps(t), oracle.term_apps(t)
+    assert [id(a) for a in got] == [id(a) for a in want]
+
+
+@given(terms(max_nodes=6))
+@settings(max_examples=200)
+def test_validate_pattern_matches_oracle(p):
+    assert (outcome(cl._validate_pattern, p)
+            == outcome(oracle.validate_pattern, p))
+
+
+@given(clauses())
+@settings(max_examples=200)
+def test_unnest_clause_matches_oracle(c):
+    got, want = cl._unnest_clause(c), oracle.unnest_clause(c)
+    assert got == want
+    assert ([cl.lit_str(l) for l in got.literals]
+            == [cl.lit_str(l) for l in want.literals])
+
+
+def test_unnest_strips_a_shared_application_once_per_occurrence():
+    a = App("f", App("g", Var("x")))
+    c = Clause(Var("x"), (Rel(a, "<", Succ(a)),), TPair(a, a))
+    got = cl._unnest_clause(c)
+    assert got == oracle.unnest_clause(c)
+    assert sum(isinstance(l, AppEq) for l in got.literals) == 8
+    assert cl.term_str(got.result) == "(z5, z7)"
+
+
+@given(clauses(), names)
+@settings(max_examples=200)
+def test_flatten_pattern_matches_oracle(c, argvar):
+    assert (outcome(cl._flatten_pattern, c, argvar)
+            == outcome(oracle.flatten_pattern, c, argvar))
+
+
+@given(terms(apps=False, names=("a", "b")), st.integers(0, 6),
+       st.integers(0, 6))
+@settings(max_examples=100)
+def test_interpreter_terms_match_oracle(t, a, b):
+    d = ClausalDef("f", (Clause(TPair(Var("a"), Var("b")), (), t),),
+                   "explicit")
+    want = oracle.ev_term(t, {"a": a, "b": b})
+    assert want == eval_term_direct(t, {"a": a, "b": b})
+    assert eval_clausal([d], "f", pair(a, b)) == want
+
+
+@given(terms(names=("x", "y", "u")))
+@settings(max_examples=200)
+def test_term_compiler_matches_oracle(t):
+    ctx = VarCtx.of("x", "y")
+    env = {"f": compile_explicit(parse_cl("def f { f(x) = S(x); }")[0])}
+    got = outcome(compile_term, t, ctx, env)
+    want = outcome(oracle.term_d, t, ctx.projection, env)
+    if got[0] == "ok" == want[0]:
+        got, want = d_print(got[1]), d_print(want[1])
+    assert got == want
+
+
+def _s_chain(n):
+    t = Var("x")
+    for _ in range(n):
+        t = Succ(t)
+    return t
+
+
+def test_deep_result_term_runs_through_the_pipeline():
+    d = ClausalDef("deep", (Clause(Var("x"), (), _s_chain(2000)),),
+                   "explicit")
+    assert print_cl(d).startswith("def deep {\n  deep(x) = S(S(")
+    sd = complete_to_strict(d)
+    assert print_cl(sd) == print_cl(d)
+    assert eval_clausal([d], "deep", 5) == 2005
+    code = compile_explicit(d)
+    assert eval_naive(code, 5, budget=Budget(10**6, 10**4)) == 2005
+
+
+def test_strict_form_is_computed_once_per_definition():
+    for d in corpus_defs():
+        assert complete_to_strict(d) is complete_to_strict(d)
+
+
+def test_refinement_failure_raises_on_every_call():
+    d = parse_cl("def f { x = 0 -> f(x) = 0; }")[0]
+    for _ in range(3):
+        with pytest.raises(RefinementError, match="non-exhaustive"):
+            cl.check_refinement(d)
+    d = parse_cl("def f { f(x) = 0; f(x) = S(0); }")[0]
+    for _ in range(3):
+        with pytest.raises(RefinementError, match="overlapping"):
+            complete_to_strict(d)
+        with pytest.raises(RefinementError, match="overlapping"):
+            eval_clausal([d], "f", 1)
+
+
+@pytest.mark.parametrize("name,x,error,message", [
+    ("pred", -1, ValueError, "natural number, got -1"),
+    ("double", -3, ValueError, "natural number, got -3"),
+    ("nested", -1, ValueError, "natural number, got -1"),
+    ("L", -1, ValueError, "natural number, got -1"),
+    ("double", 2.5, TypeError, "expected an int argument, got float"),
+])
+def test_eval_clausal_rejects_bad_arguments(name, x, error, message):
+    with pytest.raises(error, match=message):
+        eval_clausal(corpus_defs(), name, x)

@@ -386,3 +386,48 @@ def test_poly_bound_of_p_tower_closed_form():
     for _ in range(12):
         want = (2 * want + 2) ** 2
     assert poly_bound(t)(3) == want
+
+
+def test_fold_calls_kids_once_per_node_in_pre_order():
+    a = comp(S, I)
+    t = P(comp(a, a), P(a, S))
+    calls = []
+
+    def kids(d):
+        calls.append(d)
+        return d.children
+
+    assert fold(t, kids, lambda d, k: d_print(d)) == d_print(t)
+    want = [t, t.children[0], a, S, I, t.children[1]]
+    assert [id(d) for d in calls] == [id(d) for d in want]
+
+
+def _tower(leaf, levels):
+    t = leaf
+    for _ in range(levels):
+        t = P(t, t)
+    return t
+
+
+def test_deep_chain_eq_hash_and_repr_have_no_recursion_limit():
+    d = I
+    for _ in range(5000):
+        d = comp(S, d)
+    back = d_parse(d_print(d))
+    assert back is not d
+    assert d == back and not d != back and hash(d) == hash(back)
+    assert d != comp(S, back) and d != S and d != "I"
+    b = poly_bound(d)
+    assert b == poly_bound(back) and hash(b) == hash(poly_bound(back))
+    assert repr(b) == f"PolyBound({str(b)!r})"
+
+
+def test_p_tower_eq_and_hash_walk_the_dag():
+    t, u = _tower(I, 40), _tower(I, 40)
+    assert t is not u and t == u and hash(t) == hash(u)
+    assert t != _tower(S, 40)
+    assert t != Derivation(Op.COMP, (_tower(I, 39),) * 2)
+    assert t != _tower(I, 41)
+    b = poly_bound(_tower(I, 40))
+    assert b == poly_bound(u) and hash(b) == hash(poly_bound(u))
+    assert b != poly_bound(_tower(S, 40))
