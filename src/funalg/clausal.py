@@ -88,6 +88,12 @@ def term_vars(t: QuasiTerm) -> set[str]:
                 lambda n, k: {n.name} if type(n) is Var else set().union(*k))
 
 
+def _var_order(t: QuasiTerm) -> tuple[str, ...]:
+    """The variables of t, left to right, each at its first occurrence."""
+    return fold(t, term_kids, lambda n, k: (n.name,) if type(n) is Var
+                else tuple(dict.fromkeys(v for vs in k for v in vs)))
+
+
 def _renames_nothing(sub: dict[str, str]) -> bool:
     return list(sub) == list(sub.values())
 
@@ -200,6 +206,10 @@ def lit_binders(lit: Literal) -> tuple[str, ...]:
 def lit_used_vars(lit: Literal) -> set[str]:
     used = {getattr(lit, f) for f in _LIT_SHAPE[type(lit)][1]}
     return used.union(*map(term_vars, _lit_terms(lit)))
+
+
+def _first_unbound(names, bound: set[str]) -> str | None:
+    return next((v for v in names if v not in bound), None)
 
 
 @dataclass(frozen=True)
@@ -715,9 +725,9 @@ def _walk(group: list[_State], prefix: list[Literal], bound: set[str],
                 "overlapping clauses: a complete clause coexists with "
                 "further refinements")
         s = done[0]
-        for v in term_vars(s.result):
-            if v not in bound:
-                raise RefinementError(f"unbound variable {v!r} in result")
+        if not term_vars(s.result) <= bound:
+            v = _first_unbound(_var_order(s.result), bound)
+            raise RefinementError(f"unbound variable {v!r} in result")
         if not complete:
             trace.append(f"{indent}complete clause -> {term_str(s.result)}")
         out.append((s.key, Clause(Var(argvar), tuple(prefix), s.result)))
@@ -726,10 +736,13 @@ def _walk(group: list[_State], prefix: list[Literal], bound: set[str],
     firsts = [s.lits[0] for s in group]
     keys = {_lit_key(l) for l in firsts}
     for lit in firsts:
-        for v in lit_used_vars(lit):
-            if v not in bound:
-                raise RefinementError(
-                    f"unbound variable {v!r} in literal {lit_str(lit)}")
+        if not lit_used_vars(lit) <= bound:
+            # the literal's own order: the variables it reads, then its terms'
+            used = [getattr(lit, f) for f in _LIT_SHAPE[type(lit)][1]]
+            v = _first_unbound(used + [v for t in _lit_terms(lit)
+                                       for v in _var_order(t)], bound)
+            raise RefinementError(
+                f"unbound variable {v!r} in literal {lit_str(lit)}")
 
     # Rule 1: a common function-application literal is consumed by all.
     if len(keys) == 1 and isinstance(firsts[0], AppEq):
@@ -848,32 +861,47 @@ def complete_to_strict(d: ClausalDef) -> ClausalDef:
 
 @dataclass(frozen=True)
 class RestrictionReport:
+    """ok: the restrictions hold.  dynamic_measure: some self-call argument
+    is not provably below the argument, so eval_clausal checks it.
+    parameterized: the definition calls helpers in parameterized form.
+    pair_descent: every self-call argument is a variable split off the
+    argument through VarSucc/VarPair literals, at least one a VarPair, so
+    it is a pair component of a number <= the argument (see
+    funalg.reduction.pair_depth_d for the depth bound this gives)."""
     ok: bool
     dynamic_measure: bool
     parameterized: bool
     notes: tuple[str, ...] = ()
+    pair_descent: bool = False
 
 
 def check_recursive_restrictions(d: ClausalDef) -> RestrictionReport:
-    """Check identity-measure and parameterization restrictions."""
+    """Check identity-measure and parameterization restrictions, and
+    detect pair descent."""
     if d.kind != "recursive":
         raise RestrictionError(f"{d.name} is not recursive")
     sd = complete_to_strict(d)
     argvar = sd.clauses[0].pattern.name
     notes = []
     dynamic = False
+    pair_descent = True
     calls_helpers = any(
         isinstance(l, AppEq) and l.fname != d.name
         for c in sd.clauses for l in c.literals)
     param_ok = True
     for c in sd.clauses:
         below = set()      # variables provably strictly below the argument
+        paired = set()     # ... and reached through at least one pair split
         for lit in c.literals:
             if isinstance(lit, (VarSucc, VarPair)):
                 if lit.v == argvar or lit.v in below:
                     below.update(lit_binders(lit))
+                    if isinstance(lit, VarPair) or lit.v in paired:
+                        paired.update(lit_binders(lit))
             elif isinstance(lit, AppEq) and lit.fname == d.name:
                 t = lit.arg
+                if not (isinstance(t, Var) and t.name in paired):
+                    pair_descent = False
                 if not (isinstance(t, Var) and t.name in below):
                     dynamic = True
                     notes.append(
@@ -905,7 +933,7 @@ def check_recursive_restrictions(d: ClausalDef) -> RestrictionReport:
     if calls_helpers and not param_ok:
         raise RestrictionError("; ".join(notes))
     return RestrictionReport(True, dynamic, calls_helpers and param_ok,
-                             tuple(notes))
+                             tuple(notes), pair_descent)
 
 
 # --- Direct interpretation ---------------------------------------------------
@@ -924,7 +952,12 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
     no applications, since each is an AppEq literal.  Recursive self-calls
     are dynamically checked against the identity measure (argument
     strictly decreasing).  Raises TypeError unless x is an int and
-    ValueError if x is negative."""
+    ValueError if x is negative.
+
+    Evaluation is one loop over an explicit stack of suspended calls, so
+    the call depth is bounded by the budget, not the host's call stack.
+    The meter: a step per call and per literal tried; max_depth is the
+    deepest call, the root at depth 0; peak_bits the widest argument."""
     if not isinstance(x, int):
         raise TypeError(f"expected an int argument, got {type(x).__name__}")
     if x < 0:
@@ -936,11 +969,7 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
     env = {d.name: complete_to_strict(d) for d in defs}
     if fname not in env:
         raise ClausalEvalError(f"undefined function {fname!r}")
-
-    def tick():
-        meter.steps += 1
-        if meter.steps > budget.max_steps:
-            raise BudgetExceeded("steps", meter)
+    max_steps, max_bits = budget.max_steps, budget.max_bits
 
     def ev_term(t: QuasiTerm, b: dict[str, int]) -> int:
         def rule(n: QuasiTerm, v: list[int]) -> int:
@@ -951,47 +980,79 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
             return _ARITH[type(n)](*v)
         return fold(t, term_kids, rule)
 
-    def call(f: str, x: int, depth: int) -> int:
-        tick()
-        if depth > meter.max_depth:
-            meter.max_depth = depth
-        if x.bit_length() > meter.peak_bits:
-            meter.peak_bits = x.bit_length()
-            if x.bit_length() > budget.max_bits:
-                raise BudgetExceeded("bits", meter)
-        d = env[f]
-        argvar = d.clauses[0].pattern.name
-        for c in d.clauses:
+    # The current call is f at x, at depth: its clause c, drawn from the
+    # iterator cs over f's clauses, runs its literal iterator lits with
+    # bindings b.  A call at an AppEq literal suspends the caller as a
+    # frame (f, x, depth, argvar, cs, c, lits, b, out) until the callee's
+    # value is bound to out and lits resumes.
+    stack: list[tuple] = []
+    f, depth = fname, 0
+    steps = meter.steps
+    try:
+        while True:
+            steps += 1
+            if steps > max_steps:
+                raise BudgetExceeded("steps", meter)
+            if depth > meter.max_depth:
+                meter.max_depth = depth
+            if x.bit_length() > meter.peak_bits:
+                meter.peak_bits = x.bit_length()
+                if x.bit_length() > max_bits:
+                    raise BudgetExceeded("bits", meter)
+            cs = iter(env[f].clauses)
+            c = next(cs)
+            argvar = c.pattern.name
             b = {argvar: x}
-            for lit in c.literals:  # the first literal that fails skips c
-                tick()
-                if isinstance(lit, VarZero):
-                    if b[lit.v] != 0:
+            lits = iter(c.literals)
+            while True:
+                call = None
+                for lit in lits:  # the first literal that fails skips c
+                    steps += 1
+                    if steps > max_steps:
+                        raise BudgetExceeded("steps", meter)
+                    cls = type(lit)
+                    if cls is VarZero:
+                        if b[lit.v] != 0:
+                            break
+                    elif cls is VarSucc:
+                        if b[lit.v] == 0:
+                            break
+                        b[lit.w] = b[lit.v] - 1
+                    elif cls is VarPair:
+                        if b[lit.v] == 0:
+                            break
+                        b[lit.w1], b[lit.w2] = head(b[lit.v]), tail(b[lit.v])
+                    elif cls is AppEq:
+                        v = ev_term(lit.arg, b)
+                        if lit.fname == f and v >= x:
+                            raise MeasureViolation(
+                                f"{f}({v}) called from {f}({x})")
+                        call = lit
                         break
-                elif isinstance(lit, VarSucc):
-                    if b[lit.v] == 0:
+                    elif cls is Rel:
+                        l = ev_term(lit.left, b)
+                        r = ev_term(lit.right, b)
+                        held = l == r if lit.rel == "=" else l < r
+                        if held == lit.negated:
+                            break
+                    elif (ev_term(lit.term, b) in oracle) == lit.negated:
                         break
-                    b[lit.w] = b[lit.v] - 1
-                elif isinstance(lit, VarPair):
-                    if b[lit.v] == 0:
-                        break
-                    b[lit.w1], b[lit.w2] = head(b[lit.v]), tail(b[lit.v])
-                elif isinstance(lit, AppEq):
-                    v = ev_term(lit.arg, b)
-                    if lit.fname == f and v >= x:
-                        raise MeasureViolation(
-                            f"{f}({v}) called from {f}({x})")
-                    b[lit.out] = call(lit.fname, v, depth + 1)
-                elif isinstance(lit, Rel):
-                    l = ev_term(lit.left, b)
-                    r = ev_term(lit.right, b)
-                    if (l == r if lit.rel == "=" else l < r) == lit.negated:
-                        break
-                elif (ev_term(lit.term, b) in oracle) == lit.negated:
+                else:  # c applies: return its result to the caller
+                    val = ev_term(c.result, b)
+                    if not stack:
+                        return val
+                    f, x, depth, argvar, cs, c, lits, b, out = stack.pop()
+                    b[out] = val
+                    continue
+                if call is not None:
                     break
-            else:
-                return ev_term(c.result, b)
-        raise ClausalEvalError(
-            f"no applicable clause in {f} at {x} (internal error)")
-
-    return call(fname, x, 0)
+                c = next(cs, None)
+                if c is None:
+                    raise ClausalEvalError(
+                        f"no applicable clause in {f} at {x} (internal error)")
+                b = {argvar: x}
+                lits = iter(c.literals)
+            stack.append((f, x, depth, argvar, cs, c, lits, b, call.out))
+            f, x, depth = call.fname, v, depth + 1
+    finally:
+        meter.steps = steps

@@ -75,6 +75,34 @@ def div_d(a: Derivation, b: Derivation) -> Derivation:
     return comp(mu(test), P(comp(S, a), I))
 
 
+def pair_depth_d() -> Derivation:
+    """D(x) = k + 3, where k is the least number with x < 2^(2^k).
+
+    D(x) bounds the depth of a pair-descent recursion started at x
+    (RestrictionReport.pair_descent): a chain of nested calls from x holds
+    at most D(x) calls, the one at x included.  Proof.  A self-call
+    argument y of a call at x is a pair component of some v with
+    0 < v <= x, since the splits leading to it fail on 0.  With
+    v = <a, b> and s = a + b, v > s(s+1)/2 and y <= s, so y^2 < 2x.  Along
+    a chain of calls at x_0 = x, x_1, x_2, ... the numbers t_i = x_i / 2
+    then satisfy t_(i+1) < sqrt(t_i), and t_0 < 2^(2^k - 1) gives
+    t_i < 2^((2^k - 1) / 2^i).  So t_k < 2: if the chain reaches x_k,
+    then x_k <= 3.  The components of 1, 2, 3 (<0,0>, <0,1>, <1,0>) are
+    at most 1, those of 1 are 0, and a call at 0 makes no self-call, so at
+    most 3 calls follow x_(k-1): the chain holds at most k + 3 calls.
+    The bound is reached: L at [0, 0, 0, 0] = 11 < 2^(2^2) calls itself at
+    4, 2, 1 and 0, so no smaller constant works.
+
+    k is found by a mu scan over k <= x whose test is x < 2^(2^k), with
+    2^(2^k) computed by primitive recursion (2, then squaring); the scan
+    runs k + 1 rounds, at most 6 for any x below 2^32.
+    """
+    fw = comp(HD, TL)  # f(w, p) in the step argument <w, <f(w, p), p>>
+    tower = comp(pr(const(2), mul_d(fw, fw)), P(I, Z_))
+    k = comp(mu(lt_d(TL, comp(tower, HD))), P(comp(S, I), I))
+    return comp(S, comp(S, comp(S, k)))
+
+
 def select_d(k: Derivation, options: list[Derivation]) -> Derivation:
     """Dispatch on the value of k: options[j] when k = j (last as else)."""
     acc = options[-1]
@@ -198,7 +226,7 @@ def reduce_recursive_to_pr(d: ClausalDef,
     env = dict(env or {})
     if d.kind != "recursive":
         raise ReductionError(f"{d.name} is not recursive")
-    check_recursive_restrictions(d)
+    pair_descent = check_recursive_restrictions(d).pair_descent
     h_def, J = build_dispatcher(d)
     app1_def = _build_app1(f"{d.name}_app1", J)
     f1_def = _build_f1(f"{d.name}_f1", h_def.name, app1_def.name)
@@ -208,24 +236,37 @@ def reduce_recursive_to_pr(d: ClausalDef,
                             {**env, h_def.name: h_d, app1_def.name: app1_d})
 
     # Iteration count: the machine performs at most one push per expansion
-    # and one pop per computed value.  With the identity measure the
-    # recursion tree has depth <= x and branching <= J, so 2*x + 3
-    # stepper applications suffice when J = 1 and J^(x+2) when J >= 2.
-    # The stepper fixes terminal stacks, so overshooting is harmless;
-    # for J = 1 we group _GROUP applications per iteration (div(2x,K)+3
-    # iterations, since K*(div(2x,K)+3) >= 2x+3), which lets memoized
+    # and one pop per computed value, so a recursion tree of depth n
+    # (calls along a path) and branching <= J needs 2*(n-1) stepper
+    # applications when J = 1 and fewer than 2*J^n when J >= 2.  With the
+    # identity measure n <= x + 1, so 2*x + 3 applications suffice when
+    # J = 1 and J^(x+2) when J >= 2; with pair descent n <= D(x) (see
+    # pair_depth_d), so 2*D(x) + 3 and J^(D(x)+2) suffice.  The stepper
+    # fixes terminal stacks, so overshooting is harmless; for J = 1 we
+    # group _GROUP applications per iteration (div(2x,K)+3 iterations,
+    # since K*(div(2x,K)+3) >= 2x+3, or D(x)+3), which lets memoized
     # evaluation skip the grouped applications on idle iterations.
+    depth_desc = "D(x) = 3 + (the least k with x < 2^(2^k))"
     if J == 1:
         K = _GROUP
-        mu_d = comp(S, comp(S, comp(S, div_d(add_d(I, I), const(K)))))
-        mu_desc = f"div(2*x, {K}) + 3, {K} stepper applications each"
+        if pair_descent:
+            mu_d = comp(S, comp(S, comp(S, pair_depth_d())))
+            mu_desc = (f"D(x) + 3, {K} stepper applications each, "
+                       f"{depth_desc}")
+        else:
+            mu_d = comp(S, comp(S, comp(S, div_d(add_d(I, I), const(K)))))
+            mu_desc = f"div(2*x, {K}) + 3, {K} stepper applications each"
         stepper = f1_d
         for _ in range(K - 1):
             stepper = comp(f1_d, stepper)
     else:
         jexp = pr(const(J * J), mul_d(const(J), comp(HD, TL)))
-        mu_d = comp(jexp, P(I, Z_))
-        mu_desc = f"{J}^(x+2)"
+        if pair_descent:
+            mu_d = comp(jexp, P(pair_depth_d(), Z_))
+            mu_desc = f"{J}^(D(x)+2), {depth_desc}"
+        else:
+            mu_d = comp(jexp, P(I, Z_))
+            mu_desc = f"{J}^(x+2)"
         stepper = f1_d
 
     iterate = pr(I, comp(stepper, comp(HD, TL)))

@@ -6,6 +6,10 @@ recursing on the term.  They raise RecursionError on deep terms, so the
 tests compare them with the package on shallow ones; see
 test_clausal_walkers.py.  The interpreter's term evaluation is kept
 without its App branch, since strict-form terms hold no applications.
+
+eval_clausal is the interpreter as it was before its calls became frames
+on an explicit stack: one Python call per clausal call, so it raises
+RecursionError on recursions about a thousand calls deep.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ from funalg import clausal as cl
 from funalg.clausal import (App, AppEq, Clause, Literal, OracleMem,
                             QuasiTerm, RefinementError, Rel, Succ, TAdd,
                             TMul, TPair, Var, VarPair, VarSucc, VarZero, Zero)
-from funalg.codec import pair
+from funalg.codec import head, pair, tail
 from funalg.compiler import Z_, UnboundVariableError
 from funalg.derivation import ADD, MUL, P, S, comp
+from funalg.evaluator import Budget, BudgetExceeded, Meter
 
 
 def term_vars(t: QuasiTerm) -> set[str]:
@@ -248,3 +253,72 @@ def term_d(t: QuasiTerm, var, env):
                 f"no derivation for function {t.fname!r}")
         return comp(env[t.fname], term_d(t.arg, var, env))
     raise TypeError(t)
+
+
+def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
+                 budget: Budget | None = None,
+                 meter: Meter | None = None) -> int:
+    """The recursive interpreter: values, errors and Meter fields are those
+    of funalg.clausal.eval_clausal wherever this one does not recurse too
+    deep."""
+    if not isinstance(x, int):
+        raise TypeError(f"expected an int argument, got {type(x).__name__}")
+    if x < 0:
+        raise ValueError(f"argument must be a natural number, got {x}")
+    if budget is None:
+        budget = Budget()
+    if meter is None:
+        meter = Meter()
+    env = {d.name: cl.complete_to_strict(d) for d in defs}
+    if fname not in env:
+        raise cl.ClausalEvalError(f"undefined function {fname!r}")
+
+    def tick():
+        meter.steps += 1
+        if meter.steps > budget.max_steps:
+            raise BudgetExceeded("steps", meter)
+
+    def call(f: str, x: int, depth: int) -> int:
+        tick()
+        if depth > meter.max_depth:
+            meter.max_depth = depth
+        if x.bit_length() > meter.peak_bits:
+            meter.peak_bits = x.bit_length()
+            if x.bit_length() > budget.max_bits:
+                raise BudgetExceeded("bits", meter)
+        d = env[f]
+        argvar = d.clauses[0].pattern.name
+        for c in d.clauses:
+            b = {argvar: x}
+            for lit in c.literals:  # the first literal that fails skips c
+                tick()
+                if isinstance(lit, VarZero):
+                    if b[lit.v] != 0:
+                        break
+                elif isinstance(lit, VarSucc):
+                    if b[lit.v] == 0:
+                        break
+                    b[lit.w] = b[lit.v] - 1
+                elif isinstance(lit, VarPair):
+                    if b[lit.v] == 0:
+                        break
+                    b[lit.w1], b[lit.w2] = head(b[lit.v]), tail(b[lit.v])
+                elif isinstance(lit, AppEq):
+                    v = ev_term(lit.arg, b)
+                    if lit.fname == f and v >= x:
+                        raise cl.MeasureViolation(
+                            f"{f}({v}) called from {f}({x})")
+                    b[lit.out] = call(lit.fname, v, depth + 1)
+                elif isinstance(lit, Rel):
+                    l = ev_term(lit.left, b)
+                    r = ev_term(lit.right, b)
+                    if (l == r if lit.rel == "=" else l < r) == lit.negated:
+                        break
+                elif (ev_term(lit.term, b) in oracle) == lit.negated:
+                    break
+            else:
+                return ev_term(c.result, b)
+        raise cl.ClausalEvalError(
+            f"no applicable clause in {f} at {x} (internal error)")
+
+    return call(fname, x, 0)

@@ -1,7 +1,13 @@
 """Clausal Language parsing, refinement checking, and interpretation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import funalg
 from funalg.clausal import (CLSyntaxError, ClausalEvalError, MeasureViolation,
                             RefinementError, RestrictionError,
                             check_recursive_restrictions, check_refinement,
@@ -198,3 +204,29 @@ def f {
     s = complete_to_strict(d)
     assert len(s.clauses) == 2
     assert eval_clausal([d], "f", 9) == 8
+
+
+_UNBOUND_PROBE = """
+from funalg.clausal import RefinementError, check_refinement, parse_cl
+for text in ("def f { x = 0 -> f(x) = 0; y = S(z) -> f(x) = 0; }",
+             "def f { x = 0 -> f(x) = 0; q + p < x -> f(x) = 0; }",
+             "def f { x = 0 -> f(x) = 0; x = S(w) -> f(x) = (b, (a, w)); }"):
+    try:
+        check_refinement(parse_cl(text)[0])
+    except RefinementError as e:
+        print(e)
+"""
+
+
+def test_unbound_variable_message_is_independent_of_hash_seed():
+    # the first unbound variable in the literal's or the term's own order
+    src = str(Path(funalg.__file__).resolve().parents[1])
+    outs = set()
+    for seed in range(6):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        outs.add(subprocess.run(
+            [sys.executable, "-c", _UNBOUND_PROBE], env=env, check=True,
+            capture_output=True, text=True, timeout=60).stdout)
+    assert outs == {"unbound variable 'y' in literal y = S(z)\n"
+                    "unbound variable 'q' in literal q + p < x\n"
+                    "unbound variable 'b' in result\n"}

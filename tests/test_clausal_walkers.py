@@ -1,5 +1,6 @@
-"""The quasi-term walkers as fold rules, against their recursive oracles,
-on deep terms, and the strict form kept per definition."""
+"""The quasi-term walkers as fold rules and the interpreter's explicit
+call stack, against their recursive oracles, on deep terms and deep
+recursions, and the strict form kept per definition."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,12 +12,12 @@ from funalg.clausal import (App, AppEq, Clause, ClausalDef, OracleMem,
                             Var, VarPair, VarSucc, VarZero, Zero,
                             complete_to_strict, eval_clausal, parse_cl,
                             print_cl)
-from funalg.codec import pair
+from funalg.codec import FinSet, pair
 from funalg.compiler import (UnboundVariableError, VarCtx, compile_explicit,
                              compile_term, eval_term_direct)
 from funalg.corpus import corpus_defs
 from funalg.derivation import d_print
-from funalg.evaluator import Budget, eval_naive
+from funalg.evaluator import Budget, BudgetExceeded, Meter, eval_naive
 
 # z1 and q1 are the first fresh names the normalization hands out
 NAMES = ("x", "y", "z1", "q1")
@@ -196,3 +197,65 @@ def test_refinement_failure_raises_on_every_call():
 def test_eval_clausal_rejects_bad_arguments(name, x, error, message):
     with pytest.raises(error, match=message):
         eval_clausal(corpus_defs(), name, x)
+
+
+def _run(interpreter, defs, name, x, budget):
+    """The outcome of an interpreter run and its four Meter fields."""
+    m = Meter()
+    try:
+        got = "ok", interpreter(defs, name, x, oracle=FinSet((2, 3, 7)),
+                                budget=budget, meter=m)
+    except (BudgetExceeded, cl.ClausalEvalError, cl.MeasureViolation) as e:
+        got = type(e).__name__, str(e)
+    return got, (m.steps, m.peak_bits, m.memo_hits, m.max_depth)
+
+
+# besides the corpus: helpers nesting calls inside calls, a clause that
+# fails after a call returns (pick's argument variable is not inc's), and
+# a measure violation
+_CALLS = parse_cl("""
+def inc { inc(z) = S(z); }
+def twice { twice(x) = inc(inc(x)); }
+def pick {
+  inc(y) = r & r < S(S(S(0))) -> pick(y) = r;
+  inc(y) = r & ! r < S(S(S(0))) -> pick(y) = (y, r);
+}
+def walk {
+  walk(0) = 0;
+  v = 0 -> walk((v, w)) = twice(walk(w));
+  v = S(u) -> walk((v, w)) = inc(walk((u, w)));
+}
+def bad { bad(0) = 0; bad(S(w)) = bad(S(w)); }
+""")
+
+
+@pytest.mark.parametrize("budget", [
+    None, Budget(7, 10**6), Budget(60, 10**6), Budget(10**6, 4)],
+    ids=["default", "7 steps", "60 steps", "4 bits"])
+def test_eval_clausal_matches_recursive_oracle(budget):
+    defs = corpus_defs() + _CALLS
+    for d in defs:
+        for x in [*range(60), 200, 851]:
+            assert (_run(eval_clausal, defs, d.name, x, budget)
+                    == _run(oracle.eval_clausal, defs, d.name, x, budget)), \
+                (d.name, x)
+
+
+def test_eval_clausal_meter_accumulates_like_the_oracle():
+    defs = corpus_defs()
+    m1, m2 = Meter(5, 3, 2, 1), Meter(5, 3, 2, 1)
+    for x in (4, 20, 9):
+        eval_clausal(defs, "cat", x, meter=m1)
+        oracle.eval_clausal(defs, "cat", x, meter=m2)
+    assert m1 == m2
+
+
+@pytest.mark.parametrize("name,x,want", [
+    ("nested", 3405, 0), ("addp", pair(2000, 1), 2001)])
+def test_eval_clausal_deep_recursion(name, x, want):
+    # the recursive interpreter raises RecursionError on both
+    m = Meter()
+    assert eval_clausal(corpus_defs(), name, x, meter=m) == want
+    assert m.max_depth >= 2000
+    with pytest.raises(BudgetExceeded):
+        eval_clausal(corpus_defs(), name, x, budget=Budget(5000, 10**6))

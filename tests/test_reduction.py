@@ -1,16 +1,21 @@
 """Reductions of recursive clausal definitions to PR and SNR."""
 
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from funalg.clausal import eval_clausal, print_cl
-from funalg.codec import list_encode, pair
+from funalg.clausal import (check_recursive_restrictions, eval_clausal,
+                            parse_cl, print_cl)
+from funalg.codec import list_encode, pair, unpair
+from funalg.compiler import compile_explicit
 from funalg.corpus import corpus_def, corpus_defs
-from funalg.derivation import (CLASSES, PolyBound, TA, validate)
+from funalg.derivation import (CLASSES, PolyBound, TA, d_print, validate)
 from funalg.evaluator import Budget, Meter, eval_memo
 from funalg.reduction import (BoundViolation, ReductionError,
-                              build_dispatcher, reduce_bounded_nested_to_snr,
+                              build_dispatcher, pair_depth_d,
+                              reduce_bounded_nested_to_snr,
                               reduce_recursive_to_pr)
 
 BIG = Budget(10**9, 10**6)
@@ -113,3 +118,159 @@ def test_memoized_snr_keeps_expansions_linear():
             per_node.setdefault(id(node), set()).add(head(arg))
     for heads in per_node.values():
         assert len(heads) <= max(heads) + 1
+
+
+# --- pair descent: recursion depth bounds the PR iteration count -----------
+
+_HAND = parse_cl("""
+def sp {
+  sp(0) = 0;
+  w = 0 -> sp(S(w)) = 0;
+  w = (a, b) -> sp(S(w)) = sp(b);
+}
+def ps {
+  ps(0) = 0;
+  a = 0 -> ps((a, b)) = b;
+  a = S(u) -> ps((a, b)) = S(ps(u));
+}
+def sd { sd(0) = 0; sd(S(w)) = S(sd(w)); }
+def mixed {
+  mixed(0) = 0;
+  v = 0 -> mixed((v, w)) = mixed(w);
+  v = S(u) -> mixed((v, w)) = mixed((u, w));
+}
+def leaves { leaves(0) = S(0); leaves((a, b)) = leaves(a) + leaves(b); }
+""")
+
+
+@pytest.mark.parametrize("name,want", [
+    ("L", True), ("last", True), ("sumlist", True), ("cat", False),
+    ("nested", False), ("addp", False), ("prdemo", False),
+    # a successor split then a pair split, and the other way round
+    ("sp", True), ("ps", True),
+    # successor splits only; a built pair in one clause
+    ("sd", False), ("mixed", False),
+    ("leaves", True)])
+def test_pair_descent_detection(name, want):
+    d = next((d for d in corpus_defs() + _HAND if d.name == name))
+    assert check_recursive_restrictions(d).pair_descent is want
+
+
+# successor descent alone keeps the count linear in the value; its stack
+# of x frames is some 2^x bits wide, so it runs on small x only
+@pytest.mark.parametrize("name,count,xs", [
+    ("sp", "D(x) + 3", 150), ("ps", "D(x) + 3", 150),
+    ("sd", "div(2*x, 8) + 3", 12)])
+def test_hand_defs_iterate_by_their_descent(name, count, xs):
+    d = next(d for d in _HAND if d.name == name)
+    art = reduce_recursive_to_pr(d, {})
+    assert art.mu_desc.startswith(count + ", 8 stepper applications each")
+    for x in range(xs):
+        assert (eval_memo(art.result, x, budget=BIG)
+                == eval_clausal([d], name, x)), x
+
+
+def _k(x):
+    """The least k with x < 2^(2^k)."""
+    k = 0
+    while x >= 1 << (1 << k):
+        k += 1
+    return k
+
+
+def test_pair_depth_derivation_values():
+    d = pair_depth_d()
+    xs = [*range(2000)]
+    for k in range(1, 7):
+        t = 1 << (1 << k)
+        xs += [t - 1, t, t + 1]
+    for x in xs:
+        assert eval_memo(d, x) == _k(x) + 3, x
+
+
+def test_pair_depth_bounds_the_worst_recursion_depth():
+    # W[z]: the most calls a pair-descent recursion from z can nest, the
+    # call at z included.  A self-call argument is a pair component of
+    # some v with 0 < v <= z, so W[z] = 1 + the largest W of a component of
+    # any such v.
+    n = 200_000
+    W = [1] * n
+    best = 1
+    for z in range(1, n):
+        a, b = unpair(z)
+        best = max(best, W[a], W[b])
+        W[z] = 1 + best
+    assert all(_k(z) + 3 >= W[z] for z in range(n))
+    assert W[11] == _k(11) + 3  # L at [0, 0, 0, 0]: the bound is reached
+
+
+@pytest.mark.parametrize("name", ["L", "last", "sumlist"])
+def test_pair_descent_reductions_match_clausal(name):
+    art = reduce_recursive_to_pr(corpus_def(name), {})
+    assert art.mu_desc.startswith("D(x) + 3, 8 stepper applications each")
+    assert validate(art.result, CLASSES["PRA"])
+    defs = corpus_defs()
+    for x in range(3000):
+        assert eval_memo(art.result, x) == eval_clausal(defs, name, x), x
+
+
+_PAIR_DESCENT = {n: reduce_recursive_to_pr(corpus_def(n), {}).result
+                 for n in ("L", "last", "sumlist")}
+
+
+@given(st.lists(st.integers(0, 9), max_size=6),
+       st.sampled_from(sorted(_PAIR_DESCENT)))
+@settings(max_examples=25, deadline=None)
+def test_pair_descent_reductions_on_list_codes(xs, name):
+    x = list_encode(xs)
+    assert (eval_memo(_PAIR_DESCENT[name], x, budget=BIG)
+            == eval_clausal(corpus_defs(), name, x))
+
+
+def test_pair_descent_with_two_calls_per_clause():
+    d = next(d for d in _HAND if d.name == "leaves")
+    art = reduce_recursive_to_pr(d, {})
+    assert art.J == 2 and art.mu_desc.startswith("2^(D(x)+2)")
+    assert validate(art.result, CLASSES["PRA"])
+    for x in [*range(150), 1000, 4000, pair(pair(9, 9), pair(2, 7))]:
+        assert (eval_memo(art.result, x, budget=BIG)
+                == eval_clausal([d], d.name, x)), x
+
+
+# sha256 of d_print of the PR reductions recorded before pair descent was
+# detected: a definition without it keeps its derivation byte for byte
+_RESULT_DIGESTS = {
+    "cat":
+        "4448b101c29c03bcc70bb1b29cf9b95dd39b98d6fc243daae00b61107260cc41",
+    "nested":
+        "edc058e8ef06555e4fa61677985bf6bc00010689991035dc8303ac0d02931f2f",
+    "addp":
+        "164295bb33df32e5421acf5ac1857b11a8f4ffdb75e9609c6f656493c3e20f16",
+    "prdemo":
+        "7e53f349514663f2f7d0c676d422099d2429c005a747fb9ced4f0f7c332a3e4d",
+}
+
+
+def test_reductions_without_pair_descent_are_unchanged():
+    env, got = {}, {}
+    for d in corpus_defs():
+        if d.kind == "explicit":
+            env[d.name] = compile_explicit(d, env)
+        elif d.name in _RESULT_DIGESTS:
+            text = d_print(reduce_recursive_to_pr(d, env).result)
+            got[d.name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == _RESULT_DIGESTS
+
+
+def test_list_length_steps_follow_depth_not_value():
+    # acceptance criterion 7's inputs; the count linear in the value took
+    # 19,318,560 steps here
+    art = reduce_recursive_to_pr(corpus_def("L"), {})
+    total = 0
+    for n in range(4):
+        for tup in itertools.product(range(6), repeat=n):
+            m = Meter()
+            assert eval_memo(art.result, list_encode(tup), budget=BIG,
+                             meter=m) == n
+            total += m.steps
+    assert total < 1_500_000
