@@ -346,53 +346,76 @@ class _Parser:
         t = self.peek()
         return t[0] == "sym" and t[1] == val
 
-    # term := mulsum with '+' / '*' left-associative, '*' binding tighter
     def parse_term(self) -> QuasiTerm:
-        t = self.parse_mul()
-        while self.at_sym("+"):
-            self.next()
-            t = TAdd(t, self.parse_mul())
-        return t
+        """term := sum of products of atoms, '+' and '*' left-associative
+        and '*' binding tighter; atom := 0 | var | (term, term) | S(term)
+        | f(term).
 
-    def parse_mul(self) -> QuasiTerm:
-        t = self.parse_atom()
-        while self.at_sym("*"):
-            self.next()
-            t = TMul(t, self.parse_atom())
-        return t
-
-    def parse_atom(self) -> QuasiTerm:
-        t = self.peek()
-        if t[0] == "zero":
-            self.next()
-            return Zero()
-        if self.at_sym("("):
-            self.next()
-            a = self.parse_term()
-            self.expect(",")
-            b = self.parse_term()
-            self.expect(")")
-            return TPair(a, b)
-        if t[0] == "ident":
-            self.next()
-            name = t[1]
-            if self.at_sym("("):
-                self.next()
-                a = self.parse_term()
+        Brackets are parsed on an explicit stack, so nesting depth is not
+        bounded by the host's recursion limit.  An entry saves the
+        enclosing term's sum and product so far and what the bracket
+        builds: ("pair", None) before its comma, ("pair", a) after it,
+        ("app", name) for S(...) and f(...).
+        """
+        # a token's value tells a symbol from an identifier or 0, and the
+        # position never passes the final eof token
+        toks = self.toks
+        stack: list[tuple] = []
+        total = prod = None
+        while True:
+            t = toks[self.pos]
+            if t[0] == "zero":
+                self.pos += 1
+                atom = Zero()
+            elif t[1] == "(":
+                self.pos += 1
+                stack.append((total, prod, "pair", None))
+                total = prod = None
+                continue
+            elif t[0] == "ident":
+                self.pos += 1
+                if toks[self.pos][1] == "(":
+                    self.pos += 1
+                    stack.append((total, prod, "app", t[1]))
+                    total = prod = None
+                    continue
+                if t[1] == "S":
+                    self.err("S requires an argument")
+                atom = Var(t[1])
+            else:
+                self.err(f"expected term, got {t[1]!r}")
+            # extend the product by the atom; while a term ends, close the
+            # bracket it sits in, which yields the next atom
+            while True:
+                prod = atom if prod is None else TMul(prod, atom)
+                op = toks[self.pos][1]
+                if op == "*":
+                    self.pos += 1
+                    break
+                term = prod if total is None else TAdd(total, prod)
+                if op == "+":
+                    self.pos += 1
+                    total, prod = term, None
+                    break
+                if not stack:
+                    return term
+                total, prod, kind, data = stack.pop()
+                if kind == "pair" and data is None:
+                    self.expect(",")
+                    stack.append((total, prod, "pair", term))
+                    total = prod = None
+                    break
                 self.expect(")")
-                return Succ(a) if name == "S" else App(name, a)
-            if name == "S":
-                self.err("S requires an argument")
-            return Var(name)
-        self.err(f"expected term, got {t[1]!r}")
+                if kind == "pair":
+                    atom = TPair(data, term)
+                else:
+                    atom = Succ(term) if data == "S" else App(data, term)
 
     def parse_lit(self):
-        if self.at_sym("!"):
+        negated = False
+        while self.at_sym("!"):
             self.next()
-            inner = self.parse_lit()
-            if isinstance(inner, (Rel, OracleMem)):
-                return replace(inner, negated=not inner.negated)
-            self.err("only relations and oracle atoms can be negated")
+            negated = not negated
         t1 = self.parse_term()
         nxt = self.peek()
         if nxt[0] == "ident" and nxt[1] == "in":
@@ -401,11 +424,11 @@ class _Parser:
             if x[1] != "X":
                 raise CLSyntaxError("membership is only in the oracle X",
                                     x[2], x[3])
-            return OracleMem(t1)
+            return OracleMem(t1, negated)
         if self.at_sym("=") or self.at_sym("<"):
             rel = self.next()[1]
             t2 = self.parse_term()
-            return Rel(t1, rel, t2)
+            return Rel(t1, rel, t2, negated)
         self.err("expected relation in literal")
 
     def has_arrow_before_semi(self) -> bool:

@@ -291,16 +291,49 @@ def poly_to_derivation(b: PolyBound) -> Derivation:
     return fold(b, lambda p: p.args, rule)
 
 
+def _snr_decode(J: int) -> Derivation:
+    """decode(<v, p>) = <xv, <kf, dl>> for the SNR machine state v.
+
+    With p = <R, <R^J, b>> and b = (J+1)*R^J, the state is
+    v = xv*b + kf*R^J + dl with kf <= J and dl < R^J, so
+    - xv = div(v, b), one mu scan of about xv rounds;
+    - kf = the least k <= J with v < xv*b + S(k)*R^J, a mu scan of at
+      most J rounds (J itself when none of 0..J-1 passes);
+    - dl = v - (xv*b + kf*R^J), a scan of dl + 1 rounds.
+    """
+    RJ, b = comp(HD, comp(TL, TL)), comp(TL, comp(TL, TL))
+    xv = div_d(HD, b)
+    base = mul_d(xv, b)
+    # the mu test sees <k, <v, p>>
+    test = lt_d(comp(HD, TL), add_d(comp(base, TL),
+                                    mul_d(comp(S, HD), comp(RJ, TL))))
+    kf = comp(mu(test), P(const(J), I))
+    dl = sub_d(HD, add_d(base, mul_d(kf, RJ)))
+    return P(xv, P(kf, dl))
+
+
 def reduce_bounded_nested_to_snr(d: ClausalDef, bound: PolyBound,
                                  env: dict[str, Derivation] | None = None
                                  ) -> Derivation:
     """Translate a bounded nested definition to special nested recursion.
 
-    The machine state is v = x*b + d where the lower digit d packs the
-    clause's pending partial results as base-R digits (R = bound(x)+1)
-    together with a remaining-slots counter, so v strictly decreases on
-    both pushing a sub-computation and resuming with its value.  The SNR
-    parameter carries (R, R^J, b).
+    The machine state is v = xv*b + kf*R^J + dl, where R = bound(x) + 1,
+    R^J is its J-th power and b = (J+1)*R^J; the SNR parameter carries
+    p = <R, <R^J, b>>.  xv is the argument of the clause being run, dl
+    packs the k = J - kf results of its recursive calls computed so far as
+    base-R digits (the i-th call's result times R^(i-1)), and kf counts
+    the calls still free.  Both pushing a sub-computation (argument
+    t < xv, kf = J) and resuming with its value (kf - 1) make v strictly
+    smaller.
+
+    The state is decoded once per step: g1 = G(<decode(<v, p>), p>) and
+    h1 = H(<<decode(<v, p>), p>, u>), where decode (_snr_decode) returns
+    <xv, <kf, dl>> and G and H read the three digits and R, R^J, b
+    through pair projections.  So each mu scan of the decode appears once
+    in g1 and once in h1, and memoized evaluation of h1 at <v, <u, p>>
+    finds decode(<v, p>) already computed by g1.  The decoded tuple holds
+    the three small digits only and p is read beside it, not packed into
+    it with v, which keeps the arguments of G and H narrow.
 
     The bound is checked dynamically: the definition is interpreted on
     [0, _VALIDATE_TO] and any output above bound(x) raises BoundViolation.
@@ -320,24 +353,17 @@ def reduce_bounded_nested_to_snr(d: ClausalDef, bound: PolyBound,
             raise BoundViolation(
                 f"{d.name}({x}) = {val} exceeds bound {bound(x)}")
     h_d = compile_explicit(h_def, env)
+    decode = _snr_decode(J)
 
-    KJ = J + 1
+    def fields(s: Derivation):
+        """xv, kf, dl, R, R^J, b from <<xv, <kf, dl>>, p> read by s."""
+        dec, p = comp(HD, s), comp(TL, s)
+        return (comp(HD, dec), comp(HD, comp(TL, dec)),
+                comp(TL, comp(TL, dec)), comp(HD, p),
+                comp(HD, comp(TL, p)), comp(TL, comp(TL, p)))
 
-    def components(v_d: Derivation, p_d: Derivation):
-        """Decode the machine state: argument, slot counter, digit block."""
-        R = comp(HD, p_d)
-        RJ = comp(HD, comp(TL, p_d))
-        b = comp(TL, comp(TL, p_d))
-        q = div_d(v_d, RJ)              # q = x*(J+1) + (J - k)
-        xv = div_d(q, const(KJ))
-        kf = sub_d(q, mul_d(xv, const(KJ)))
-        dl = sub_d(v_d, mul_d(q, RJ))   # packed pending results
-        k = sub_d(const(J), kf)
-        return R, RJ, b, xv, kf, dl, k
-
-    # --- g1: dispatch on the decoded state -----------------------------------
-    v_d, p_d = HD, TL
-    R, RJ, b, xv, kf, dl, k = components(v_d, p_d)
+    # --- g1: dispatch on the decoded state <<xv, <kf, dl>>, p> ---------------
+    xv, kf, dl, R, RJ, b = fields(I)
     # pending-result digits: z_i = (dl div R^(i-1)) mod R
     digits = []
     for i in range(J):
@@ -345,32 +371,31 @@ def reduce_bounded_nested_to_snr(d: ClausalDef, bound: PolyBound,
         for _ in range(i):
             num = div_d(num, R)
         digits.append(sub_d(num, mul_d(div_d(num, R), R)))
-    # clause list c for each possible length k
+    # clause list c of the k = J - kf results so far, by kf
     lists = []
-    for kk in range(J + 1):
+    for kk in reversed(range(J + 1)):
         acc = Z_
         for i in reversed(range(kk)):
             acc = P(digits[i], acc)
         lists.append(acc)
-    c_list = select_d(k, lists)
-    r = comp(h_d, P(xv, c_list))
+    r = comp(h_d, P(xv, select_d(kf, lists)))
     tag, t = comp(HD, r), comp(TL, r)
     push = P(Z_, add_d(mul_d(t, b), mul_d(const(J), RJ)))
     final = P(ONE, t)
-    g1 = dd(tag, push, final)
+    g1 = comp(dd(tag, push, final), P(decode, TL))
 
     # --- h1: resume with the sub-computation's value u ------------------------
-    v_d = HD
-    u_d = comp(HD, TL)
-    p_d = comp(TL, TL)
-    R, RJ, b, xv, kf, dl, k = components(v_d, p_d)
+    # H reads <<<xv, <kf, dl>>, p>, u>, u by TL
+    xv, kf, dl, R, RJ, b = fields(HD)
     rpow = [const(1)]
     for _ in range(J - 1):
         rpow.append(mul_d(rpow[-1], R))
-    rk = select_d(k, rpow + [Z_])
-    h1 = add_d(mul_d(xv, b),
-               add_d(mul_d(sub_d(kf, ONE), RJ),
-                     add_d(dl, mul_d(u_d, rk))))
+    rk = select_d(kf, [Z_] + rpow[::-1])  # R^k for k = J - kf results
+    H = add_d(mul_d(xv, b),
+              add_d(mul_d(comp(PRED, kf), RJ),
+                    add_d(dl, mul_d(TL, rk))))
+    h1 = comp(H, P(P(comp(decode, P(HD, comp(TL, TL))), comp(TL, TL)),
+                   comp(HD, TL)))
 
     # --- wrapper: initial state and parameter as functions of x ---------------
     bd = poly_to_derivation(bound)
@@ -378,7 +403,7 @@ def reduce_bounded_nested_to_snr(d: ClausalDef, bound: PolyBound,
     RJ0 = const(1)
     for _ in range(J):
         RJ0 = mul_d(RJ0, R0)
-    b0 = mul_d(const(KJ), RJ0)
+    b0 = mul_d(const(J + 1), RJ0)
     v0 = add_d(mul_d(I, b0), mul_d(const(J), RJ0))
     q0 = P(R0, P(RJ0, b0))
     result = comp(snr(g1, h1), P(v0, q0))

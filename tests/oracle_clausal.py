@@ -10,9 +10,14 @@ without its App branch, since strict-form terms hold no applications.
 eval_clausal is the interpreter as it was before its calls became frames
 on an explicit stack: one Python call per clausal call, so it raises
 RecursionError on recursions about a thousand calls deep.
+
+RecursiveParser is the CL parser as it was before terms were parsed on an
+explicit stack: one Python call per nesting level of a term or of `!`.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from funalg import clausal as cl
 from funalg.clausal import (App, AppEq, Clause, Literal, OracleMem,
@@ -322,3 +327,68 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
             f"no applicable clause in {f} at {x} (internal error)")
 
     return call(fname, x, 0)
+
+
+class RecursiveParser(cl._Parser):
+    """parse_term and parse_lit by recursive descent."""
+
+    def parse_term(self) -> QuasiTerm:
+        t = self.parse_mul()
+        while self.at_sym("+"):
+            self.next()
+            t = TAdd(t, self.parse_mul())
+        return t
+
+    def parse_mul(self) -> QuasiTerm:
+        t = self.parse_atom()
+        while self.at_sym("*"):
+            self.next()
+            t = TMul(t, self.parse_atom())
+        return t
+
+    def parse_atom(self) -> QuasiTerm:
+        t = self.peek()
+        if t[0] == "zero":
+            self.next()
+            return Zero()
+        if self.at_sym("("):
+            self.next()
+            a = self.parse_term()
+            self.expect(",")
+            b = self.parse_term()
+            self.expect(")")
+            return TPair(a, b)
+        if t[0] == "ident":
+            self.next()
+            name = t[1]
+            if self.at_sym("("):
+                self.next()
+                a = self.parse_term()
+                self.expect(")")
+                return Succ(a) if name == "S" else App(name, a)
+            if name == "S":
+                self.err("S requires an argument")
+            return Var(name)
+        self.err(f"expected term, got {t[1]!r}")
+
+    def parse_lit(self):
+        if self.at_sym("!"):
+            self.next()
+            inner = self.parse_lit()
+            if isinstance(inner, (Rel, OracleMem)):
+                return replace(inner, negated=not inner.negated)
+            self.err("only relations and oracle atoms can be negated")
+        t1 = self.parse_term()
+        nxt = self.peek()
+        if nxt[0] == "ident" and nxt[1] == "in":
+            self.next()
+            x = self.next()
+            if x[1] != "X":
+                raise cl.CLSyntaxError("membership is only in the oracle X",
+                                       x[2], x[3])
+            return OracleMem(t1)
+        if self.at_sym("=") or self.at_sym("<"):
+            rel = self.next()[1]
+            t2 = self.parse_term()
+            return Rel(t1, rel, t2)
+        self.err("expected relation in literal")

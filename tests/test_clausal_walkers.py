@@ -1,17 +1,18 @@
-"""The quasi-term walkers as fold rules and the interpreter's explicit
-call stack, against their recursive oracles, on deep terms and deep
-recursions, and the strict form kept per definition."""
+"""The quasi-term walkers as fold rules, the interpreter's explicit call
+stack and the parser's explicit bracket stack, against their recursive
+oracles, on deep terms and deep recursions, and the strict form kept per
+definition."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_clausal as oracle
 from funalg import clausal as cl
-from funalg.clausal import (App, AppEq, Clause, ClausalDef, OracleMem,
-                            RefinementError, Rel, Succ, TAdd, TMul, TPair,
-                            Var, VarPair, VarSucc, VarZero, Zero,
-                            complete_to_strict, eval_clausal, parse_cl,
-                            print_cl)
+from funalg.clausal import (App, AppEq, CLSyntaxError, Clause, ClausalDef,
+                            OracleMem, RefinementError, Rel, Succ, TAdd,
+                            TMul, TPair, Var, VarPair, VarSucc, VarZero, Zero,
+                            complete_to_strict, eval_clausal, lit_str,
+                            parse_cl, print_cl)
 from funalg.codec import FinSet, pair
 from funalg.compiler import (UnboundVariableError, VarCtx, compile_explicit,
                              compile_term, eval_term_direct)
@@ -259,3 +260,82 @@ def test_eval_clausal_deep_recursion(name, x, want):
     assert m.max_depth >= 2000
     with pytest.raises(BudgetExceeded):
         eval_clausal(corpus_defs(), name, x, budget=Budget(5000, 10**6))
+
+
+# --- the parser's explicit bracket stack ------------------------------------
+
+_WORDS = ("0", "x", "y", "f", "S", "in", "X", "(", ")", ",", "+", "*", "!",
+          "=", "<", ";")
+
+
+@st.composite
+def literal_texts(draw):
+    """A printed literal (or a run of words), as words, with one word
+    perhaps deleted, inserted or replaced."""
+    if draw(st.booleans()):
+        lit = draw(st.one_of(
+            st.builds(Rel, terms(), st.sampled_from("=<"), terms(),
+                      st.booleans()),
+            st.builds(OracleMem, terms(), st.booleans())))
+        words = [t[1] for t in cl._tokenize(lit_str(lit))[:-1]]
+        words = ["!"] * draw(st.integers(0, 2)) + words
+    else:
+        words = draw(st.lists(st.sampled_from(_WORDS), max_size=12))
+    i = draw(st.integers(0, len(words)))
+    edit = draw(st.sampled_from(["none", "delete", "insert", "replace"]))
+    if edit == "insert" or (edit == "replace" and i < len(words)):
+        words[i:i + (edit == "replace")] = [draw(st.sampled_from(_WORDS))]
+    elif edit == "delete":
+        del words[i:i + 1]
+    return " ".join(words)
+
+
+def _parse_lit(parser, text):
+    p = parser(text)
+    try:
+        return "ok", p.parse_lit(), p.pos
+    except CLSyntaxError as e:
+        return "error", str(e), p.pos
+
+
+@given(literal_texts())
+@settings(max_examples=400)
+def test_parser_matches_recursive_oracle(text):
+    assert (_parse_lit(cl._Parser, text)
+            == _parse_lit(oracle.RecursiveParser, text))
+
+
+@pytest.mark.parametrize("text,want", [
+    ("x + y * 0 + f(x) * y * x = 0",
+     TAdd(TAdd(Var("x"), TMul(Var("y"), Zero())),
+          TMul(TMul(App("f", Var("x")), Var("y")), Var("x")))),
+    ("(x + y, S(x * y)) * x = 0",
+     TMul(TPair(TAdd(Var("x"), Var("y")), Succ(TMul(Var("x"), Var("y")))),
+          Var("x"))),
+])
+def test_parser_precedence_and_left_associativity(text, want):
+    assert cl._Parser(text).parse_lit() == Rel(want, "=", Zero())
+
+
+@pytest.mark.parametrize("depth", [350, 5000])
+def test_parse_deep_nests(depth):
+    # the result is checked by an iterative walk: frozen-dataclass == and
+    # hash recurse
+    succ = "S(" * depth + "x" + ")" * depth
+    left = "(" * depth + "x" + ", 0)" * depth
+    right = "(0, " * depth + "x" + ")" * depth
+    text = (f"def f {{ {'!' * (depth + 1)} x = 0 -> f(x) = {succ};"
+            f" ! x = 0 & x = (a, b) -> f(x) = {left};"
+            f" ! x = 0 & ! x = (a, b) -> f(x) = {right}; }}")
+    (d,) = parse_cl(text)
+    first, second, third = d.clauses
+    assert first.literals == (Rel(Var("x"), "=", Zero(), True),)
+    for clause, node, down, side in (
+            (first, Succ, lambda t: t.arg, None),
+            (second, TPair, lambda t: t.left, lambda t: t.right),
+            (third, TPair, lambda t: t.right, lambda t: t.left)):
+        t = clause.result
+        for _ in range(depth):
+            assert type(t) is node and (side is None or side(t) == Zero())
+            t = down(t)
+        assert t == Var("x")

@@ -13,7 +13,7 @@ from funalg.compiler import compile_explicit
 from funalg.corpus import corpus_def, corpus_defs
 from funalg.derivation import (CLASSES, PolyBound, TA, d_print, validate)
 from funalg.evaluator import Budget, Meter, eval_memo
-from funalg.reduction import (BoundViolation, ReductionError,
+from funalg.reduction import (BoundViolation, ReductionError, _snr_decode,
                               build_dispatcher, pair_depth_d,
                               reduce_bounded_nested_to_snr,
                               reduce_recursive_to_pr)
@@ -274,3 +274,55 @@ def test_list_length_steps_follow_depth_not_value():
                              meter=m) == n
             total += m.steps
     assert total < 1_500_000
+
+
+# --- SNR reduction: one decode of the machine state per step ---------------
+
+
+@given(st.sampled_from([1, 2, 3]), st.integers(1, 6), st.integers(0, 40),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_snr_decode_reads_the_three_digits(J, R, x, data):
+    kf = data.draw(st.integers(0, J))
+    dl = data.draw(st.integers(0, R**J - 1))
+    b = (J + 1) * R**J
+    v = x * b + kf * R**J + dl
+    p = pair(R, pair(R**J, b))
+    assert (eval_memo(_snr_decode(J), pair(v, p), budget=BIG)
+            == pair(x, pair(kf, dl)))
+
+
+# SNR budget of one benchmark case
+_CASE_BUDGET = Budget(2**20, 2**15)
+
+
+def test_snr_nested_cost_guard():
+    # one x scan per decoded state; the decode by x*(J+1) + (J - k) that
+    # preceded it took 925,365 steps at 64 and ran out of steps from 80
+    d = reduce_bounded_nested_to_snr(corpus_def("nested"), X_BOUND)
+    m = Meter()
+    assert eval_memo(d, 64, budget=BIG, meter=m) == 0
+    assert m.steps <= 400_000 and m.peak_bits <= 836
+    defs = corpus_defs()
+    for x in (96, 128):
+        assert (eval_memo(d, x, budget=_CASE_BUDGET)
+                == eval_clausal(defs, "nested", x))
+
+
+# cp copies a pair tree; it makes two calls per clause and, unlike leaves,
+# is not symmetric in their results, so it tells the digits apart
+_MIRROR = parse_cl("def cp { cp(0) = 0; cp((a, b)) = (cp(a), cp(b)); }")
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("leaves", PolyBound("add", args=(X_BOUND, PolyBound("const", 1)))),
+    ("cp", X_BOUND)])
+def test_snr_reduction_with_pending_results(name, bound):
+    # nested returns 0, so its pending-result digits are all 0; these
+    # resume with non-zero results, so the state packs non-zero digits
+    d = next(d for d in _HAND + _MIRROR if d.name == name)
+    red = reduce_bounded_nested_to_snr(d, bound)
+    assert validate(red, TA)
+    for x in range(60):
+        assert (eval_memo(red, x, budget=BIG)
+                == eval_clausal([d], d.name, x)), x
