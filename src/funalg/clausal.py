@@ -707,11 +707,38 @@ class _State:
     result: QuasiTerm
 
 
-def _lit_key(lit: Literal) -> tuple:
-    """Identity of a first literal, ignoring the names it binds: its tag,
-    then its other fields in order."""
-    _, _, binders, tag = _LIT_SHAPE[type(lit)]
-    return (tag, *(v for f, v in vars(lit).items() if f not in binders))
+_KEY_CODES = {Zero: "0", Succ: "S", TPair: "P", TAdd: "+", TMul: "*"}
+
+
+def _key_rule(t: QuasiTerm, s: list[str]) -> str:
+    # prefix code: a fixed arity per symbol and names ended by a space
+    if type(t) is Var:
+        return f"v{t.name} "
+    if type(t) is App:
+        return f"@{t.fname} {s[0]}"
+    return _KEY_CODES[type(t)] + "".join(s)
+
+
+def term_key(t: QuasiTerm) -> str:
+    """A string that identifies t, made without recursion (so hashing it
+    does not recurse either): equal keys mean equal terms."""
+    return fold(t, term_kids, _key_rule)
+
+
+def _lit_key(lit: Literal, binders: bool = False) -> tuple:
+    """Identity of a literal by its tag, then its fields in order, terms
+    keyed by term_key; the names it binds count only if binders is set."""
+    terms, _, bind, tag = _LIT_SHAPE[type(lit)]
+    return (tag, *(term_key(v) if f in terms else v
+                   for f, v in vars(lit).items()
+                   if binders or f not in bind))
+
+
+def clause_key(c: Clause) -> tuple:
+    """Identity of a clause, as term_key is of a term."""
+    return (term_key(c.pattern),
+            tuple(_lit_key(l, binders=True) for l in c.literals),
+            term_key(c.result))
 
 
 def _canon_binders(side: list[_State], bound: set[str],
@@ -732,121 +759,140 @@ def _canon_binders(side: list[_State], bound: set[str],
     for s in side:
         own = lit_binders(s.lits[0])
         sub = dict(zip(own, wanted))
-        rest.append(_State(s.key, [lit_subst(l, sub) for l in s.lits[1:]],
-                           term_subst(s.result, sub)))
+        lits = (s.lits[1:] if _renames_nothing(sub)
+                else [lit_subst(l, sub) for l in s.lits[1:]])
+        rest.append(_State(s.key, lits, term_subst(s.result, sub)))
     return canon, rest
 
 
-def _walk(group: list[_State], prefix: list[Literal], bound: set[str],
-          trace: list[str], complete: bool, fresh: _Fresh, argvar: str,
-          out: list[tuple[float, Clause]], depth: int):
-    indent = "  " * depth
-    done = [s for s in group if not s.lits]
-    if done:
-        if len(group) > 1:
-            raise RefinementError(
-                "overlapping clauses: a complete clause coexists with "
-                "further refinements")
-        s = done[0]
-        if not term_vars(s.result) <= bound:
-            v = _first_unbound(_var_order(s.result), bound)
-            raise RefinementError(f"unbound variable {v!r} in result")
-        if not complete:
-            trace.append(f"{indent}complete clause -> {term_str(s.result)}")
-        out.append((s.key, Clause(Var(argvar), tuple(prefix), s.result)))
-        return
+def _walk(states: list[_State], trace: list[str], complete: bool,
+          fresh: _Fresh, argvar: str, out: list[tuple[float, Clause]]):
+    """Rebuild the refinement tree of states, appending its trace lines
+    and its strict clauses to trace and out.
 
-    firsts = [s.lits[0] for s in group]
-    keys = {_lit_key(l) for l in firsts}
-    for lit in firsts:
-        if not lit_used_vars(lit) <= bound:
-            # the literal's own order: the variables it reads, then its terms'
-            used = [getattr(lit, f) for f in _LIT_SHAPE[type(lit)][1]]
-            v = _first_unbound(used + [v for t in _lit_terms(lit)
-                                       for v in _var_order(t)], bound)
-            raise RefinementError(
-                f"unbound variable {v!r} in literal {lit_str(lit)}")
-
-    # Rule 1: a common function-application literal is consumed by all.
-    if len(keys) == 1 and isinstance(firsts[0], AppEq):
-        for s in group:
-            if s.lits[0].out in bound:
+    The walk runs on an explicit work stack, in the order of a recursion
+    over the tree (so the trace, the fresh names and the first error are
+    those of one): an item is a group of states, the literals already
+    consumed, the variables they bind and the trace depth.  The second
+    side of a zero/successor or zero/pair split is pushed with `split`
+    set: its binders get their common names when it is reached, after the
+    first side is done."""
+    todo: list[tuple] = [(states, [], {argvar}, 0, False)]
+    while todo:
+        group, prefix, bound, depth, split = todo.pop()
+        if split:
+            canon, group = _canon_binders(group, bound, fresh)
+            prefix = prefix + [canon]
+            bound = bound | set(lit_binders(canon))
+        indent = "  " * depth
+        done = [s for s in group if not s.lits]
+        if done:
+            if len(group) > 1:
                 raise RefinementError(
-                    f"stale variable reuse: {s.lits[0].out!r} already bound")
-        canon, rest = _canon_binders(group, bound, fresh)
-        if not complete:
-            trace.append(f"{indent}introduce {lit_str(canon)}")
-        _walk(rest, prefix + [canon], bound | set(lit_binders(canon)),
-              trace, complete, fresh, argvar, out, depth)
-        return
+                    "overlapping clauses: a complete clause coexists with "
+                    "further refinements")
+            s = done[0]
+            if not term_vars(s.result) <= bound:
+                v = _first_unbound(_var_order(s.result), bound)
+                raise RefinementError(f"unbound variable {v!r} in result")
+            if not complete:
+                trace.append(
+                    f"{indent}complete clause -> {term_str(s.result)}")
+            out.append((s.key, Clause(Var(argvar), tuple(prefix), s.result)))
+            continue
 
-    kinds = {k[0] for k in keys}
+        firsts = [s.lits[0] for s in group]
+        keys = {_lit_key(l) for l in firsts}
+        for lit in firsts:
+            if not lit_used_vars(lit) <= bound:
+                # the literal's own order: the variables it reads, then
+                # its terms'
+                used = [getattr(lit, f) for f in _LIT_SHAPE[type(lit)][1]]
+                v = _first_unbound(used + [v for t in _lit_terms(lit)
+                                           for v in _var_order(t)], bound)
+                raise RefinementError(
+                    f"unbound variable {v!r} in literal {lit_str(lit)}")
 
-    def or_default(side: list[_State], make_lit,
-                   missing: str) -> list[_State]:
-        # an empty side of a split is non-exhaustive; completion gives it
-        # one clause, on make_lit(), answering 0 after the group's clauses
-        if side:
-            return side
-        if not complete:
-            raise RefinementError(f"non-exhaustive: missing {missing}")
-        return [_State(max(s.key for s in group) + 0.25, [make_lit()],
-                       Zero())]
+        # Rule 1: a common function-application literal is consumed by all.
+        if len(keys) == 1 and isinstance(firsts[0], AppEq):
+            for s in group:
+                if s.lits[0].out in bound:
+                    raise RefinementError(
+                        "stale variable reuse: "
+                        f"{s.lits[0].out!r} already bound")
+            canon, rest = _canon_binders(group, bound, fresh)
+            if not complete:
+                trace.append(f"{indent}introduce {lit_str(canon)}")
+            todo.append((rest, prefix + [canon],
+                         bound | set(lit_binders(canon)), depth, False))
+            continue
 
-    def walk_past_first(side: list[_State]):
-        _walk([_State(s.key, s.lits[1:], s.result) for s in side],
-              prefix + [side[0].lits[0]], bound, trace, complete, fresh,
-              argvar, out, depth + 1)
+        kinds = {k[0] for k in keys}
 
-    # Rules 2/3: zero/successor or zero/pair split on one variable.
-    if kinds <= {"zero", "succ", "pair"}:
-        subj = {k[1] for k in keys}
-        if len(subj) != 1:
-            raise RefinementError(
-                f"clauses split on different variables: {sorted(subj)}")
-        v = subj.pop()
-        if "succ" in kinds and "pair" in kinds:
-            raise RefinementError(f"mixed successor/pair split on {v!r}")
-        succ = "succ" in kinds
-        zeros = or_default(
-            [s for s in group if isinstance(s.lits[0], VarZero)],
-            lambda: VarZero(v), f"case {v} = 0")
-        nonz = or_default(
-            [s for s in group if not isinstance(s.lits[0], VarZero)],
-            lambda: (VarSucc(v, fresh("w")) if succ
-                     else VarPair(v, fresh("w"), fresh("w"))),
-            f"non-zero case for {v}")
-        if not complete:
-            trace.append(f"{indent}rule {2 if succ else 3} split on {v}: "
-                         f"0 | {'S(w)' if succ else '(w1,w2)'}")
-        walk_past_first(zeros)
-        canon, rest = _canon_binders(nonz, bound, fresh)
-        _walk(rest, prefix + [canon], bound | set(lit_binders(canon)),
-              trace, complete, fresh, argvar, out, depth + 1)
-        return
+        def or_default(side: list[_State], make_lit,
+                       missing: str) -> list[_State]:
+            # an empty side of a split is non-exhaustive; completion gives
+            # it one clause, on make_lit(), answering 0 after the group's
+            # clauses
+            if side:
+                return side
+            if not complete:
+                raise RefinementError(f"non-exhaustive: missing {missing}")
+            return [_State(max(s.key for s in group) + 0.25, [make_lit()],
+                           Zero())]
 
-    # Rule 4: relation or oracle-membership split.
-    if kinds <= {"rel"} or kinds <= {"mem"}:
-        bodies = {k[:-1] for k in keys}
-        if len(bodies) != 1:
-            raise RefinementError(
-                "clauses split on different relations: "
-                + " vs ".join(sorted(lit_str(l) for l in firsts)))
-        base = replace(firsts[0], negated=False)
-        negd = replace(base, negated=True)
-        pos = or_default([s for s in group if not s.lits[0].negated],
-                         lambda: base, f"case {lit_str(base)}")
-        neg = or_default([s for s in group if s.lits[0].negated],
-                         lambda: negd, f"case {lit_str(negd)}")
-        if not complete:
-            trace.append(f"{indent}rule 4 split on {lit_str(base)}")
-        walk_past_first(pos)
-        walk_past_first(neg)
-        return
+        def past_first(side: list[_State]) -> tuple:
+            return ([_State(s.key, s.lits[1:], s.result) for s in side],
+                    prefix + [side[0].lits[0]], bound, depth + 1, False)
 
-    raise RefinementError(
-        "clauses are not a refinement: first literals "
-        + " vs ".join(sorted(lit_str(l) for l in firsts)))
+        # Rules 2/3: zero/successor or zero/pair split on one variable.
+        if kinds <= {"zero", "succ", "pair"}:
+            subj = {k[1] for k in keys}
+            if len(subj) != 1:
+                raise RefinementError(
+                    f"clauses split on different variables: {sorted(subj)}")
+            v = subj.pop()
+            if "succ" in kinds and "pair" in kinds:
+                raise RefinementError(f"mixed successor/pair split on {v!r}")
+            succ = "succ" in kinds
+            zeros = or_default(
+                [s for s in group if isinstance(s.lits[0], VarZero)],
+                lambda: VarZero(v), f"case {v} = 0")
+            nonz = or_default(
+                [s for s in group if not isinstance(s.lits[0], VarZero)],
+                lambda: (VarSucc(v, fresh("w")) if succ
+                         else VarPair(v, fresh("w"), fresh("w"))),
+                f"non-zero case for {v}")
+            if not complete:
+                trace.append(
+                    f"{indent}rule {2 if succ else 3} split on {v}: "
+                    f"0 | {'S(w)' if succ else '(w1,w2)'}")
+            todo.append((nonz, prefix, bound, depth + 1, True))
+            todo.append(past_first(zeros))
+            continue
+
+        # Rule 4: relation or oracle-membership split.
+        if kinds <= {"rel"} or kinds <= {"mem"}:
+            bodies = {k[:-1] for k in keys}
+            if len(bodies) != 1:
+                raise RefinementError(
+                    "clauses split on different relations: "
+                    + " vs ".join(sorted(lit_str(l) for l in firsts)))
+            base = replace(firsts[0], negated=False)
+            negd = replace(base, negated=True)
+            pos = or_default([s for s in group if not s.lits[0].negated],
+                             lambda: base, f"case {lit_str(base)}")
+            neg = or_default([s for s in group if s.lits[0].negated],
+                             lambda: negd, f"case {lit_str(negd)}")
+            if not complete:
+                trace.append(f"{indent}rule 4 split on {lit_str(base)}")
+            todo.append(past_first(neg))
+            todo.append(past_first(pos))
+            continue
+
+        raise RefinementError(
+            "clauses are not a refinement: first literals "
+            + " vs ".join(sorted(lit_str(l) for l in firsts)))
 
 
 def _run_walk(d: ClausalDef, complete: bool):
@@ -857,7 +903,7 @@ def _run_walk(d: ClausalDef, complete: bool):
               for i, c in enumerate(clauses)]
     trace: list[str] = [f"argument variable {argvar}"]
     out: list[tuple[float, Clause]] = []
-    _walk(states, [], {argvar}, trace, complete, fresh, argvar, out, 0)
+    _walk(states, trace, complete, fresh, argvar, out)
     out.sort(key=lambda kv: kv[0])
     return trace, [c for _, c in out]
 

@@ -123,7 +123,8 @@ def cmd_reduce(args) -> int:
     if args.to == "pr":
         art = reduce_recursive_to_pr(d, env)
         print(f"h: {print_cl(art.h_def)}")
-        print(f"f1: {print_cl(art.f1_def)}")
+        if art.f1_def is not None:
+            print(f"f1: {print_cl(art.f1_def)}")
         print(f"J: {art.J}")
         print(f"iterations: {art.mu_desc}")
         print(f"result: {d_print(art.result)}")

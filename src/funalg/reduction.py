@@ -1,9 +1,11 @@
 """Program transformations on recursive clausal definitions.
 
 reduce_recursive_to_pr translates an arbitrary recursive clausal
-definition (identity measure) into primitive recursion: an explicit
-tagged dispatcher, a stack-stepper function iterated by PR, and a
-final read-off.
+definition (identity measure) into primitive recursion over an explicit
+tagged dispatcher.  With one self-call per clause it walks the chain of
+descent arguments by PR and folds the results back, with no stack; with
+more, it iterates a stack-stepper function by PR and reads the value off
+the final stack.
 
 reduce_bounded_nested_to_snr translates a bounded nested definition into
 a single application of special nested recursion, encoding the pending
@@ -35,15 +37,13 @@ class BoundViolation(ValueError):
 
 @dataclass(frozen=True)
 class ReductionArtifacts:
-    h_def: ClausalDef       # the explicit tagged dispatcher
-    f1_def: ClausalDef      # the stack stepper
-    J: int                  # max recursive calls per clause
-    mu_desc: str            # iteration-count expression in x
+    h_def: ClausalDef         # the explicit tagged dispatcher
+    f1_def: ClausalDef | None  # the stack stepper; None when J = 1
+    J: int                    # max recursive calls per clause
+    mu_desc: str              # the depth scan (J = 1) or iteration count
     result: Derivation
 
 
-# Stepper applications grouped per iteration in the J = 1 reduction.
-_GROUP = 8
 # The SNR reduction unrolls at most this many recursive calls per clause,
 # and checks the size bound by interpretation on [0, _VALIDATE_TO].
 _UNROLL_LIMIT = 8
@@ -147,7 +147,7 @@ def build_dispatcher(d: ClausalDef) -> tuple[ClausalDef, int]:
     seen: set = set()
 
     def emit(c: Clause):
-        key = (c.literals, c.result)
+        key = cl.clause_key(c)
         if key not in seen:
             seen.add(key)
             clauses.append(c)
@@ -214,62 +214,89 @@ def _build_f1(name: str, hname: str, app1name: str) -> ClausalDef:
     return ClausalDef(name, tuple(clauses), "explicit")
 
 
+def _chain_walk(h_d: Derivation) -> Derivation:
+    """f as a fold over its descent chain, for one self-call per clause.
+
+    With r(a) = h((a, 0)), the call at a either ends (HD r(a) = 1, value
+    TL r(a)) or calls itself once at TL r(a).  The chain of calls from x
+    is x = A(0, x), A(1, x), ..., where A(i, x) = step^i(x) and step(a)
+    is TL r(a) while the call at a does not end, else a (by `pr`).  The
+    identity measure makes the chain strictly decrease, so its depth n,
+    the least i with HD r(A(i, x)) = 1, is at most x: a `mu` scan bounded
+    by S(x) finds it.  A `pr` over j then folds the results back up:
+    v_0 = TL r(A(n, x)) and v_(j+1) = TL h((A(n-1-j, x), (v_j, 0))),
+    since the caller at A(n-1-j, x) resumes with the value v_j of its one
+    call; f(x) = v_n.
+    """
+    r = comp(h_d, P(I, Z_))
+    step = dd(comp(HD, r), comp(TL, r), I)
+    walk = pr(I, comp(step, comp(HD, TL)))      # A(<i, x>)
+    depth = comp(mu(comp(HD, comp(r, walk))), P(comp(S, I), I))
+    # the fold's step argument is <j, <v_j, <n, x>>>
+    j, v = HD, comp(HD, TL)
+    n, x = comp(HD, comp(TL, TL)), comp(TL, comp(TL, TL))
+    caller = comp(walk, P(sub_d(n, comp(S, j)), x))
+    fold_back = pr(comp(TL, comp(r, walk)),
+                   comp(TL, comp(h_d, P(caller, P(v, Z_)))))
+    return comp(fold_back, P(depth, P(depth, I)))
+
+
 def reduce_recursive_to_pr(d: ClausalDef,
                            env: dict[str, Derivation] | None = None
                            ) -> ReductionArtifacts:
     """Translate a recursive clausal definition to primitive recursion.
 
-    The result derivation computes f(x) by iterating the stack stepper
-    f1 enough times on the initial stack ((x,0),0) and reading the value
-    off the final stack.
+    With one self-call per clause (J = 1) the recursion is linear, and
+    the result walks its chain of descent arguments and folds the results
+    back (_chain_walk; R. Péter, Recursive Functions, 1967; H. E. Rose,
+    Subrecursion, 1984).  It needs no stack: a call has one pending
+    self-call, whose argument is the next one on the chain, so the fold
+    can recompute each caller instead of keeping it.  Every value is a
+    fixed nesting of pairs of one chain argument, one result and the
+    depth, so widths do not grow with the depth as a stack's do.  The
+    cost is O(n^2) steps in the recursion depth n: fold step j finds
+    n-1-j by a `sub_d` scan of n-1-j rounds; memoized evaluation then
+    finds A(n-1-j, x) computed by the depth scan already.
+
+    With J >= 2 the result iterates the stack stepper f1 enough times on
+    the initial stack ((x,0),0) and reads the value off the final stack.
+    Each push pairs the new frame with the whole stack code, so the
+    stack's width about doubles per frame: a deep recursion runs out of
+    bits, and evaluation raises BudgetExceeded("bits") under a bit
+    budget, never a wrong value.  That is the documented limit of J >= 2.
     """
     env = dict(env or {})
     if d.kind != "recursive":
         raise ReductionError(f"{d.name} is not recursive")
     pair_descent = check_recursive_restrictions(d).pair_descent
     h_def, J = build_dispatcher(d)
+    h_d = compile_explicit(h_def, env)
+    if J == 1:
+        mu_desc = ("depth n = the least i <= x with HD h((step^i(x), 0)) = 1,"
+                   " then n fold steps back up the chain")
+        return ReductionArtifacts(h_def, None, J, mu_desc, _chain_walk(h_d))
     app1_def = _build_app1(f"{d.name}_app1", J)
     f1_def = _build_f1(f"{d.name}_f1", h_def.name, app1_def.name)
-    h_d = compile_explicit(h_def, env)
     app1_d = compile_explicit(app1_def, env)
     f1_d = compile_explicit(f1_def,
                             {**env, h_def.name: h_d, app1_def.name: app1_d})
 
     # Iteration count: the machine performs at most one push per expansion
     # and one pop per computed value, so a recursion tree of depth n
-    # (calls along a path) and branching <= J needs 2*(n-1) stepper
-    # applications when J = 1 and fewer than 2*J^n when J >= 2.  With the
-    # identity measure n <= x + 1, so 2*x + 3 applications suffice when
-    # J = 1 and J^(x+2) when J >= 2; with pair descent n <= D(x) (see
-    # pair_depth_d), so 2*D(x) + 3 and J^(D(x)+2) suffice.  The stepper
-    # fixes terminal stacks, so overshooting is harmless; for J = 1 we
-    # group _GROUP applications per iteration (div(2x,K)+3 iterations,
-    # since K*(div(2x,K)+3) >= 2x+3, or D(x)+3), which lets memoized
-    # evaluation skip the grouped applications on idle iterations.
-    depth_desc = "D(x) = 3 + (the least k with x < 2^(2^k))"
-    if J == 1:
-        K = _GROUP
-        if pair_descent:
-            mu_d = comp(S, comp(S, comp(S, pair_depth_d())))
-            mu_desc = (f"D(x) + 3, {K} stepper applications each, "
-                       f"{depth_desc}")
-        else:
-            mu_d = comp(S, comp(S, comp(S, div_d(add_d(I, I), const(K)))))
-            mu_desc = f"div(2*x, {K}) + 3, {K} stepper applications each"
-        stepper = f1_d
-        for _ in range(K - 1):
-            stepper = comp(f1_d, stepper)
+    # (calls along a path) and branching J needs fewer than 2*J^n
+    # stepper applications.  With the identity measure n <= x + 1, so
+    # J^(x+2) applications suffice; with pair descent n <= D(x) (see
+    # pair_depth_d), so J^(D(x)+2) suffice.  The stepper fixes terminal
+    # stacks, so overshooting is harmless.
+    jexp = pr(const(J * J), mul_d(const(J), comp(HD, TL)))
+    if pair_descent:
+        mu_d = comp(jexp, P(pair_depth_d(), Z_))
+        mu_desc = (f"{J}^(D(x)+2), "
+                   "D(x) = 3 + (the least k with x < 2^(2^k))")
     else:
-        jexp = pr(const(J * J), mul_d(const(J), comp(HD, TL)))
-        if pair_descent:
-            mu_d = comp(jexp, P(pair_depth_d(), Z_))
-            mu_desc = f"{J}^(D(x)+2), {depth_desc}"
-        else:
-            mu_d = comp(jexp, P(I, Z_))
-            mu_desc = f"{J}^(x+2)"
-        stepper = f1_d
-
-    iterate = pr(I, comp(stepper, comp(HD, TL)))
+        mu_d = comp(jexp, P(I, Z_))
+        mu_desc = f"{J}^(x+2)"
+    iterate = pr(I, comp(f1_d, comp(HD, TL)))
     init = P(P(I, Z_), Z_)
     final_stack = comp(iterate, P(mu_d, init))
     result = comp(TL, comp(h_d, comp(HD, final_stack)))

@@ -13,6 +13,11 @@ RecursionError on recursions about a thousand calls deep.
 
 RecursiveParser is the CL parser as it was before terms were parsed on an
 explicit stack: one Python call per nesting level of a term or of `!`.
+
+run_walk is the refinement walk as it was before it ran on an explicit
+work stack: one Python call per consumed application literal and per
+split, with first literals keyed by their dataclass hash, which recurses
+on deep terms.
 """
 
 from __future__ import annotations
@@ -392,3 +397,163 @@ class RecursiveParser(cl._Parser):
             t2 = self.parse_term()
             return Rel(t1, rel, t2)
         self.err("expected relation in literal")
+
+
+# --- the recursive refinement walk -------------------------------------------
+
+
+def lit_key(lit: Literal) -> tuple:
+    """Identity of a first literal, ignoring the names it binds: its tag,
+    then its other fields in order."""
+    _, _, binders, tag = cl._LIT_SHAPE[type(lit)]
+    return (tag, *(v for f, v in vars(lit).items() if f not in binders))
+
+
+def canon_binders(side: list[cl._State], bound: set[str],
+                   fresh: cl._Fresh) -> tuple[Literal, list[cl._State]]:
+    """Give the binder literals heading a split side common binder names."""
+    names = {cl.lit_binders(s.lits[0]) for s in side}
+    if len(names) == 1:
+        wanted = names.pop()
+        for b in wanted:
+            if b in bound:
+                raise RefinementError(
+                    f"stale variable reuse: {b!r} already bound")
+    else:
+        wanted = tuple(fresh("w") for _ in cl.lit_binders(side[0].lits[0]))
+    canon = cl.lit_subst(side[0].lits[0],
+                      dict(zip(cl.lit_binders(side[0].lits[0]), wanted)))
+    rest = []
+    for s in side:
+        own = cl.lit_binders(s.lits[0])
+        sub = dict(zip(own, wanted))
+        rest.append(cl._State(s.key,
+                              [cl.lit_subst(l, sub) for l in s.lits[1:]],
+                              cl.term_subst(s.result, sub)))
+    return canon, rest
+
+
+def walk(group: list[cl._State], prefix: list[Literal], bound: set[str],
+          trace: list[str], complete: bool, fresh: cl._Fresh, argvar: str,
+          out: list[tuple[float, Clause]], depth: int):
+    indent = "  " * depth
+    done = [s for s in group if not s.lits]
+    if done:
+        if len(group) > 1:
+            raise RefinementError(
+                "overlapping clauses: a complete clause coexists with "
+                "further refinements")
+        s = done[0]
+        if not cl.term_vars(s.result) <= bound:
+            v = cl._first_unbound(cl._var_order(s.result), bound)
+            raise RefinementError(f"unbound variable {v!r} in result")
+        if not complete:
+            trace.append(f"{indent}complete clause -> {cl.term_str(s.result)}")
+        out.append((s.key, Clause(Var(argvar), tuple(prefix), s.result)))
+        return
+
+    firsts = [s.lits[0] for s in group]
+    keys = {lit_key(l) for l in firsts}
+    for lit in firsts:
+        if not cl.lit_used_vars(lit) <= bound:
+            # the literal's own order: the variables it reads, then its terms'
+            used = [getattr(lit, f) for f in cl._LIT_SHAPE[type(lit)][1]]
+            v = cl._first_unbound(used + [v for t in cl._lit_terms(lit)
+                                       for v in cl._var_order(t)], bound)
+            raise RefinementError(
+                f"unbound variable {v!r} in literal {cl.lit_str(lit)}")
+
+    # Rule 1: a common function-application literal is consumed by all.
+    if len(keys) == 1 and isinstance(firsts[0], AppEq):
+        for s in group:
+            if s.lits[0].out in bound:
+                raise RefinementError(
+                    f"stale variable reuse: {s.lits[0].out!r} already bound")
+        canon, rest = canon_binders(group, bound, fresh)
+        if not complete:
+            trace.append(f"{indent}introduce {cl.lit_str(canon)}")
+        walk(rest, prefix + [canon], bound | set(cl.lit_binders(canon)),
+              trace, complete, fresh, argvar, out, depth)
+        return
+
+    kinds = {k[0] for k in keys}
+
+    def or_default(side: list[cl._State], make_lit,
+                   missing: str) -> list[cl._State]:
+        # an empty side of a split is non-exhaustive; completion gives it
+        # one clause, on make_lit(), answering 0 after the group's clauses
+        if side:
+            return side
+        if not complete:
+            raise RefinementError(f"non-exhaustive: missing {missing}")
+        return [cl._State(max(s.key for s in group) + 0.25, [make_lit()],
+                       Zero())]
+
+    def walk_past_first(side: list[cl._State]):
+        walk([cl._State(s.key, s.lits[1:], s.result) for s in side],
+              prefix + [side[0].lits[0]], bound, trace, complete, fresh,
+              argvar, out, depth + 1)
+
+    # Rules 2/3: zero/successor or zero/pair split on one variable.
+    if kinds <= {"zero", "succ", "pair"}:
+        subj = {k[1] for k in keys}
+        if len(subj) != 1:
+            raise RefinementError(
+                f"clauses split on different variables: {sorted(subj)}")
+        v = subj.pop()
+        if "succ" in kinds and "pair" in kinds:
+            raise RefinementError(f"mixed successor/pair split on {v!r}")
+        succ = "succ" in kinds
+        zeros = or_default(
+            [s for s in group if isinstance(s.lits[0], VarZero)],
+            lambda: VarZero(v), f"case {v} = 0")
+        nonz = or_default(
+            [s for s in group if not isinstance(s.lits[0], VarZero)],
+            lambda: (VarSucc(v, fresh("w")) if succ
+                     else VarPair(v, fresh("w"), fresh("w"))),
+            f"non-zero case for {v}")
+        if not complete:
+            trace.append(f"{indent}rule {2 if succ else 3} split on {v}: "
+                         f"0 | {'S(w)' if succ else '(w1,w2)'}")
+        walk_past_first(zeros)
+        canon, rest = canon_binders(nonz, bound, fresh)
+        walk(rest, prefix + [canon], bound | set(cl.lit_binders(canon)),
+              trace, complete, fresh, argvar, out, depth + 1)
+        return
+
+    # Rule 4: relation or oracle-membership split.
+    if kinds <= {"rel"} or kinds <= {"mem"}:
+        bodies = {k[:-1] for k in keys}
+        if len(bodies) != 1:
+            raise RefinementError(
+                "clauses split on different relations: "
+                + " vs ".join(sorted(cl.lit_str(l) for l in firsts)))
+        base = replace(firsts[0], negated=False)
+        negd = replace(base, negated=True)
+        pos = or_default([s for s in group if not s.lits[0].negated],
+                         lambda: base, f"case {cl.lit_str(base)}")
+        neg = or_default([s for s in group if s.lits[0].negated],
+                         lambda: negd, f"case {cl.lit_str(negd)}")
+        if not complete:
+            trace.append(f"{indent}rule 4 split on {cl.lit_str(base)}")
+        walk_past_first(pos)
+        walk_past_first(neg)
+        return
+
+    raise RefinementError(
+        "clauses are not a refinement: first literals "
+        + " vs ".join(sorted(cl.lit_str(l) for l in firsts)))
+
+
+def run_walk(d: cl.ClausalDef, complete: bool):
+    # the trace replays a check; completion keeps only its first line
+    argvar, clauses = cl._normalize(d)
+    fresh = cl._Fresh(
+        lambda: {argvar}.union(*map(cl._clause_all_vars, clauses)))
+    states = [cl._State(float(i), list(c.literals), c.result)
+              for i, c in enumerate(clauses)]
+    trace: list[str] = [f"argument variable {argvar}"]
+    out: list[tuple[float, Clause]] = []
+    walk(states, [], {argvar}, trace, complete, fresh, argvar, out, 0)
+    out.sort(key=lambda kv: kv[0])
+    return trace, [c for _, c in out]

@@ -4,7 +4,7 @@ oracles, on deep terms and deep recursions, and the strict form kept per
 definition."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle_clausal as oracle
 from funalg import clausal as cl
@@ -168,6 +168,119 @@ def test_deep_result_term_runs_through_the_pipeline():
     assert eval_clausal([d], "deep", 5) == 2005
     code = compile_explicit(d)
     assert eval_naive(code, 5, budget=Budget(10**6, 10**4)) == 2005
+
+
+def _nest(f, n, inner):
+    return f"{f}(" * n + inner + ")" * n
+
+
+def test_deep_application_chain_runs_through_the_walk():
+    # unnesting gives 5,000 application literals, which the walk consumed
+    # one Python call each
+    n = 5000
+    defs = parse_cl(f"def g {{ g(x) = S(x); }}\n"
+                    f"def f {{ f(x) = {_nest('g', n, 'x')}; }}")
+    sd = complete_to_strict(defs[1])
+    assert len(sd.clauses) == 1 and len(sd.clauses[0].literals) == n
+    assert len(cl.check_refinement(defs[1])) == n + 2
+    for x in range(3):
+        assert eval_clausal(defs, "f", x) == x + n
+
+
+def test_deep_term_in_a_split_relation():
+    # the walk keys the two relation literals without hashing the
+    # 5,000-deep S(...), which recursed
+    n, bound = 5000, _nest("S", 5000, "0")
+    d = parse_cl(f"def f {{ x < {bound} -> f(x) = 0; "
+                 f"! x < {bound} -> f(x) = S(0); }}")[0]
+    assert len(complete_to_strict(d).clauses) == 2
+    for x in (0, 3, n - 1, n, n + 5):
+        assert eval_clausal([d], "f", x) == (x >= n)
+
+
+@st.composite
+def refinement_defs(draw):
+    """A definition whose clauses are the paths of a random refinement
+    tree (splits, relations and application literals), in a random
+    order, sometimes with a binder renamed in some clauses and with one
+    clause left out, so that completion adds a default."""
+    paths, count = [], iter(range(1, 100))
+
+    def grow(prefix, bound, depth):
+        kind = draw(st.sampled_from(
+            ["leaf", "succ", "pair", "app", "rel"] if depth < 4 else
+            ["leaf"]))
+        v = draw(st.sampled_from(sorted(bound)))
+        if kind == "leaf":
+            paths.append((prefix, draw(st.sampled_from(
+                [Zero(), Var(v), Succ(Var(v))]))))
+        elif kind in ("succ", "pair"):
+            ws = [f"u{next(count)}" for _ in range(1 + (kind == "pair"))]
+            lit = VarSucc(v, *ws) if kind == "succ" else VarPair(v, *ws)
+            grow(prefix + [VarZero(v)], bound, depth + 1)
+            grow(prefix + [lit], bound | set(ws), depth + 1)
+        elif kind == "app":
+            z = f"z{next(count)}"
+            lit = AppEq(draw(st.sampled_from(FNS)), Var(v), z)
+            grow(prefix + [lit], bound | {z}, depth + 1)
+        else:
+            w = draw(st.sampled_from(sorted(bound)))
+            for neg in (False, True):
+                grow(prefix + [Rel(Var(v), "<", Var(w), neg)], bound,
+                     depth + 1)
+
+    grow([], {"x"}, 0)
+    paths = draw(st.permutations(paths))
+    # binders renamed in some of their clauses, which the walk then names
+    # afresh
+    binders = sorted({b for lits, _ in paths for l in lits
+                      for b in cl.lit_binders(l)})
+    for _ in range(draw(st.integers(0, 3)) if binders else 0):
+        sub = {(b := draw(st.sampled_from(binders))): b + "r"}
+        paths = [([cl.lit_subst(l, sub) for l in lits],
+                  cl.term_subst(res, sub)) if draw(st.booleans())
+                 else (lits, res) for lits, res in paths]
+    if len(paths) > 1 and draw(st.booleans()):
+        paths = paths[1:]
+    return ClausalDef("f", tuple(Clause(Var("x"), tuple(lits), res)
+                                 for lits, res in paths), "explicit")
+
+
+@given(terms(), terms())
+@settings(max_examples=300)
+def test_term_key_identifies_terms(a, b):
+    assert (cl.term_key(a) == cl.term_key(b)) == (a == b)
+    # printed text does not: it drops the brackets of + and *
+    assert cl.term_key(TMul(TAdd(a, b), a)) != cl.term_key(
+        TAdd(a, TMul(b, a)))
+
+
+def _walk_outcome(run, d, complete):
+    try:
+        trace, clauses = run(d, complete)
+    except RefinementError as e:
+        return "RefinementError", str(e)
+    return trace, print_cl(ClausalDef(d.name, tuple(clauses), d.kind))
+
+
+@given(st.one_of(refinement_defs(),
+                 st.lists(clauses(), min_size=1, max_size=4).map(
+                     lambda cs: ClausalDef("f", tuple(cs), "explicit"))),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+# both sides of the split on x rename their binders, the first side first
+@example(parse_cl("""def f {
+  x = 0 & x = 0 -> f(x) = 0;
+  x = 0 & x = S(a) & a = 0 -> f(x) = a;
+  x = 0 & x = S(b) & b = S(c) -> f(x) = b;
+  x = S(p) & p = 0 -> f(x) = p;
+  x = S(q) & q = S(r) -> f(x) = q;
+}""")[0], True)
+def test_refinement_walk_matches_recursive_oracle(d, complete):
+    # the trace, the strict clauses (fresh names included) and the first
+    # error are those of the recursive walk
+    assert (_walk_outcome(cl._run_walk, d, complete)
+            == _walk_outcome(oracle.run_walk, d, complete))
 
 
 def test_strict_form_is_computed_once_per_definition():

@@ -102,6 +102,11 @@ def test_reduce_pr(capsys, corpus_file):
     assert code == 0
     assert "J: 1" in out
     assert "result: (" in out
+    # one self-call per clause: the chain walk has no stack stepper
+    assert "f1:" not in out and "iterations: depth n = " in out
+    code, out, _ = run(capsys, "reduce", corpus_file, "--fn", "nested",
+                       "--to", "pr")
+    assert code == 0 and "J: 2" in out and "f1: def nested_f1 {" in out
 
 
 def test_reduce_snr_with_bound(capsys, corpus_file):

@@ -12,7 +12,7 @@ from funalg.codec import list_encode, pair, unpair
 from funalg.compiler import compile_explicit
 from funalg.corpus import corpus_def, corpus_defs
 from funalg.derivation import (CLASSES, PolyBound, TA, d_print, validate)
-from funalg.evaluator import Budget, Meter, eval_memo
+from funalg.evaluator import Budget, BudgetExceeded, Meter, eval_memo
 from funalg.reduction import (BoundViolation, ReductionError, _snr_decode,
                               build_dispatcher, pair_depth_d,
                               reduce_bounded_nested_to_snr,
@@ -45,10 +45,23 @@ def test_dispatcher_runs_as_clausal_program():
                         pair(x, pair(1, 0))) == pair(1, 2)
 
 
+def _corpus_env():
+    env = {}
+    for d in corpus_defs():
+        if d.kind == "explicit":
+            env[d.name] = compile_explicit(d, env)
+    return env
+
+
 def test_pr_reduction_in_pra_class():
-    art = reduce_recursive_to_pr(corpus_def("L"), {})
-    assert validate(art.result, CLASSES["PRA"])
-    assert art.J == 1
+    # one self-call per clause: the chain walk, with no stack stepper
+    env = _corpus_env()
+    for d in corpus_defs():
+        if d.kind == "recursive" and d.name != "nested":
+            art = reduce_recursive_to_pr(d, env)
+            assert validate(art.result, CLASSES["PRA"]), d.name
+            assert art.J == 1 and art.f1_def is None, d.name
+            assert art.mu_desc.startswith("depth n = "), d.name
 
 
 def test_pr_reduction_list_length():
@@ -156,18 +169,26 @@ def test_pair_descent_detection(name, want):
     assert check_recursive_restrictions(d).pair_descent is want
 
 
-# successor descent alone keeps the count linear in the value; its stack
-# of x frames is some 2^x bits wide, so it runs on small x only
-@pytest.mark.parametrize("name,count,xs", [
-    ("sp", "D(x) + 3", 150), ("ps", "D(x) + 3", 150),
-    ("sd", "div(2*x, 8) + 3", 12)])
-def test_hand_defs_iterate_by_their_descent(name, count, xs):
+# a successor split makes the descent chain up to x calls deep; the walk
+# follows it with no stack, so x runs well past the stack machine's 12
+@pytest.mark.parametrize("name,xs", [("sp", 150), ("ps", 150), ("sd", 40)])
+def test_hand_defs_iterate_by_their_descent(name, xs):
     d = next(d for d in _HAND if d.name == name)
     art = reduce_recursive_to_pr(d, {})
-    assert art.mu_desc.startswith(count + ", 8 stepper applications each")
+    assert art.mu_desc.startswith("depth n = ")
     for x in range(xs):
         assert (eval_memo(art.result, x, budget=BIG)
                 == eval_clausal([d], name, x)), x
+
+
+def test_successor_descent_cost_guard():
+    # the stack machine ran out of 10^6 bits at 14: its stack doubled in
+    # width per frame.  The walk costs O(n^2) steps in the depth n = x.
+    d = next(d for d in _HAND if d.name == "sd")
+    art = reduce_recursive_to_pr(d, {})
+    m = Meter()
+    assert eval_memo(art.result, 150, budget=BIG, meter=m) == 150
+    assert m.steps <= 600_000 and m.peak_bits <= 300
 
 
 def _k(x):
@@ -207,7 +228,7 @@ def test_pair_depth_bounds_the_worst_recursion_depth():
 @pytest.mark.parametrize("name", ["L", "last", "sumlist"])
 def test_pair_descent_reductions_match_clausal(name):
     art = reduce_recursive_to_pr(corpus_def(name), {})
-    assert art.mu_desc.startswith("D(x) + 3, 8 stepper applications each")
+    assert art.mu_desc.startswith("depth n = ")
     assert validate(art.result, CLASSES["PRA"])
     defs = corpus_defs()
     for x in range(3000):
@@ -237,17 +258,19 @@ def test_pair_descent_with_two_calls_per_clause():
                 == eval_clausal([d], d.name, x)), x
 
 
-# sha256 of d_print of the PR reductions recorded before pair descent was
-# detected: a definition without it keeps its derivation byte for byte
+# sha256 of d_print of the PR reductions.  nested's was recorded before
+# pair descent was detected, and the stack machine of J >= 2 keeps it byte
+# for byte; cat's, addp's and prdemo's when the chain walk replaced the
+# stack machine for J = 1
 _RESULT_DIGESTS = {
     "cat":
-        "4448b101c29c03bcc70bb1b29cf9b95dd39b98d6fc243daae00b61107260cc41",
+        "b0e9a6d5193e3c8575f5112d16c3268747d7b68fde682b39658be025a0ad9286",
     "nested":
         "edc058e8ef06555e4fa61677985bf6bc00010689991035dc8303ac0d02931f2f",
     "addp":
-        "164295bb33df32e5421acf5ac1857b11a8f4ffdb75e9609c6f656493c3e20f16",
+        "89a3cd1c1da5d15aa98532d623d0b9a20fdb82aec445e5412ff05cb2cfb159a7",
     "prdemo":
-        "7e53f349514663f2f7d0c676d422099d2429c005a747fb9ced4f0f7c332a3e4d",
+        "0387c5b033160179e8cc7fe15ed400b2d3d1e6ab9a46408c209b54445535eaf6",
 }
 
 
@@ -264,16 +287,86 @@ def test_reductions_without_pair_descent_are_unchanged():
 
 def test_list_length_steps_follow_depth_not_value():
     # acceptance criterion 7's inputs; the count linear in the value took
-    # 19,318,560 steps here
+    # 19,318,560 steps here, the stack machine run D(x) + 3 times 904,458
     art = reduce_recursive_to_pr(corpus_def("L"), {})
-    total = 0
+    total = peak = 0
     for n in range(4):
         for tup in itertools.product(range(6), repeat=n):
             m = Meter()
             assert eval_memo(art.result, list_encode(tup), budget=BIG,
                              meter=m) == n
             total += m.steps
+            peak = max(peak, m.peak_bits)
     assert total < 1_500_000
+    assert total <= 400_000 and peak <= 600
+
+
+# one benchmark case's budget
+_CASE_BUDGET = Budget(2**20, 2**15)
+
+
+@pytest.mark.parametrize("x", [
+    # cat on first lists of 3, 6 and 8 elements: the stack machine took
+    # more than 2*10^6 steps on the first
+    pair(list_encode([1, 2, 3]), list_encode([4])),
+    pair(list_encode([0] * 6), 0),
+    pair(list_encode([0] * 8), list_encode([1]))],
+    ids=["cat3", "cat6", "cat8"])
+def test_cat_reduction_on_long_first_lists(x):
+    art = reduce_recursive_to_pr(corpus_def("cat"), {})
+    assert (eval_memo(art.result, x, budget=_CASE_BUDGET)
+            == eval_clausal(corpus_defs(), "cat", x))
+
+
+def test_addp_reduction_on_deep_inputs():
+    # the stack machine peaked at 749,914 bits at pair(12, 1)
+    art = reduce_recursive_to_pr(corpus_def("addp"), {})
+    for v in (12, 40):
+        x = pair(v, 1)
+        assert (eval_memo(art.result, x, budget=_CASE_BUDGET)
+                == eval_clausal(corpus_defs(), "addp", x) == v + 1)
+
+
+def test_prdemo_reduction_matches_clausal():
+    env, defs = _corpus_env(), corpus_defs()
+    art = reduce_recursive_to_pr(corpus_def("prdemo"), env)
+    for v in range(8):
+        for p in range(5):
+            x = pair(v, p)
+            assert (eval_memo(art.result, x, budget=_CASE_BUDGET)
+                    == eval_clausal(defs, "prdemo", x)), (v, p)
+
+
+def _full_pair_tree(depth: int) -> int:
+    t = 0
+    for _ in range(depth):
+        t = pair(t, t)
+    return t
+
+
+def test_two_call_stack_machine_runs_out_of_bits_not_values():
+    # J >= 2 keeps the stack machine, whose width about doubles per frame:
+    # the documented limit is BudgetExceeded("bits"), never a wrong value
+    d = next(d for d in _HAND if d.name == "leaves")
+    art = reduce_recursive_to_pr(d, {})
+    assert art.J == 2 and art.f1_def is not None
+    assert eval_memo(art.result, _full_pair_tree(5),
+                     budget=_CASE_BUDGET) == 32
+    with pytest.raises(BudgetExceeded) as e:
+        eval_memo(art.result, _full_pair_tree(6), budget=_CASE_BUDGET)
+    assert e.value.kind == "bits"
+
+
+def test_dispatcher_of_a_deep_result_term():
+    # the dispatcher's clauses are keyed without hashing the 3,000-deep
+    # S(...) of the result, which recursed
+    n = 3000
+    result = "S(" * n + "f(w)" + ")" * n
+    d = parse_cl(f"def f {{ f(0) = 0; f(S(w)) = {result}; }}")[0]
+    art = reduce_recursive_to_pr(d, {})
+    for x in range(4):
+        assert (eval_memo(art.result, x, budget=BIG)
+                == eval_clausal([d], "f", x) == n * x)
 
 
 # --- SNR reduction: one decode of the machine state per step ---------------
@@ -290,10 +383,6 @@ def test_snr_decode_reads_the_three_digits(J, R, x, data):
     p = pair(R, pair(R**J, b))
     assert (eval_memo(_snr_decode(J), pair(v, p), budget=BIG)
             == pair(x, pair(kf, dl)))
-
-
-# SNR budget of one benchmark case
-_CASE_BUDGET = Budget(2**20, 2**15)
 
 
 def test_snr_nested_cost_guard():
