@@ -15,49 +15,41 @@ from functools import cached_property
 from typing import Callable
 
 from .codec import head, pair, tail
-from .derivation import fold
+from .derivation import Interned, fold
 from .evaluator import Budget, BudgetExceeded, Meter
 
 # --- Quasi-terms ------------------------------------------------------------
+#
+# Quasi-terms are interned (see derivation.Interned): a term built twice is
+# one object, so terms compare and hash in O(1) however deep they are.
 
 
-@dataclass(frozen=True)
-class Zero:
-    pass
+class Zero(Interned):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Interned):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Succ:
-    arg: "QuasiTerm"
+class Succ(Interned):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class TPair:
-    left: "QuasiTerm"
-    right: "QuasiTerm"
+class TPair(Interned):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class TAdd:
-    left: "QuasiTerm"
-    right: "QuasiTerm"
+class TAdd(Interned):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class TMul:
-    left: "QuasiTerm"
-    right: "QuasiTerm"
+class TMul(Interned):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class App:
-    fname: str
-    arg: "QuasiTerm"
+class App(Interned):
+    __slots__ = ("fname", "arg")
 
 
 QuasiTerm = Zero | Var | Succ | TPair | TAdd | TMul | App
@@ -703,48 +695,26 @@ def _normalize(d: ClausalDef) -> tuple[str, list[Clause]]:
 @dataclass
 class _State:
     key: float          # original clause position (defaults get fractions)
-    lits: list
+    lits: tuple         # the clause's literals, of which ...
     result: QuasiTerm
+    pos: int = 0        # ... those before pos are consumed
+
+    @property
+    def first(self) -> Literal:
+        return self.lits[self.pos]
 
 
-_KEY_CODES = {Zero: "0", Succ: "S", TPair: "P", TAdd: "+", TMul: "*"}
-
-
-def _key_rule(t: QuasiTerm, s: list[str]) -> str:
-    # prefix code: a fixed arity per symbol and names ended by a space
-    if type(t) is Var:
-        return f"v{t.name} "
-    if type(t) is App:
-        return f"@{t.fname} {s[0]}"
-    return _KEY_CODES[type(t)] + "".join(s)
-
-
-def term_key(t: QuasiTerm) -> str:
-    """A string that identifies t, made without recursion (so hashing it
-    does not recurse either): equal keys mean equal terms."""
-    return fold(t, term_kids, _key_rule)
-
-
-def _lit_key(lit: Literal, binders: bool = False) -> tuple:
-    """Identity of a literal by its tag, then its fields in order, terms
-    keyed by term_key; the names it binds count only if binders is set."""
-    terms, _, bind, tag = _LIT_SHAPE[type(lit)]
-    return (tag, *(term_key(v) if f in terms else v
-                   for f, v in vars(lit).items()
-                   if binders or f not in bind))
-
-
-def clause_key(c: Clause) -> tuple:
-    """Identity of a clause, as term_key is of a term."""
-    return (term_key(c.pattern),
-            tuple(_lit_key(l, binders=True) for l in c.literals),
-            term_key(c.result))
+def _lit_key(lit: Literal) -> tuple:
+    """Identity of a literal up to the names it binds: its tag, then its
+    other fields in order."""
+    _, _, bind, tag = _LIT_SHAPE[type(lit)]
+    return (tag, *(v for f, v in vars(lit).items() if f not in bind))
 
 
 def _canon_binders(side: list[_State], bound: set[str],
                    fresh: _Fresh) -> tuple[Literal, list[_State]]:
     """Give the binder literals heading a split side common binder names."""
-    names = {lit_binders(s.lits[0]) for s in side}
+    names = {lit_binders(s.first) for s in side}
     if len(names) == 1:
         wanted = names.pop()
         for b in wanted:
@@ -752,16 +722,17 @@ def _canon_binders(side: list[_State], bound: set[str],
                 raise RefinementError(
                     f"stale variable reuse: {b!r} already bound")
     else:
-        wanted = tuple(fresh("w") for _ in lit_binders(side[0].lits[0]))
-    canon = lit_subst(side[0].lits[0],
-                      dict(zip(lit_binders(side[0].lits[0]), wanted)))
+        wanted = tuple(fresh("w") for _ in lit_binders(side[0].first))
+    canon = lit_subst(side[0].first,
+                      dict(zip(lit_binders(side[0].first), wanted)))
     rest = []
     for s in side:
-        own = lit_binders(s.lits[0])
-        sub = dict(zip(own, wanted))
-        lits = (s.lits[1:] if _renames_nothing(sub)
-                else [lit_subst(l, sub) for l in s.lits[1:]])
-        rest.append(_State(s.key, lits, term_subst(s.result, sub)))
+        sub = dict(zip(lit_binders(s.first), wanted))
+        if _renames_nothing(sub):
+            rest.append(_State(s.key, s.lits, s.result, s.pos + 1))
+        else:
+            lits = tuple(lit_subst(l, sub) for l in s.lits[s.pos + 1:])
+            rest.append(_State(s.key, lits, term_subst(s.result, sub)))
     return canon, rest
 
 
@@ -772,20 +743,27 @@ def _walk(states: list[_State], trace: list[str], complete: bool,
 
     The walk runs on an explicit work stack, in the order of a recursion
     over the tree (so the trace, the fresh names and the first error are
-    those of one): an item is a group of states, the literals already
-    consumed, the variables they bind and the trace depth.  The second
-    side of a zero/successor or zero/pair split is pushed with `split`
-    set: its binders get their common names when it is reached, after the
-    first side is done."""
-    todo: list[tuple] = [(states, [], {argvar}, 0, False)]
+    those of one): an item is a group of states, the length of the path
+    of consumed literals it extends, the literal it consumes and its trace
+    depth.  The path and the variables it binds are kept once and cut back
+    when an item is reached, so a literal costs O(1).  The second side of
+    a zero/successor or zero/pair split is pushed with `split` set: its
+    binders get their common names when it is reached."""
+    path: list[Literal] = []
+    bound = {argvar}  # argvar and the binders on the path
+    todo: list[tuple] = [(states, 0, None, 0, False)]
     while todo:
-        group, prefix, bound, depth, split = todo.pop()
+        group, n, lit, depth, split = todo.pop()
+        for old in path[n:]:
+            bound.difference_update(lit_binders(old))
+        del path[n:]
         if split:
-            canon, group = _canon_binders(group, bound, fresh)
-            prefix = prefix + [canon]
-            bound = bound | set(lit_binders(canon))
+            lit, group = _canon_binders(group, bound, fresh)
+        if lit is not None:
+            path.append(lit)
+            bound.update(lit_binders(lit))
         indent = "  " * depth
-        done = [s for s in group if not s.lits]
+        done = [s for s in group if s.pos == len(s.lits)]
         if done:
             if len(group) > 1:
                 raise RefinementError(
@@ -798,10 +776,10 @@ def _walk(states: list[_State], trace: list[str], complete: bool,
             if not complete:
                 trace.append(
                     f"{indent}complete clause -> {term_str(s.result)}")
-            out.append((s.key, Clause(Var(argvar), tuple(prefix), s.result)))
+            out.append((s.key, Clause(Var(argvar), tuple(path), s.result)))
             continue
 
-        firsts = [s.lits[0] for s in group]
+        firsts = [s.first for s in group]
         keys = {_lit_key(l) for l in firsts}
         for lit in firsts:
             if not lit_used_vars(lit) <= bound:
@@ -815,16 +793,14 @@ def _walk(states: list[_State], trace: list[str], complete: bool,
 
         # Rule 1: a common function-application literal is consumed by all.
         if len(keys) == 1 and isinstance(firsts[0], AppEq):
-            for s in group:
-                if s.lits[0].out in bound:
+            for lit in firsts:
+                if lit.out in bound:
                     raise RefinementError(
-                        "stale variable reuse: "
-                        f"{s.lits[0].out!r} already bound")
+                        f"stale variable reuse: {lit.out!r} already bound")
             canon, rest = _canon_binders(group, bound, fresh)
             if not complete:
                 trace.append(f"{indent}introduce {lit_str(canon)}")
-            todo.append((rest, prefix + [canon],
-                         bound | set(lit_binders(canon)), depth, False))
+            todo.append((rest, len(path), canon, depth, False))
             continue
 
         kinds = {k[0] for k in keys}
@@ -838,12 +814,12 @@ def _walk(states: list[_State], trace: list[str], complete: bool,
                 return side
             if not complete:
                 raise RefinementError(f"non-exhaustive: missing {missing}")
-            return [_State(max(s.key for s in group) + 0.25, [make_lit()],
+            return [_State(max(s.key for s in group) + 0.25, (make_lit(),),
                            Zero())]
 
         def past_first(side: list[_State]) -> tuple:
-            return ([_State(s.key, s.lits[1:], s.result) for s in side],
-                    prefix + [side[0].lits[0]], bound, depth + 1, False)
+            rest = [_State(s.key, s.lits, s.result, s.pos + 1) for s in side]
+            return rest, len(path), side[0].first, depth + 1, False
 
         # Rules 2/3: zero/successor or zero/pair split on one variable.
         if kinds <= {"zero", "succ", "pair"}:
@@ -856,10 +832,10 @@ def _walk(states: list[_State], trace: list[str], complete: bool,
                 raise RefinementError(f"mixed successor/pair split on {v!r}")
             succ = "succ" in kinds
             zeros = or_default(
-                [s for s in group if isinstance(s.lits[0], VarZero)],
+                [s for s in group if isinstance(s.first, VarZero)],
                 lambda: VarZero(v), f"case {v} = 0")
             nonz = or_default(
-                [s for s in group if not isinstance(s.lits[0], VarZero)],
+                [s for s in group if not isinstance(s.first, VarZero)],
                 lambda: (VarSucc(v, fresh("w")) if succ
                          else VarPair(v, fresh("w"), fresh("w"))),
                 f"non-zero case for {v}")
@@ -867,7 +843,7 @@ def _walk(states: list[_State], trace: list[str], complete: bool,
                 trace.append(
                     f"{indent}rule {2 if succ else 3} split on {v}: "
                     f"0 | {'S(w)' if succ else '(w1,w2)'}")
-            todo.append((nonz, prefix, bound, depth + 1, True))
+            todo.append((nonz, len(path), None, depth + 1, True))
             todo.append(past_first(zeros))
             continue
 
@@ -880,9 +856,9 @@ def _walk(states: list[_State], trace: list[str], complete: bool,
                     + " vs ".join(sorted(lit_str(l) for l in firsts)))
             base = replace(firsts[0], negated=False)
             negd = replace(base, negated=True)
-            pos = or_default([s for s in group if not s.lits[0].negated],
+            pos = or_default([s for s in group if not s.first.negated],
                              lambda: base, f"case {lit_str(base)}")
-            neg = or_default([s for s in group if s.lits[0].negated],
+            neg = or_default([s for s in group if s.first.negated],
                              lambda: negd, f"case {lit_str(negd)}")
             if not complete:
                 trace.append(f"{indent}rule 4 split on {lit_str(base)}")
@@ -899,7 +875,7 @@ def _run_walk(d: ClausalDef, complete: bool):
     # the trace replays a check; completion keeps only its first line
     argvar, clauses = _normalize(d)
     fresh = _Fresh(lambda: {argvar}.union(*map(_clause_all_vars, clauses)))
-    states = [_State(float(i), list(c.literals), c.result)
+    states = [_State(float(i), c.literals, c.result)
               for i, c in enumerate(clauses)]
     trace: list[str] = [f"argument variable {argvar}"]
     out: list[tuple[float, Clause]] = []

@@ -11,6 +11,7 @@ formula calculus built from D-dispatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 from . import clausal as cl
@@ -340,9 +341,7 @@ def compile_explicit(d: cl.ClausalDef,
             else:
                 g = comp(ORACLE, _term_d(lit.term, var, env))
                 guards.append(not_d(g) if lit.negated else g)
-        guard = ONE
-        for g in guards:
-            guard = g if guard is ONE else and_d(guard, g)
+        guard = reduce(and_d, guards) if guards else ONE
         compiled.append((guard, _term_d(c.result, var, env)))
 
     acc = Z_

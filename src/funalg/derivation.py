@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import attrgetter
 from typing import Any, Callable, Iterator
+from weakref import WeakValueDictionary
 
 
 class Op(Enum):
@@ -27,6 +27,9 @@ class Op(Enum):
     SMASH = "smash"
     ORACLE = "X"
 
+    # by identity, in C: each Derivation constructor call hashes its op
+    __hash__ = object.__hash__
+
 
 # A dense int per operator, in declaration order, so the evaluator can
 # dispatch on ints instead of hashing enum members.
@@ -43,12 +46,71 @@ ARITY = {
 }
 
 
-@dataclass(frozen=True)
-class Derivation:
-    op: Op
-    children: tuple["Derivation", ...] = ()
+class Interned:
+    """Base of hash-consed nodes (Filliatre & Conchon, 2006): a constructor
+    call looks its field values, named in the subclass's __slots__, up in
+    a weak table and builds a node, running _check, only on a miss.  So a
+    structurally equal node is the same object, `==` is `is`, `hash` is
+    O(1), and copy, deepcopy and pickle return the interned node.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._table = WeakValueDictionary()
+
+    def __new__(cls, *values):
+        node = cls._table.get(values)
+        if node is None:
+            node = object.__new__(cls)
+            for name, v in zip(cls.__slots__, values, strict=True):
+                object.__setattr__(node, name, v)
+            node._check()
+            cls._table[values] = node
+        return node
+
+    def _check(self):
+        """Raise if the fields make no node."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def _immutable(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self):
+        fields = (f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+# A repr spells a node out up to this many tree nodes.  Above it, where a
+# shared DAG can expand exponentially, it gives the head and node counts.
+_REPR_TREE_NODES = 1000
+
+
+def _repr(node, kids, head: str, text: Callable[[Any], str]) -> str:
+    dag = 0
+
+    def size(_, sizes: list[int]) -> int:
+        nonlocal dag
+        dag += 1
+        return 1 + sum(sizes)
+    tree, name = fold(node, kids, size), type(node).__name__
+    if tree <= _REPR_TREE_NODES:
+        return f"{name}({text(node)!r})"
+    return f"<{name} {head}: {dag} distinct nodes, {tree} tree nodes>"
+
+
+class Derivation(Interned):
+    __slots__ = ("op", "children")
+
+    def __new__(cls, op: Op, children: tuple["Derivation", ...] = ()):
+        return super().__new__(cls, op, children)
+
+    def _check(self):
         if len(self.children) != ARITY[self.op]:
             raise ValueError(
                 f"{self.op.value} takes {ARITY[self.op]} children, "
@@ -56,34 +118,21 @@ class Derivation:
             )
 
     def node_count(self) -> int:
-        n, stack = 0, [self]
-        while stack:
-            d = stack.pop()
-            n += 1
-            stack.extend(d.children)
-        return n
+        """The number of nodes of the tree this DAG expands to."""
+        return fold(self, lambda d: d.children, lambda d, n: 1 + sum(n))
 
     def nodes(self) -> Iterator["Derivation"]:
-        """Each distinct node reachable from this one, once (by identity)."""
+        """Each distinct node reachable from this one, once."""
         seen, stack = set(), [self]
         while stack:
             d = stack.pop()
-            if id(d) not in seen:
-                seen.add(id(d))
+            if d not in seen:
+                seen.add(d)
                 yield d
                 stack.extend(d.children)
 
-    def __eq__(self, other):
-        if type(other) is not Derivation:
-            return NotImplemented
-        return _dag_eq(self, other, attrgetter("op"), attrgetter("children"))
-
-    def __hash__(self):
-        return fold(self, lambda d: d.children,
-                    lambda d, hs: hash((d.op, *hs)))
-
     def __repr__(self):
-        return f"Derivation({d_print(self)!r})"
+        return _repr(self, lambda d: d.children, self.op.value, d_print)
 
 
 def fold(root, kids: Callable[[Any], tuple], f: Callable[[Any, list], Any]):
@@ -130,21 +179,6 @@ def fold(root, kids: Callable[[Any], tuple], f: Callable[[Any, list], Any]):
                 args.append(done[id(k)])
         done[id(node)] = f(node, args)
     return done[id(root)]
-
-
-def _dag_eq(a, b, key: Callable, kids: Callable) -> bool:
-    """Structural equality of two DAGs; each pair of nodes is compared once."""
-    seen, stack = set(), [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y or (id(x), id(y)) in seen:
-            continue
-        seen.add((id(x), id(y)))
-        kx, ky = kids(x), kids(y)
-        if key(x) != key(y) or len(kx) != len(ky):
-            return False
-        stack.extend(zip(kx, ky))
-    return True
 
 
 # Atom singletons; compound constructors.
@@ -416,16 +450,17 @@ class UnboundedOperatorError(ValueError):
     """The derivation contains an operator with no polynomial bound."""
 
 
-@dataclass(frozen=True)
-class PolyBound:
+class PolyBound(Interned):
     """A closed monotone expression in one variable.
 
-    kind is one of "const", "var", "add", "mul"; children carry subterms.
+    kind is one of "const", "var", "add", "mul"; args carry subterms.
     """
 
-    kind: str
-    value: int = 0
-    args: tuple["PolyBound", ...] = field(default=())
+    __slots__ = ("kind", "value", "args")
+
+    def __new__(cls, kind: str, value: int = 0,
+                args: tuple["PolyBound", ...] = ()):
+        return super().__new__(cls, kind, value, args)
 
     def __call__(self, n: int) -> int:
         def rule(b: PolyBound, v: list[int]) -> int:
@@ -446,18 +481,8 @@ class PolyBound:
             return "(" + sep.join(v) + ")"
         return fold(self, lambda b: b.args, rule)
 
-    def __eq__(self, other):
-        if type(other) is not PolyBound:
-            return NotImplemented
-        return _dag_eq(self, other, attrgetter("kind", "value"),
-                       attrgetter("args"))
-
-    def __hash__(self):
-        return fold(self, lambda b: b.args,
-                    lambda b, hs: hash((b.kind, b.value, *hs)))
-
     def __repr__(self):
-        return f"PolyBound({str(self)!r})"
+        return _repr(self, lambda b: b.args, self.kind, str)
 
 
 def _const(k: int) -> PolyBound:

@@ -10,7 +10,8 @@ The meter, which is the cost model of every reduction criterion:
 - a step is charged for each compound entry, each leaf and each pr/bpr
   iteration;
 - with memo=True, a compound call whose (node, argument) this evaluation
-  has already computed is a memo hit and costs no step;
+  has already computed is a memo hit and costs no step; nodes are
+  interned, so equal subterms, however built, share memo entries;
 - peak_bits is the widest argument or value seen, in bits;
 - max_depth counts frames, leaves included: a leaf called from a frame
   at depth k sits at depth k + 1, and the root is at depth 1;
@@ -78,7 +79,8 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
     Returns the value; metering accumulates into `meter` if given.  With
     memo=True, every compound node (in particular pr/bpr/snr) is memoized
     on (node, arg) for the duration of this call, so each distinct
-    argument is expanded at most once (course-of-values evaluation).
+    argument is expanded at most once (course-of-values evaluation); the
+    key is the interned node, so equal subterms share entries.
     expansion_log, if given, receives a (node, arg) entry for every
     recursion-node invocation.  Raises TypeError unless d is a Derivation
     and x an int, and ValueError if x is negative.

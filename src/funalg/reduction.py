@@ -144,27 +144,22 @@ def build_dispatcher(d: ClausalDef) -> tuple[ClausalDef, int]:
     taken = {argvar}.union(*map(cl._clause_all_vars, sd.clauses))
     v, *cs = _fresh_names(taken, ["v"] + [f"c{i}" for i in range(J + 1)])
     clauses: list[Clause] = [Clause(Var(v), (VarZero(v),), Zero())]
-    seen: set = set()
-
-    def emit(c: Clause):
-        key = cl.clause_key(c)
-        if key not in seen:
-            seen.add(key)
-            clauses.append(c)
-
     for c in sd.clauses:
         lits: list[Literal] = [VarPair(v, argvar, cs[0])]
         i = 0
         for lit in c.literals:
             if isinstance(lit, AppEq) and lit.fname == d.name:
-                emit(Clause(Var(v), tuple(lits + [VarZero(cs[i])]),
-                            TPair(Zero(), lit.arg)))
+                clauses.append(Clause(Var(v), tuple(lits + [VarZero(cs[i])]),
+                                      TPair(Zero(), lit.arg)))
                 lits.append(VarPair(cs[i], lit.out, cs[i + 1]))
                 i += 1
             else:
                 lits.append(lit)
-        emit(Clause(Var(v), tuple(lits), TPair(Succ(Zero()), c.result)))
-    h_def = ClausalDef(f"{d.name}_h", tuple(clauses), "explicit")
+        clauses.append(
+            Clause(Var(v), tuple(lits), TPair(Succ(Zero()), c.result)))
+    # a clause made from literals two source clauses share is kept once
+    h_def = ClausalDef(f"{d.name}_h", tuple(dict.fromkeys(clauses)),
+                       "explicit")
     return h_def, J
 
 

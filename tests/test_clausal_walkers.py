@@ -246,13 +246,33 @@ def refinement_defs(draw):
                                  for lits, res in paths), "explicit")
 
 
+def _rebuilt(t):
+    """t built afresh, node by node, with new name strings."""
+    if type(t) is Var:
+        return Var("".join(t.name))
+    if type(t) is App:
+        return App("".join(t.fname), _rebuilt(t.arg))
+    return type(t)(*map(_rebuilt, cl.term_kids(t)))
+
+
+def _same_term(a, b) -> bool:
+    """Structural equality of terms: the reference for interning."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is Var:
+        return a.name == b.name
+    if type(a) is App and a.fname != b.fname:
+        return False
+    return all(map(_same_term, cl.term_kids(a), cl.term_kids(b)))
+
+
 @given(terms(), terms())
 @settings(max_examples=300)
-def test_term_key_identifies_terms(a, b):
-    assert (cl.term_key(a) == cl.term_key(b)) == (a == b)
-    # printed text does not: it drops the brackets of + and *
-    assert cl.term_key(TMul(TAdd(a, b), a)) != cl.term_key(
-        TAdd(a, TMul(b, a)))
+def test_equal_terms_are_one_object(a, b):
+    assert _rebuilt(a) is a and hash(_rebuilt(a)) == hash(a)
+    assert (a is b) == (a == b) == _same_term(a, b)
+    # printed text is no identity: it drops the brackets of + and *
+    assert TMul(TAdd(a, b), a) is not TAdd(a, TMul(b, a))
 
 
 def _walk_outcome(run, d, complete):

@@ -1,13 +1,19 @@
 """Derivation AST, S-expressions, enumeration, and polynomial bounds."""
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
-from funalg.derivation import (ARITY, CLASSES, DA, DEA, E, SMASH,
-                               AlgebraClass, Derivation, EnumerationError, I,
-                               Op, P, PRA, ParseError, PolyBound, S, SA, TA,
+from funalg.clausal import App, Succ, TAdd, TMul, TPair, Var, Zero
+from funalg.derivation import (ADD, ARITY, CLASSES, DA, DEA, E, LT, ORACLE,
+                               SMASH, AlgebraClass, Derivation,
+                               EnumerationError, I, Op, P, PRA, ParseError,
+                               PolyBound, S, SA, TA,
                                UnboundedOperatorError,
                                comp, d_parse, d_print, derivation_at,
                                enumerate_derivations, fold, index_of, mu,
@@ -409,25 +415,102 @@ def _tower(leaf, levels):
     return t
 
 
-def test_deep_chain_eq_hash_and_repr_have_no_recursion_limit():
+def _same(a, b) -> bool:
+    """Structural equality by a walk over pairs of nodes, each pair once:
+    the reference that interning (equal means identical) must agree with."""
+    seen, stack = set(), [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        if x.op is not y.op or len(x.children) != len(y.children):
+            return False
+        stack.extend(zip(x.children, y.children))
+    return True
+
+
+def test_deep_chain_is_interned_and_has_no_recursion_limit():
     d = I
     for _ in range(5000):
         d = comp(S, d)
     back = d_parse(d_print(d))
-    assert back is not d
-    assert d == back and not d != back and hash(d) == hash(back)
-    assert d != comp(S, back) and d != S and d != "I"
+    assert back is d and _same(back, d)
+    assert back == d and hash(back) == hash(d)
+    assert comp(S, back) != d and not _same(comp(S, back), d)
+    assert d != S and d != "I"
     b = poly_bound(d)
-    assert b == poly_bound(back) and hash(b) == hash(poly_bound(back))
-    assert repr(b) == f"PolyBound({str(b)!r})"
+    assert poly_bound(back) is b and str(poly_bound(back)) == str(b)
+    assert repr(b).startswith("<PolyBound add: ") and len(repr(b)) < 100
 
 
-def test_p_tower_eq_and_hash_walk_the_dag():
+def test_p_tower_is_interned():
     t, u = _tower(I, 40), _tower(I, 40)
-    assert t is not u and t == u and hash(t) == hash(u)
-    assert t != _tower(S, 40)
-    assert t != Derivation(Op.COMP, (_tower(I, 39),) * 2)
-    assert t != _tower(I, 41)
-    b = poly_bound(_tower(I, 40))
-    assert b == poly_bound(u) and hash(b) == hash(poly_bound(u))
-    assert b != poly_bound(_tower(S, 40))
+    assert t is u and _same(t, u) and hash(t) == hash(u)
+    for other in (_tower(S, 40), Derivation(Op.COMP, (_tower(I, 39),) * 2),
+                  _tower(I, 41)):
+        assert other != t and not _same(other, t)
+    assert poly_bound(t) is poly_bound(u)
+    assert poly_bound(_tower(S, 40)) is not poly_bound(t)
+
+
+def test_node_count_and_repr_of_a_p_tower_are_on_the_dag():
+    t = _tower(I, 40)
+    assert t.node_count() == 2**41 - 1
+    assert repr(t) == ("<Derivation P: 41 distinct nodes, "
+                       f"{2**41 - 1} tree nodes>")
+    b = poly_bound(t)
+    assert repr(b).startswith("<PolyBound mul: ") and len(repr(b)) < 100
+    # small ones are spelled out
+    assert repr(comp(S, I)) == "Derivation('(comp S I)')"
+    assert repr(poly_bound(S)) == "PolyBound('(n + 1)')"
+
+
+@pytest.mark.parametrize("d", [I, comp(S, P(I, mu(LT))), _tower(ADD, 8)],
+                         ids=["atom", "compound", "tower"])
+def test_every_constructor_form_gives_one_node(d):
+    assert Derivation(d.op, d.children) is d
+    assert Derivation(op=d.op, children=d.children) is d
+    if not d.children:
+        assert Derivation(d.op) is d
+    assert d_parse(d_print(d)) is d
+    b = poly_bound(d)
+    assert PolyBound(b.kind, b.value, b.args) is b
+    assert PolyBound(b.kind, args=b.args, value=b.value) is b
+    assert PolyBound("add", args=(b, b)) is PolyBound("add", 0, (b, b))
+    assert PolyBound("var") is PolyBound("var", 0, ())
+
+
+@pytest.mark.parametrize("node", [
+    I, comp(S, P(I, I)), _tower(I, 40), PolyBound("var"),
+    poly_bound(comp(S, P(I, I))), TPair(Zero(), Var("x")),
+    App("f", TAdd(Succ(Var("y")), TMul(Zero(), Zero())))],
+    ids=["atom", "derivation", "tower", "var", "bound", "pair", "term"])
+def test_copy_deepcopy_and_pickle_return_the_interned_node(node):
+    assert copy.copy(node) is node
+    assert copy.deepcopy(node) is node
+    assert copy.deepcopy([node, node]) == [node, node]
+    assert pickle.loads(pickle.dumps(node)) is node
+
+
+def test_a_dropped_node_is_collected():
+    # built from operators no other test or module combines this way
+    ref = weakref.ref(_tower(ORACLE, 9))
+    tref = weakref.ref(TMul(Var("dropped"), Var("dropped")))
+    gc.collect()
+    assert ref() is None and tref() is None
+    assert _tower(ORACLE, 9).node_count() == 2**10 - 1
+
+
+def test_a_failed_construction_interns_nothing():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="comp takes 2 children, got 1"):
+            Derivation(Op.COMP, (S,))
+    assert (Op.COMP, (S,)) not in Derivation._table
+    with pytest.raises(ValueError):
+        Var()
+    with pytest.raises(AttributeError):
+        I.op = Op.S
+    with pytest.raises(AttributeError):
+        del I.op
+    assert I.op is Op.I

@@ -13,7 +13,7 @@ from funalg.codec import FinSet, list_encode, pair
 from funalg.corpus import CORPUS_TEXT
 from funalg.derivation import (ARITY, CLASSES, D, Derivation, E, I, LT, Op,
                                P, PolyBound, S, SMASH, bpr, comp, d_parse,
-                               mu, pr, snr)
+                               d_print, mu, pr, snr)
 from funalg.evaluator import (Budget, BudgetExceeded, Meter, eval_memo,
                               eval_naive, evaluate, meter_line)
 from funalg.reduction import (reduce_bounded_nested_to_snr,
@@ -323,6 +323,12 @@ def test_matches_generator_evaluator(allowed, data):
                  Budget(data.draw(st.integers(1, 1500)), data.draw(bits)),
                  data.draw(st.booleans()), data.draw(_METERS),
                  data.draw(st.booleans()))
+
+
+@given(_dags(frozenset(Op)))
+@settings(max_examples=200, deadline=None)
+def test_print_parse_returns_the_interned_node(d):
+    assert d_parse(d_print(d)) is d
 
 
 @pytest.mark.parametrize("d, x, bits", [
