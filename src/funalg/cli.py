@@ -58,6 +58,14 @@ def _parse_budget(args) -> Budget:
                   bits if bits is not None else b.max_bits)
 
 
+def _count(text: str) -> int:
+    """A non-negative int argument; argparse makes a bad one a usage error."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 def _parse_bound(expr: str) -> PolyBound:
     """A polynomial in n built from numerals, n, + and *."""
     try:
@@ -216,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enum", help="enumerate derivations of a class")
     sp.add_argument("--class", dest="cls", choices=_CLASS_NAMES,
                     required=True)
-    sp.add_argument("--count", type=int, required=True)
+    sp.add_argument("--count", type=_count, required=True)
     sp.set_defaults(fn_=cmd_enum)
 
     sp = sub.add_parser("meter", help="scaling study CSV")

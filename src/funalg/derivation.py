@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from threading import Lock
 from typing import Any, Callable, Iterator
 from weakref import WeakValueDictionary
 
@@ -51,7 +51,10 @@ class Interned:
     call looks its field values, named in the subclass's __slots__, up in
     a weak table and builds a node, running _check, only on a miss.  So a
     structurally equal node is the same object, `==` is `is`, `hash` is
-    O(1), and copy, deepcopy and pickle return the interned node.
+    O(1), and copy, deepcopy and pickle return the interned node.  A
+    node's children, _kids, are its fields that are nodes, or the nodes in
+    a tuple field where a subclass says so; repr and pickle walk them on
+    the DAG without recursion, however deep the node.
     """
 
     __slots__ = ("__weakref__",)
@@ -73,8 +76,32 @@ class Interned:
     def _check(self):
         """Raise if the fields make no node."""
 
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def _kids(self) -> tuple:
+        """The fields that are nodes, in order."""
+        return tuple(v for v in self._fields() if isinstance(v, Interned))
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+        # The distinct nodes below this one, children first, as a flat
+        # list of (class, fields), each node in a field replaced by
+        # [its position], so pickle's own walk does not nest.
+        at: dict[Interned, list[int]] = {}
+        rows = []
+
+        def row(n: Interned, _) -> None:
+            rows.append((type(n), tuple(_swap(v, Interned, at.__getitem__)
+                                        for v in n._fields())))
+            at[n] = [len(rows) - 1]
+        fold(self, lambda n: n._kids(), row)
+        return _unpickle, (rows,)
 
     def _immutable(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -82,8 +109,31 @@ class Interned:
     __setattr__ = __delattr__ = _immutable
 
     def __repr__(self):
-        fields = (f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({', '.join(fields)})"
+        def spell(n: Interned, kids: list[str]) -> str:
+            texts = iter(kids)
+            fields = (f"{f}={next(texts)}" if isinstance(v, Interned)
+                      else f"{f}={v!r}"
+                      for f, v in zip(n.__slots__, n._fields()))
+            return f"{type(n).__name__}({', '.join(fields)})"
+        return _repr(self, type(self).__name__,
+                     lambda n: fold(n, lambda m: m._kids(), spell))
+
+
+def _swap(v, kind: type, f: Callable):
+    """v with f applied to each instance of kind that it is or holds."""
+    if isinstance(v, kind):
+        return f(v)
+    if isinstance(v, tuple):
+        return tuple(f(x) if isinstance(x, kind) else x for x in v)
+    return v
+
+
+def _unpickle(rows: list[tuple[type, tuple]]) -> Interned:
+    nodes: list[Interned] = []
+    for cls, fields in rows:
+        nodes.append(cls(*(_swap(v, list, lambda at: nodes[at[0]])
+                           for v in fields)))
+    return nodes[-1]
 
 
 # A repr spells a node out up to this many tree nodes.  Above it, where a
@@ -91,17 +141,17 @@ class Interned:
 _REPR_TREE_NODES = 1000
 
 
-def _repr(node, kids, head: str, text: Callable[[Any], str]) -> str:
+def _repr(node: Interned, head: str, text: Callable[[Any], str]) -> str:
     dag = 0
 
     def size(_, sizes: list[int]) -> int:
         nonlocal dag
         dag += 1
         return 1 + sum(sizes)
-    tree, name = fold(node, kids, size), type(node).__name__
+    tree = fold(node, lambda n: n._kids(), size)
     if tree <= _REPR_TREE_NODES:
-        return f"{name}({text(node)!r})"
-    return f"<{name} {head}: {dag} distinct nodes, {tree} tree nodes>"
+        return text(node)
+    return f"<{head}: {dag} distinct nodes, {tree} tree nodes>"
 
 
 class Derivation(Interned):
@@ -131,8 +181,12 @@ class Derivation(Interned):
                 yield d
                 stack.extend(d.children)
 
+    def _kids(self) -> tuple["Derivation", ...]:
+        return self.children
+
     def __repr__(self):
-        return _repr(self, lambda d: d.children, self.op.value, d_print)
+        return _repr(self, f"Derivation {self.op.value}",
+                     lambda d: f"Derivation({d_print(d)!r})")
 
 
 def fold(root, kids: Callable[[Any], tuple], f: Callable[[Any, list], Any]):
@@ -330,40 +384,37 @@ def d_parse(text: str) -> Derivation:
 _ENUM_TAG_ORDER = [Op.ORACLE, Op.S, Op.ADD, Op.MUL, Op.LT, Op.I, Op.D,
                    Op.P, Op.COMP, Op.MU, Op.PR, Op.BPR, Op.SNR,
                    Op.E, Op.SMASH]
-_TAG_RANK = {op: i for i, op in enumerate(_ENUM_TAG_ORDER)}
+
+# Enumeration covers derivations of up to this many tree nodes: counting
+# those of k nodes takes O(k^2) products of O(k)-bit integers.
+_ENUM_NODES = 1000
+_TABLES: dict[tuple[int, int, int], tuple[list[int], list[int]]] = {}
+_TABLES_LOCK = Lock()
 
 
 class EnumerationError(ValueError):
-    pass
+    """A derivation or index outside the enumeration of a class: a foreign
+    operator, a negative index or more than _ENUM_NODES tree nodes."""
 
 
-def _class_tags(c: AlgebraClass) -> list[Op]:
-    return [op for op in _ENUM_TAG_ORDER if op in c.allowed]
+def _table(c: AlgebraClass, k: int):
+    """The class's operators in order, and the counts and pairs of its
+    arity profile (how many atoms, unary and binary operators it has),
+    kept in _TABLES and grown to size k: counts[j] derivations have j
+    nodes, and pairs[j] ordered pairs of them have j - 1 nodes together."""
+    a0, a1, a2 = (sum(ARITY[op] == a for op in c.allowed) for a in range(3))
+    with _TABLES_LOCK:  # two threads growing one table would both append
+        counts, pairs = _TABLES.setdefault((a0, a1, a2), ([0, a0], [0, 0]))
+        for j in range(len(counts), k + 1):
+            pairs.append(sum(counts[i] * counts[j - 1 - i]
+                             for i in range(1, j - 1)))
+            counts.append(a1 * counts[j - 1] + a2 * pairs[j])
+    return [op for op in _ENUM_TAG_ORDER if op in c.allowed], counts, pairs
 
 
-@lru_cache(maxsize=None)
-def _counts(cname: str, k: int) -> int:
-    """Number of derivations of the class with exactly k operator nodes."""
-    if k <= 0:
-        return 0
-    return sum(_op_count(cname, op, k) for op in _class_tags(CLASSES[cname]))
-
-
-def _op_count(cname: str, op: Op, k: int) -> int:
-    """Number of derivations of the class with k nodes and root op."""
-    a = ARITY[op]
-    if a == 0:
-        return 1 if k == 1 else 0
-    if a == 1:
-        return _counts(cname, k - 1)
-    return sum(_counts(cname, i) * _counts(cname, k - 1 - i)
-               for i in range(1, k - 1))
-
-
-@lru_cache(maxsize=None)
-def _block_start(cname: str, k: int) -> int:
-    """Index of the first derivation with k nodes."""
-    return 0 if k <= 1 else _block_start(cname, k - 1) + _counts(cname, k - 1)
+def _per_op(ops, counts, pairs, k: int) -> list[int]:
+    """How many derivations with k nodes have each of ops at the root."""
+    return [(k == 1, counts[k - 1], pairs[k])[ARITY[op]] for op in ops]
 
 
 def _as_class(c) -> AlgebraClass:
@@ -380,27 +431,22 @@ def index_of(d: Derivation, c) -> int:
     c = _as_class(c)
     if not validate(d, c):
         raise EnumerationError(f"derivation not in class {c.name}")
-    k = d.node_count()
-    idx = _block_start(c.name, k)
-    for op in _class_tags(c):
-        if op is d.op:
-            break
-        idx += _op_count(c.name, op, k)
-    a = ARITY[d.op]
-    if a == 1:
-        child = d.children[0]
-        idx += index_of(child, c) - _block_start(c.name, k - 1)
-    elif a == 2:
-        g, h = d.children
-        kh = h.node_count()
-        ig, ih = index_of(g, c), index_of(h, c)
-        # pairs whose first index precedes ig
-        for i in range(1, k - 1):
-            before = min(max(ig - _block_start(c.name, i), 0),
-                         _counts(c.name, i))
-            idx += before * _counts(c.name, k - 1 - i)
-        idx += ih - _block_start(c.name, kh)
-    return idx
+    if (n := d.node_count()) > _ENUM_NODES:
+        raise EnumerationError(f"derivation has {n} tree nodes, over "
+                               f"{_ENUM_NODES}")
+    ops, counts, pairs = _table(c, n)
+
+    def rule(d: Derivation, kids: list[tuple[int, int]]) -> tuple[int, int]:
+        # (size, index among the derivations of that size)
+        k = 1 + sum(size for size, _ in kids)
+        r = sum(_per_op(ops, counts, pairs, k)[:ops.index(d.op)])
+        if len(kids) == 2:  # the pairs before d's, by size and index of g
+            (kg, rg), (kh, _) = kids
+            r += sum(counts[i] * counts[k - 1 - i] for i in range(1, kg))
+            r += rg * counts[kh]
+        return k, r + (kids[-1][1] if kids else 0)
+    k, r = fold(d, lambda n: n.children, rule)
+    return sum(counts[:k]) + r
 
 
 def derivation_at(i: int, c) -> Derivation:
@@ -408,33 +454,40 @@ def derivation_at(i: int, c) -> Derivation:
     c = _as_class(c)
     if i < 0:
         raise EnumerationError("negative index")
-    k = 1
-    while _block_start(c.name, k + 1) <= i:
-        k += 1
-        if k > 10_000:
+    k, r = 1, i
+    ops, counts, pairs = _table(c, k)
+    while r >= counts[k]:
+        k, r = k + 1, r - counts[k]
+        if k > _ENUM_NODES:
             raise EnumerationError("index out of enumerated range")
-    r = i - _block_start(c.name, k)
-    for op in _class_tags(c):
-        cnt = _op_count(c.name, op, k)
-        if r < cnt:
-            break
-        r -= cnt
-    else:
-        raise EnumerationError("index decoding failed")
-    a = ARITY[op]
-    if a == 0:
-        return Derivation(op)
-    if a == 1:
-        return Derivation(op, (derivation_at(_block_start(c.name, k - 1) + r, c),))
-    for j in range(1, k - 1):
-        block = _counts(c.name, j) * _counts(c.name, k - 1 - j)
-        if r < block:
-            qg, qh = divmod(r, _counts(c.name, k - 1 - j))
-            g = derivation_at(_block_start(c.name, j) + qg, c)
-            h = derivation_at(_block_start(c.name, k - 1 - j) + qh, c)
-            return Derivation(op, (g, h))
-        r -= block
-    raise EnumerationError("index decoding failed")
+        if k == len(counts):
+            _table(c, k)
+    # Decode each distinct (size, index among that size) once, into its
+    # operator and its children's keys, then build the nodes in order of
+    # size, which puts children first.
+    plan: dict[tuple[int, int], Any] = {}
+    todo = [root := (k, r)]
+    while todo:
+        key = k, r = todo.pop()
+        if key in plan:
+            continue
+        for op, cnt in zip(ops, _per_op(ops, counts, pairs, k)):
+            if r < cnt:
+                break
+            r -= cnt
+        kids = ((k - 1, r),) if ARITY[op] == 1 else ()
+        if ARITY[op] == 2:
+            j = 1
+            while r >= (block := counts[j] * counts[k - 1 - j]):
+                r, j = r - block, j + 1
+            qg, qh = divmod(r, counts[k - 1 - j])
+            kids = (j, qg), (k - 1 - j, qh)
+        plan[key] = op, kids
+        todo.extend(kids)
+    for key in sorted(plan):
+        op, kids = plan[key]
+        plan[key] = Derivation(op, tuple(plan[kid] for kid in kids))
+    return plan[root]
 
 
 def enumerate_derivations(c, n: int) -> list[Derivation]:
@@ -481,8 +534,12 @@ class PolyBound(Interned):
             return "(" + sep.join(v) + ")"
         return fold(self, lambda b: b.args, rule)
 
+    def _kids(self) -> tuple["PolyBound", ...]:
+        return self.args
+
     def __repr__(self):
-        return _repr(self, lambda b: b.args, self.kind, str)
+        return _repr(self, f"PolyBound {self.kind}",
+                     lambda b: f"PolyBound({str(b)!r})")
 
 
 def _const(k: int) -> PolyBound:

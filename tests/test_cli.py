@@ -51,6 +51,14 @@ def test_enum_first_is_oracle(capsys):
     assert code == 0 and out == "X\n"
 
 
+def test_enum_negative_count_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["enum", "--class", "DA", "--count", "-1"])
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--count" in out.err
+
+
 def test_enum_deterministic(capsys):
     a = run(capsys, "enum", "--class", "SA", "--count", "40")
     b = run(capsys, "enum", "--class", "SA", "--count", "40")

@@ -2,19 +2,22 @@
 
 import copy
 import gc
+import hashlib
 import pickle
 import random
 import weakref
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from funalg.clausal import App, Succ, TAdd, TMul, TPair, Var, Zero
 from funalg.derivation import (ADD, ARITY, CLASSES, DA, DEA, E, LT, ORACLE,
                                SMASH, AlgebraClass, Derivation,
                                EnumerationError, I, Op, P, PRA, ParseError,
                                PolyBound, S, SA, TA,
-                               UnboundedOperatorError,
+                               UnboundedOperatorError, _ENUM_NODES,
+                               _ENUM_TAG_ORDER, _as_class,
                                comp, d_parse, d_print, derivation_at,
                                enumerate_derivations, fold, index_of, mu,
                                poly_bound, pr, snr, validate)
@@ -274,6 +277,102 @@ def rec_poly_bound(d):
     return rec_subst(bg, bh)
 
 
+# The recursive enumeration that the count table and the DAG walks
+# replaced.  Its tables are keyed by class name, so it serves the shipped
+# classes only.
+
+def _class_tags(c: AlgebraClass) -> list[Op]:
+    return [op for op in _ENUM_TAG_ORDER if op in c.allowed]
+
+
+@lru_cache(maxsize=None)
+def _counts(cname: str, k: int) -> int:
+    """Number of derivations of the class with exactly k operator nodes."""
+    if k <= 0:
+        return 0
+    return sum(_op_count(cname, op, k) for op in _class_tags(CLASSES[cname]))
+
+
+def _op_count(cname: str, op: Op, k: int) -> int:
+    """Number of derivations of the class with k nodes and root op."""
+    a = ARITY[op]
+    if a == 0:
+        return 1 if k == 1 else 0
+    if a == 1:
+        return _counts(cname, k - 1)
+    return sum(_counts(cname, i) * _counts(cname, k - 1 - i)
+               for i in range(1, k - 1))
+
+
+@lru_cache(maxsize=None)
+def _block_start(cname: str, k: int) -> int:
+    """Index of the first derivation with k nodes."""
+    return 0 if k <= 1 else _block_start(cname, k - 1) + _counts(cname, k - 1)
+
+
+def rec_index_of(d: Derivation, c) -> int:
+    """Position of d in the standard enumeration of the class."""
+    c = _as_class(c)
+    if not validate(d, c):
+        raise EnumerationError(f"derivation not in class {c.name}")
+    k = d.node_count()
+    idx = _block_start(c.name, k)
+    for op in _class_tags(c):
+        if op is d.op:
+            break
+        idx += _op_count(c.name, op, k)
+    a = ARITY[d.op]
+    if a == 1:
+        child = d.children[0]
+        idx += rec_index_of(child, c) - _block_start(c.name, k - 1)
+    elif a == 2:
+        g, h = d.children
+        kh = h.node_count()
+        ig, ih = rec_index_of(g, c), rec_index_of(h, c)
+        # pairs whose first index precedes ig
+        for i in range(1, k - 1):
+            before = min(max(ig - _block_start(c.name, i), 0),
+                         _counts(c.name, i))
+            idx += before * _counts(c.name, k - 1 - i)
+        idx += ih - _block_start(c.name, kh)
+    return idx
+
+
+def rec_derivation_at(i: int, c) -> Derivation:
+    """Inverse of index_of."""
+    c = _as_class(c)
+    if i < 0:
+        raise EnumerationError("negative index")
+    k = 1
+    while _block_start(c.name, k + 1) <= i:
+        k += 1
+        if k > 10_000:
+            raise EnumerationError("index out of enumerated range")
+    r = i - _block_start(c.name, k)
+    for op in _class_tags(c):
+        cnt = _op_count(c.name, op, k)
+        if r < cnt:
+            break
+        r -= cnt
+    else:
+        raise EnumerationError("index decoding failed")
+    a = ARITY[op]
+    if a == 0:
+        return Derivation(op)
+    if a == 1:
+        return Derivation(op, (rec_derivation_at(
+            _block_start(c.name, k - 1) + r, c),))
+    for j in range(1, k - 1):
+        block = _counts(c.name, j) * _counts(c.name, k - 1 - j)
+        if r < block:
+            qg, qh = divmod(r, _counts(c.name, k - 1 - j))
+            g = rec_derivation_at(_block_start(c.name, j) + qg, c)
+            h = rec_derivation_at(_block_start(c.name, k - 1 - j) + qh, c)
+            return Derivation(op, (g, h))
+        r -= block
+    raise EnumerationError("index decoding failed")
+
+
 def _random_dag(rng, cls, steps):
     """A derivation of the class whose children are drawn from a pool of
     earlier nodes, so subterms are shared."""
@@ -348,6 +447,60 @@ def test_poly_bound_matches_recursive_oracle():
         assert str(b) == rec_bound_str(want)
         for n in (0, 1, 2, 7, 30):
             assert b(n) == rec_bound_call(want, n)
+
+
+# sha256 of the first 2,000 d_prints of each class, one per line,
+# recorded from the recursive enumeration
+_FIRST_2000 = {
+    "DA": "0b70002096fb15b44b41dd6e6ff303ed99e9b1d0cf14a4945c6fd6e9a59549db",
+    "SA": "b6d15d4f7aa58a4196fb13ce1b7fe93157b0d65cc7da0775b36a0541c91bf559",
+    "TA": "4ed7deddee106e01f3e53625e866f57de956cfdbe2e80cb265f36af51428e0cd",
+    "DEA": "3fd054a129b0cb79d7238c326a938627bb45e66d7cdaab65494cfb609c7a82d6",
+    "DSA": "3ad38bfca15a3e8ad85b90f00ca7edc7424181a3e19fa5975e440af640c2ae77",
+    "SSA": "7b52293e32752010bb5c9f526f7ffe40ecf1e3dbfc4a612105a9c81539ffcb99",
+    "PRA": "188d51b6b2829da46eae270affc21fc2f5f02238032add3a91fed2b625282a82",
+}
+
+
+@pytest.mark.parametrize("cname", sorted(CLASSES))
+def test_enumeration_matches_recursive_oracle_on_first_2000(cname):
+    cls = CLASSES[cname]
+    ds = enumerate_derivations(cls, 2000)
+    text = "\n".join(map(d_print, ds))
+    assert hashlib.sha256(text.encode()).hexdigest() == _FIRST_2000[cname]
+    for i, d in enumerate(ds):
+        assert d is rec_derivation_at(i, cls)
+        assert index_of(d, cls) == i == rec_index_of(d, cls)
+
+
+def _shared_dag(rng, cls, limit):
+    """A derivation of the class with at most limit tree nodes, whose
+    children are drawn from a pool of recent nodes, so subterms are
+    shared."""
+    ops = [op for op in Op if op in cls.allowed and ARITY[op]]
+    pool = [(Derivation(op), 1) for op in Op
+            if op in cls.allowed and not ARITY[op]]
+    for _ in range(limit):
+        op = rng.choice(ops)
+        kids = [rng.choice(pool[-6:]) for _ in range(ARITY[op])]
+        size = 1 + sum(n for _, n in kids)
+        if size <= limit:
+            pool.append((Derivation(op, tuple(k for k, _ in kids)), size))
+    return max(pool, key=lambda p: p[1])[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(CLASSES)), st.randoms(use_true_random=False),
+       st.integers(min_value=1, max_value=300))
+def test_enumeration_matches_recursive_oracle_on_shared_dags(cname, rng,
+                                                             limit):
+    cls = CLASSES[cname]
+    for k in range(2, 302):  # fill the oracle's caches bottom-up
+        _block_start(cname, k)
+    d = _shared_dag(rng, cls, limit)
+    i = index_of(d, cls)
+    assert i == rec_index_of(d, cls)
+    assert derivation_at(i, cls) is d is rec_derivation_at(i, cls)
 
 
 def test_fold_visits_each_distinct_node_once_children_first():
@@ -481,16 +634,56 @@ def test_every_constructor_form_gives_one_node(d):
     assert PolyBound("var") is PolyBound("var", 0, ())
 
 
+def _comp_chain(depth, leaf=I):
+    d = leaf
+    for _ in range(depth):
+        d = comp(S, d)
+    return d
+
+
+def _succ_term(depth, name="x"):
+    t = Var(name)
+    for _ in range(depth):
+        t = Succ(t)
+    return t
+
+
 @pytest.mark.parametrize("node", [
     I, comp(S, P(I, I)), _tower(I, 40), PolyBound("var"),
     poly_bound(comp(S, P(I, I))), TPair(Zero(), Var("x")),
-    App("f", TAdd(Succ(Var("y")), TMul(Zero(), Zero())))],
-    ids=["atom", "derivation", "tower", "var", "bound", "pair", "term"])
+    App("f", TAdd(Succ(Var("y")), TMul(Zero(), Zero()))),
+    _comp_chain(5000), _succ_term(5000)],
+    ids=["atom", "derivation", "tower", "var", "bound", "pair", "term",
+         "deep-chain", "deep-term"])
 def test_copy_deepcopy_and_pickle_return_the_interned_node(node):
     assert copy.copy(node) is node
     assert copy.deepcopy(node) is node
     assert copy.deepcopy([node, node]) == [node, node]
     assert pickle.loads(pickle.dumps(node)) is node
+
+
+def test_pickle_rebuilds_a_deep_node_that_is_gone():
+    # a name and a leaf no other test uses in these shapes, so nothing
+    # else keeps the nodes alive
+    term = pickle.dumps(_succ_term(5000, "unpickled"))
+    chain = pickle.dumps(_comp_chain(3000, ORACLE))
+    gc.collect()
+    assert Var._table.get(("unpickled",)) is None
+    assert Derivation._table.get((Op.COMP, (S, ORACLE))) is None
+    assert pickle.loads(term) is _succ_term(5000, "unpickled")
+    assert pickle.loads(chain) is _comp_chain(3000, ORACLE)
+
+
+def test_repr_of_a_deep_term_is_bounded_and_small_terms_are_spelled_out():
+    assert repr(_succ_term(5000)) == ("<Succ: 5001 distinct nodes, "
+                                      "5001 tree nodes>")
+    assert repr(TPair(Zero(), Var("x"))) == \
+        "TPair(left=Zero(), right=Var(name='x'))"
+    assert repr(App("f", TAdd(Succ(Var("y")), TMul(Zero(), Zero())))) == (
+        "App(fname='f', arg=TAdd(left=Succ(arg=Var(name='y')), "
+        "right=TMul(left=Zero(), right=Zero())))")
+    assert repr(_comp_chain(5000)) == ("<Derivation comp: 5002 distinct "
+                                       "nodes, 10001 tree nodes>")
 
 
 def test_a_dropped_node_is_collected():
@@ -514,3 +707,28 @@ def test_a_failed_construction_interns_nothing():
     with pytest.raises(AttributeError):
         del I.op
     assert I.op is Op.I
+
+
+def test_enumeration_is_capped_on_deep_and_huge_inputs():
+    with pytest.raises(EnumerationError, match="10001 tree nodes"):
+        index_of(_comp_chain(5000), DA)
+    with pytest.raises(EnumerationError, match="out of enumerated range"):
+        derivation_at(10**4000, DA)
+    # the cap itself is in range
+    d = mu(_comp_chain((_ENUM_NODES - 2) // 2))
+    assert d.node_count() == _ENUM_NODES
+    assert derivation_at(index_of(d, DA), DA) is d
+    with pytest.raises(EnumerationError):
+        index_of(mu(d), DA)
+
+
+def test_enumeration_of_a_custom_class_follows_its_operators():
+    mine = AlgebraClass("mine", frozenset({Op.S, Op.I, Op.COMP}))
+    ds = enumerate_derivations(mine, 200)
+    assert ds[:6] == [S, I, comp(S, S), comp(S, I), comp(I, S), comp(I, I)]
+    assert len(set(ds)) == 200 and all(validate(d, mine) for d in ds)
+    assert [index_of(d, mine) for d in ds] == list(range(200))
+    # a class named like a shipped one enumerates by its own operators
+    fake = AlgebraClass("DA", mine.allowed)
+    assert enumerate_derivations(fake, 200) == ds
+    assert index_of(comp(S, I), fake) == 3
