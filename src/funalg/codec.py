@@ -211,7 +211,7 @@ def is_tree(s) -> bool:
     return True
 
 
-# --- Base-b digit pairing used by the time-algebra constructions.
+# --- Base-b digit pairing.
 
 def base_pair(x: int, y: int, b: int) -> int:
     """[x,y]_b = x*b + y; a pairing when both digits are below b."""

@@ -5,9 +5,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from threading import Lock
 from typing import Any, Callable, Iterator
-from weakref import WeakValueDictionary
+from weakref import ref
 
 
 class Op(Enum):
@@ -46,10 +47,18 @@ ARITY = {
 }
 
 
+def _drop(table: dict, key: tuple, r: ref) -> None:
+    """A dead node's weak-reference callback: remove its table entry,
+    unless a rebuilt node's reference has replaced it."""
+    if table.get(key) is r:
+        del table[key]
+
+
 class Interned:
     """Base of hash-consed nodes (Filliatre & Conchon, 2006): a constructor
     call looks its field values, named in the subclass's __slots__, up in
-    a weak table and builds a node, running _check, only on a miss.  So a
+    a table of weak references and builds a node, running _check, only on
+    a miss; a node's reference drops its entry when the node dies.  So a
     structurally equal node is the same object, `==` is `is`, `hash` is
     O(1), and copy, deepcopy and pickle return the interned node.  A
     node's children, _kids, are its fields that are nodes, or the nodes in
@@ -61,16 +70,18 @@ class Interned:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._table = WeakValueDictionary()
+        cls._table = {}
 
     def __new__(cls, *values):
-        node = cls._table.get(values)
+        table = cls._table
+        r = table.get(values)
+        node = None if r is None else r()
         if node is None:
             node = object.__new__(cls)
             for name, v in zip(cls.__slots__, values, strict=True):
                 object.__setattr__(node, name, v)
             node._check()
-            cls._table[values] = node
+            table[values] = ref(node, partial(_drop, table, values))
         return node
 
     def _check(self):
@@ -442,7 +453,12 @@ def index_of(d: Derivation, c) -> int:
         r = sum(_per_op(ops, counts, pairs, k)[:ops.index(d.op)])
         if len(kids) == 2:  # the pairs before d's, by size and index of g
             (kg, rg), (kh, _) = kids
-            r += sum(counts[i] * counts[k - 1 - i] for i in range(1, kg))
+            # the blocks of g sizes below kg, summed from the shorter end
+            if 2 * kg <= k:
+                r += sum(counts[i] * counts[k - 1 - i] for i in range(1, kg))
+            else:
+                r += pairs[k] - sum(counts[i] * counts[k - 1 - i]
+                                    for i in range(kg, k - 1))
             r += rg * counts[kh]
         return k, r + (kids[-1][1] if kids else 0)
     k, r = fold(d, lambda n: n.children, rule)
@@ -477,9 +493,18 @@ def derivation_at(i: int, c) -> Derivation:
             r -= cnt
         kids = ((k - 1, r),) if ARITY[op] == 1 else ()
         if ARITY[op] == 2:
-            j = 1
-            while r >= (block := counts[j] * counts[k - 1 - j]):
-                r, j = r - block, j + 1
+            # find the block of g's size j, scanning from both ends: r
+            # pairs precede d's and rh of them, d's included, follow
+            lo, hi, rh = 1, k - 2, pairs[k] - r
+            while True:
+                if r < (block := counts[lo] * counts[k - 1 - lo]):
+                    j = lo
+                    break
+                r, lo = r - block, lo + 1
+                if rh <= (block := counts[hi] * counts[k - 1 - hi]):
+                    j, r = hi, block - rh
+                    break
+                rh, hi = rh - block, hi - 1
             qg, qh = divmod(r, counts[k - 1 - j])
             kids = (j, qg), (k - 1 - j, qh)
         plan[key] = op, kids

@@ -8,9 +8,10 @@ more, it iterates a stack-stepper function by PR and reads the value off
 the final stack.
 
 reduce_bounded_nested_to_snr translates a bounded nested definition into
-a single application of special nested recursion, encoding the pending
-partial results of a clause as digits of one number so the machine state
-strictly decreases.
+a single application of special nested recursion.  Its machine state
+pairs a potential, which strictly decreases, with the clause argument,
+the count of free calls and the list of pending partial results, so each
+step reads the state by pair projections, with no mu scan.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from dataclasses import dataclass
 from . import clausal as cl
 from .clausal import (AppEq, Clause, ClausalDef, Literal, Succ, TPair, Var,
                       VarPair, VarZero, Zero, check_recursive_restrictions)
-from .compiler import (HD, ONE, PRED, TL, Z_, UnboundVariableError,
-                       compile_explicit, const, dd, eq_d, lt_d)
-from .derivation import (ADD, Derivation, I, LT, MUL, PolyBound, S, comp,
-                         fold, mu, P, pr, snr)
+from .compiler import (HD, ONE, PRED, TL, Z_, compile_explicit, const, dd,
+                       lt_d)
+from .derivation import (ADD, Derivation, I, MUL, PolyBound, S, comp, fold,
+                         mu, P, pr, snr)
 from .evaluator import Budget, eval_memo
 
 
@@ -68,13 +69,6 @@ def sub_d(a: Derivation, b: Derivation) -> Derivation:
     return comp(mu(test), P(comp(S, a), I))
 
 
-def div_d(a: Derivation, b: Derivation) -> Derivation:
-    """Integer quotient a div b (for b > 0), via minimization: the least
-    q < S(a) with a < S(q) * b."""
-    test = lt_d(comp(a, TL), mul_d(comp(S, HD), comp(b, TL)))
-    return comp(mu(test), P(comp(S, a), I))
-
-
 def pair_depth_d() -> Derivation:
     """D(x) = k + 3, where k is the least number with x < 2^(2^k).
 
@@ -101,14 +95,6 @@ def pair_depth_d() -> Derivation:
     tower = comp(pr(const(2), mul_d(fw, fw)), P(I, Z_))
     k = comp(mu(lt_d(TL, comp(tower, HD))), P(comp(S, I), I))
     return comp(S, comp(S, comp(S, k)))
-
-
-def select_d(k: Derivation, options: list[Derivation]) -> Derivation:
-    """Dispatch on the value of k: options[j] when k = j (last as else)."""
-    acc = options[-1]
-    for j in reversed(range(len(options) - 1)):
-        acc = dd(eq_d(k, const(j)), acc, options[j])
-    return acc
 
 
 # --- the tagged dispatcher ---------------------------------------------------
@@ -313,25 +299,18 @@ def poly_to_derivation(b: PolyBound) -> Derivation:
     return fold(b, lambda p: p.args, rule)
 
 
-def _snr_decode(J: int) -> Derivation:
-    """decode(<v, p>) = <xv, <kf, dl>> for the SNR machine state v.
-
-    With p = <R, <R^J, b>> and b = (J+1)*R^J, the state is
-    v = xv*b + kf*R^J + dl with kf <= J and dl < R^J, so
-    - xv = div(v, b), one mu scan of about xv rounds;
-    - kf = the least k <= J with v < xv*b + S(k)*R^J, a mu scan of at
-      most J rounds (J itself when none of 0..J-1 passes);
-    - dl = v - (xv*b + kf*R^J), a scan of dl + 1 rounds.
-    """
-    RJ, b = comp(HD, comp(TL, TL)), comp(TL, comp(TL, TL))
-    xv = div_d(HD, b)
-    base = mul_d(xv, b)
-    # the mu test sees <k, <v, p>>
-    test = lt_d(comp(HD, TL), add_d(comp(base, TL),
-                                    mul_d(comp(S, HD), comp(RJ, TL))))
-    kf = comp(mu(test), P(const(J), I))
-    dl = sub_d(HD, add_d(base, mul_d(kf, RJ)))
-    return P(xv, P(kf, dl))
+def _snr_state(J: int, xv: Derivation, kf: Derivation, c: Derivation,
+               p: Derivation) -> Derivation:
+    """The SNR machine state <xv*M + kf*M1, <<xv, kf>, c>>, built from
+    derivations of its parts and of the parameter p = <R, x>; M1 and M
+    are read off p (see reduce_bounded_nested_to_snr)."""
+    c_max = Z_
+    for _ in range(J):
+        c_max = P(HD, c_max)
+    M1 = comp(S, P(P(TL, const(J)), c_max))
+    M = mul_d(const(J + 1), M1)
+    potential = add_d(mul_d(xv, comp(M, p)), mul_d(kf, comp(M1, p)))
+    return P(potential, P(P(xv, kf), c))
 
 
 def reduce_bounded_nested_to_snr(d: ClausalDef, bound: PolyBound,
@@ -339,26 +318,39 @@ def reduce_bounded_nested_to_snr(d: ClausalDef, bound: PolyBound,
                                  ) -> Derivation:
     """Translate a bounded nested definition to special nested recursion.
 
-    The machine state is v = xv*b + kf*R^J + dl, where R = bound(x) + 1,
-    R^J is its J-th power and b = (J+1)*R^J; the SNR parameter carries
-    p = <R, <R^J, b>>.  xv is the argument of the clause being run, dl
-    packs the k = J - kf results of its recursive calls computed so far as
-    base-R digits (the i-th call's result times R^(i-1)), and kf counts
-    the calls still free.  Both pushing a sub-computation (argument
-    t < xv, kf = J) and resuming with its value (kf - 1) make v strictly
-    smaller.
+    The SNR parameter is p = <R, x>, where R = bound(x) + 1.  Two
+    constants are read off p: M1 = S(<<x, J>, c_max>), where
+    c_max = (R, (R, ..., 0)) has J entries, and M = (J+1)*M1.  The machine
+    state is
 
-    The state is decoded once per step: g1 = G(<decode(<v, p>), p>) and
-    h1 = H(<<decode(<v, p>), p>, u>), where decode (_snr_decode) returns
-    <xv, <kf, dl>> and G and H read the three digits and R, R^J, b
-    through pair projections.  So each mu scan of the decode appears once
-    in g1 and once in h1, and memoized evaluation of h1 at <v, <u, p>>
-    finds decode(<v, p>) already computed by g1.  The decoded tuple holds
-    the three small digits only and p is read beside it, not packed into
-    it with v, which keeps the arguments of G and H narrow.
+        state(xv, kf, c) = <xv*M + kf*M1, <<xv, kf>, c>>,
 
-    The bound is checked dynamically: the definition is interpreted on
-    [0, _VALIDATE_TO] and any output above bound(x) raises BoundViolation.
+    where xv is the argument of the clause being run, c = (z1,...,zi,0) is
+    the dispatcher's list of the results of its first i recursive calls,
+    and kf = J - i counts the calls still free.  Each step reads the state
+    through HD and TL alone, with no mu scan: g1(<v, p>) computes
+    <tag, t> = h(<xv, c>) and returns <tag, (1 - tag)*state(t, J, 0) + tag*t>,
+    selecting by arithmetic (a `dd` would pair both alternatives and
+    widen the value), and h1(<v, <u, p>>) = state(xv, PRED(kf), app1(<c, u>))
+    resumes the clause with the value u of its pending call.  M1 and M
+    are functions of p alone, so memoized evaluation computes them once
+    per run.
+
+    The state strictly decreases.  A Cantor code <a, B> is ordered by the
+    sum a + B first, and every B = <<xv, kf>, c> of a reachable state is
+    below M1: xv <= x, kf <= J and c holds at most J results, each at most
+    bound(xv) <= bound(x) < R, and pairing is monotone in both components,
+    so B <= <<x, J>, c_max> < M1.  A push runs the call on t < xv (the
+    identity measure), so its potential t*M + J*M1 is at most
+    xv*M - M + J*M1 = xv*M - M1, and its sum falls below xv*M, which the
+    old state's sum reaches.  A resume lowers the potential by exactly M1,
+    more than the B it adds (kf >= 1 there, since a clause makes at most J
+    calls).
+
+    The bound is checked dynamically and trusted beyond it: the
+    definition is interpreted on [0, _VALIDATE_TO] and any output above
+    bound(x) raises BoundViolation.  Above _VALIDATE_TO a violated bound
+    can break the order, and SNR then answers 0.
     """
     env = dict(env or {})
     if d.kind != "recursive":
@@ -375,60 +367,24 @@ def reduce_bounded_nested_to_snr(d: ClausalDef, bound: PolyBound,
             raise BoundViolation(
                 f"{d.name}({x}) = {val} exceeds bound {bound(x)}")
     h_d = compile_explicit(h_def, env)
-    decode = _snr_decode(J)
+    app1_d = compile_explicit(_build_app1(f"{d.name}_app1", J), env)
 
-    def fields(s: Derivation):
-        """xv, kf, dl, R, R^J, b from <<xv, <kf, dl>>, p> read by s."""
-        dec, p = comp(HD, s), comp(TL, s)
-        return (comp(HD, dec), comp(HD, comp(TL, dec)),
-                comp(TL, comp(TL, dec)), comp(HD, p),
-                comp(HD, comp(TL, p)), comp(TL, comp(TL, p)))
-
-    # --- g1: dispatch on the decoded state <<xv, <kf, dl>>, p> ---------------
-    xv, kf, dl, R, RJ, b = fields(I)
-    # pending-result digits: z_i = (dl div R^(i-1)) mod R
-    digits = []
-    for i in range(J):
-        num = dl
-        for _ in range(i):
-            num = div_d(num, R)
-        digits.append(sub_d(num, mul_d(div_d(num, R), R)))
-    # clause list c of the k = J - kf results so far, by kf
-    lists = []
-    for kk in reversed(range(J + 1)):
-        acc = Z_
-        for i in reversed(range(kk)):
-            acc = P(digits[i], acc)
-        lists.append(acc)
-    r = comp(h_d, P(xv, select_d(kf, lists)))
+    # --- g1(<v, p>): dispatch on <xv, c> ------------------------------------
+    B = comp(TL, HD)
+    r = comp(h_d, P(comp(HD, comp(HD, B)), comp(TL, B)))
     tag, t = comp(HD, r), comp(TL, r)
-    push = P(Z_, add_d(mul_d(t, b), mul_d(const(J), RJ)))
-    final = P(ONE, t)
-    g1 = comp(dd(tag, push, final), P(decode, TL))
+    push = _snr_state(J, t, const(J), Z_, TL)
+    g1 = P(tag, add_d(mul_d(lt_d(tag, ONE), push), mul_d(tag, t)))
 
-    # --- h1: resume with the sub-computation's value u ------------------------
-    # H reads <<<xv, <kf, dl>>, p>, u>, u by TL
-    xv, kf, dl, R, RJ, b = fields(HD)
-    rpow = [const(1)]
-    for _ in range(J - 1):
-        rpow.append(mul_d(rpow[-1], R))
-    rk = select_d(kf, [Z_] + rpow[::-1])  # R^k for k = J - kf results
-    H = add_d(mul_d(xv, b),
-              add_d(mul_d(comp(PRED, kf), RJ),
-                    add_d(dl, mul_d(TL, rk))))
-    h1 = comp(H, P(P(comp(decode, P(HD, comp(TL, TL))), comp(TL, TL)),
-                   comp(HD, TL)))
+    # --- h1(<v, <u, p>>): resume with the pending call's value u -------------
+    B, u, p = comp(TL, HD), comp(HD, TL), comp(TL, TL)
+    xv, kf, c = comp(HD, comp(HD, B)), comp(TL, comp(HD, B)), comp(TL, B)
+    h1 = _snr_state(J, xv, comp(PRED, kf), comp(app1_d, P(c, u)), p)
 
     # --- wrapper: initial state and parameter as functions of x ---------------
-    bd = poly_to_derivation(bound)
-    R0 = comp(S, bd)
-    RJ0 = const(1)
-    for _ in range(J):
-        RJ0 = mul_d(RJ0, R0)
-    b0 = mul_d(const(J + 1), RJ0)
-    v0 = add_d(mul_d(I, b0), mul_d(const(J), RJ0))
-    q0 = P(R0, P(RJ0, b0))
-    result = comp(snr(g1, h1), P(v0, q0))
+    p0 = P(comp(S, poly_to_derivation(bound)), I)
+    result = comp(snr(g1, h1),
+                  P(_snr_state(J, I, const(J), Z_, p0), p0))
 
     # spot-check the construction against direct interpretation
     for x in (0, 1, 2, 3, 5, 8, min(13, _VALIDATE_TO)):

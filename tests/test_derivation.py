@@ -503,6 +503,35 @@ def test_enumeration_matches_recursive_oracle_on_shared_dags(cname, rng,
     assert derivation_at(i, cls) is d is rec_derivation_at(i, cls)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CLASSES)), st.randoms(use_true_random=False),
+       st.integers(min_value=1, max_value=149))
+def test_enumeration_of_left_leaning_chains_matches_recursive_oracle(
+        cname, rng, n):
+    # a binary node's left child holds nearly all of its nodes, so its
+    # split sizes are counted from the far end
+    cls = CLASSES[cname]
+    for k in range(2, 302):
+        _block_start(cname, k)
+    atoms = [Derivation(op) for op in Op
+             if op in cls.allowed and not ARITY[op]]
+    binary = [op for op in Op if op in cls.allowed and ARITY[op] == 2]
+    d = rng.choice(atoms)
+    for _ in range(n):
+        d = Derivation(rng.choice(binary), (d, rng.choice(atoms)))
+    i = index_of(d, cls)
+    assert i == rec_index_of(d, cls)
+    assert derivation_at(i, cls) is d is rec_derivation_at(i, cls)
+
+
+def test_left_leaning_chain_at_the_cap_round_trips():
+    d = S
+    for _ in range((_ENUM_NODES - 1) // 2):
+        d = comp(d, S)
+    assert d.node_count() == _ENUM_NODES - 1
+    assert derivation_at(index_of(d, DA), DA) is d
+
+
 def test_fold_visits_each_distinct_node_once_children_first():
     t = I
     for _ in range(40):
@@ -693,6 +722,25 @@ def test_a_dropped_node_is_collected():
     gc.collect()
     assert ref() is None and tref() is None
     assert _tower(ORACLE, 9).node_count() == 2**10 - 1
+
+
+def test_a_rebuilt_node_outlives_its_predecessors_callback():
+    # built from operators no other test or module combines this way
+    key = (Op.COMP, (ORACLE, _tower(ORACLE, 3)))
+    assert key not in Derivation._table
+    node = Derivation(*key)
+    old = Derivation._table[key]
+    callback = old.__callback__
+    assert old() is node
+    del node
+    gc.collect()
+    assert old() is None and key not in Derivation._table
+    node = Derivation(*key)
+    # a late callback of the old reference, as from a collection that
+    # cleared it before the rebuild, leaves the new entry in place
+    callback(old)
+    assert Derivation._table[key]() is node
+    assert Derivation(*key) is node
 
 
 def test_a_failed_construction_interns_nothing():

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from funalg.clausal import (check_recursive_restrictions, eval_clausal,
                             parse_cl, print_cl)
 from funalg.codec import list_encode, pair, unpair
-from funalg.compiler import compile_explicit
+from funalg.compiler import HD, TL, compile_explicit
 from funalg.corpus import corpus_def, corpus_defs
-from funalg.derivation import (CLASSES, PolyBound, TA, d_print, validate)
+from funalg.derivation import (CLASSES, PolyBound, TA, comp, d_print,
+                               validate)
 from funalg.evaluator import Budget, BudgetExceeded, Meter, eval_memo
-from funalg.reduction import (BoundViolation, ReductionError, _snr_decode,
+from funalg.reduction import (BoundViolation, ReductionError, _snr_state,
                               build_dispatcher, pair_depth_d,
                               reduce_bounded_nested_to_snr,
                               reduce_recursive_to_pr)
@@ -369,25 +370,41 @@ def test_dispatcher_of_a_deep_result_term():
                 == eval_clausal([d], "f", x) == n * x)
 
 
-# --- SNR reduction: one decode of the machine state per step ---------------
+# --- SNR reduction: a machine state read by pair projections --------------
+
+
+def _state(J, xv, kf, c, p):
+    """The value of _snr_state at <<xv, <kf, c>>, p>."""
+    parts = (comp(HD, HD), comp(HD, comp(TL, HD)), comp(TL, comp(TL, HD)))
+    return eval_memo(_snr_state(J, *parts, TL),
+                     pair(pair(xv, pair(kf, list_encode(c))), p), budget=BIG)
 
 
 @given(st.sampled_from([1, 2, 3]), st.integers(1, 6), st.integers(0, 40),
        st.data())
 @settings(max_examples=60, deadline=None)
-def test_snr_decode_reads_the_three_digits(J, R, x, data):
+def test_snr_state_reads_back_and_strictly_decreases(J, R, x, data):
+    xv = data.draw(st.integers(0, x))
     kf = data.draw(st.integers(0, J))
-    dl = data.draw(st.integers(0, R**J - 1))
-    b = (J + 1) * R**J
-    v = x * b + kf * R**J + dl
-    p = pair(R, pair(R**J, b))
-    assert (eval_memo(_snr_decode(J), pair(v, p), budget=BIG)
-            == pair(x, pair(kf, dl)))
+    c = data.draw(st.lists(st.integers(0, R - 1), min_size=J - kf,
+                           max_size=J - kf))
+    p = pair(R, x)
+    v = _state(J, xv, kf, c, p)
+    # HD and TL read the parts back
+    reads = (comp(HD, comp(HD, TL)), comp(TL, comp(HD, TL)), comp(TL, TL))
+    assert ([eval_memo(r, v, budget=BIG) for r in reads]
+            == [xv, kf, list_encode(c)])
+    if xv > 0:  # a push to a call on t < xv
+        t = data.draw(st.integers(0, xv - 1))
+        assert _state(J, t, J, [], p) < v
+    if kf > 0:  # a resume with the value u < R of the pending call
+        u = data.draw(st.integers(0, R - 1))
+        assert _state(J, xv, kf - 1, c + [u], p) < v
 
 
 def test_snr_nested_cost_guard():
-    # one x scan per decoded state; the decode by x*(J+1) + (J - k) that
-    # preceded it took 925,365 steps at 64 and ran out of steps from 80
+    # an early decode of the state by x*(J+1) + (J - k) took 925,365
+    # steps at 64 and ran out of steps from 80
     d = reduce_bounded_nested_to_snr(corpus_def("nested"), X_BOUND)
     m = Meter()
     assert eval_memo(d, 64, budget=BIG, meter=m) == 0
@@ -398,8 +415,34 @@ def test_snr_nested_cost_guard():
                 == eval_clausal(defs, "nested", x))
 
 
+def test_snr_state_takes_no_scan_per_step():
+    # the state is read by projections: no division scan of about x rounds
+    # per step, which took 246,466 steps at 64
+    d = reduce_bounded_nested_to_snr(corpus_def("nested"), X_BOUND)
+    m = Meter()
+    assert eval_memo(d, 64, budget=BIG, meter=m) == 0
+    assert m.steps <= 100_000 and m.peak_bits <= 419
+
+
+@pytest.mark.parametrize("x", [10**5, 2**20])
+def test_snr_list_length_on_large_codes(x):
+    # a scan per step up to the list code ran out of steps here
+    d = reduce_bounded_nested_to_snr(corpus_def("L"), X_BOUND)
+    assert (eval_memo(d, x, budget=_CASE_BUDGET)
+            == eval_clausal(corpus_defs(), "L", x))
+
+
+def test_snr_reduction_with_three_calls_per_clause():
+    m3 = parse_cl("def m3 { m3(0) = 0; m3(S(u)) = m3(m3(m3(u))); }")[0]
+    assert build_dispatcher(m3)[1] == 3
+    red = reduce_bounded_nested_to_snr(m3, X_BOUND)
+    assert validate(red, TA)
+    for x in range(40):
+        assert eval_memo(red, x, budget=BIG) == eval_clausal([m3], "m3", x)
+
+
 # cp copies a pair tree; it makes two calls per clause and, unlike leaves,
-# is not symmetric in their results, so it tells the digits apart
+# is not symmetric in their results, so it tells the pending results apart
 _MIRROR = parse_cl("def cp { cp(0) = 0; cp((a, b)) = (cp(a), cp(b)); }")
 
 
@@ -407,8 +450,8 @@ _MIRROR = parse_cl("def cp { cp(0) = 0; cp((a, b)) = (cp(a), cp(b)); }")
     ("leaves", PolyBound("add", args=(X_BOUND, PolyBound("const", 1)))),
     ("cp", X_BOUND)])
 def test_snr_reduction_with_pending_results(name, bound):
-    # nested returns 0, so its pending-result digits are all 0; these
-    # resume with non-zero results, so the state packs non-zero digits
+    # nested returns 0, so its pending results are all 0; these resume
+    # with non-zero results, so the state holds non-zero pending results
     d = next(d for d in _HAND + _MIRROR if d.name == name)
     red = reduce_bounded_nested_to_snr(d, bound)
     assert validate(red, TA)
