@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
-from .codec import head, pair, tail
+from .codec import head, nat, pair, tail
 from .derivation import Interned, fold
 from .evaluator import Budget, BudgetExceeded, Meter
 
@@ -215,17 +215,19 @@ class Clause:
 class ClausalDef:
     name: str
     clauses: tuple[Clause, ...]
-    kind: str  # "explicit" or "recursive"
+
+    @cached_property
+    def kind(self) -> str:
+        """recursive if some clause applies the definition's own name,
+        else explicit."""
+        calls = (f for c in self.clauses for f in _clause_calls(c))
+        return "recursive" if self.name in calls else "explicit"
 
     @cached_property
     def _strict(self) -> "ClausalDef":
         # kept once made; a refinement failure is not, so it raises again.
-        # Strict terms hold no applications: each one is an AppEq literal.
         _, clauses = _run_walk(self, complete=True)
-        recursive = any(type(l) is AppEq and l.fname == self.name
-                        for c in clauses for l in c.literals)
-        return ClausalDef(self.name, tuple(clauses),
-                          "recursive" if recursive else "explicit")
+        return ClausalDef(self.name, tuple(clauses))
 
 
 def _clause_calls(c: Clause) -> list[str]:
@@ -472,8 +474,7 @@ class _Parser:
         for f in calls:
             if f != name and f not in declared:
                 raise CLSyntaxError(f"undeclared function {f!r}", 0, 0)
-        return ClausalDef(name, tuple(clauses),
-                          "recursive" if name in calls else "explicit")
+        return ClausalDef(name, tuple(clauses))
 
 
 def _classify_clause(c: Clause, known_fns: set[str]) -> Clause:
@@ -1003,10 +1004,7 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
     the call depth is bounded by the budget, not the host's call stack.
     The meter: a step per call and per literal tried; max_depth is the
     deepest call, the root at depth 0; peak_bits the widest argument."""
-    if not isinstance(x, int):
-        raise TypeError(f"expected an int argument, got {type(x).__name__}")
-    if x < 0:
-        raise ValueError(f"argument must be a natural number, got {x}")
+    nat(x)
     if budget is None:
         budget = Budget()
     if meter is None:

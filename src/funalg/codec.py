@@ -1,8 +1,10 @@
 """Number encodings: pairing, tuples, lists, 0-1 sequences, coded sets, trees.
 
-Everything here is a pure function on Python ints (arbitrary precision,
-always >= 0).  The pairing function is the diagonal Cantor pairing offset
-by one, so that 0 is never a pair and head/tail strictly shrink.
+Everything here is a pure function on the natural numbers, as Python ints
+of any size.  The domain is stated once, by nat: a non-int raises
+TypeError and a negative int ValueError, each naming the value.  The
+pairing function is the diagonal Cantor pairing offset by one, so that 0
+is never a pair and head/tail strictly shrink.
 """
 
 from __future__ import annotations
@@ -14,21 +16,28 @@ from typing import Iterable, Sequence
 
 
 class NotAPairError(ValueError):
-    """Raised when unpairing 0, which codes no pair."""
+    """Raised when unpairing a number below 1, which codes no pair."""
+
+
+def nat(x, what: str = "argument") -> int:
+    """x, if it is a natural number; else TypeError or ValueError."""
+    if not isinstance(x, int):
+        raise TypeError(f"expected an int {what}, got {type(x).__name__}")
+    if x < 0:
+        raise ValueError(f"{what} must be a natural number, got {x}")
+    return x
 
 
 def pair(x: int, y: int) -> int:
     """The offset Cantor pairing; a bijection N x N -> N \\ {0}."""
-    if x < 0 or y < 0:
-        raise ValueError("pairing is defined on naturals only")
-    s = x + y
+    s = nat(x) + nat(y)
     return (s * (s + 1) + 2 * x + 2) // 2
 
 
 def unpair(z: int) -> tuple[int, int]:
     """Inverse of pair; z must be positive."""
     if z <= 0:
-        raise NotAPairError("0 codes no pair")
+        raise NotAPairError(f"{z} codes no pair")
     w = 2 * z - 2
     s = (isqrt(4 * w + 1) - 1) // 2
     x = (w - s * (s + 1)) // 2
@@ -40,19 +49,19 @@ def unpair(z: int) -> tuple[int, int]:
 
 def head(z: int) -> int:
     """First projection, totalized with head(0) = 0."""
-    return 0 if z == 0 else unpair(z)[0]
+    return nat(z) if z == 0 else unpair(z)[0]
 
 
 def tail(z: int) -> int:
     """Second projection, totalized with tail(0) = 0."""
-    return 0 if z == 0 else unpair(z)[1]
+    return nat(z) if z == 0 else unpair(z)[1]
 
 
 def tuple_encode(xs: Sequence[int]) -> int:
     """Right-associated pairing of a nonempty sequence: (a,b,c) = (a,(b,c))."""
     if not xs:
         raise ValueError("tuple encoding needs at least one component")
-    acc = xs[-1]
+    acc = nat(xs[-1])
     for x in reversed(xs[:-1]):
         acc = pair(x, acc)
     return acc
@@ -65,7 +74,7 @@ def list_encode(xs: Iterable[int]) -> int:
 
 def list_decode(x: int) -> list[int]:
     out = []
-    while x != 0:
+    while nat(x):
         v, x = unpair(x)
         out.append(v)
     return out
@@ -73,7 +82,7 @@ def list_decode(x: int) -> list[int]:
 
 def list_len(x: int) -> int:
     n = 0
-    while x != 0:
+    while nat(x):
         x = tail(x)
         n += 1
     return n
@@ -91,29 +100,27 @@ def list_concat(x: int, y: int) -> int:
 def seq_encode(bits: Sequence[int]) -> int:
     code = 1
     for b in bits:
-        if b not in (0, 1):
-            raise ValueError("sequence entries must be bits")
+        if nat(b, "bit") > 1:
+            raise ValueError(f"sequence entries must be bits, got {b}")
         code = 2 * code + b
     return code
 
 
 def seq_decode(t: int) -> list[int]:
-    if t <= 0:
-        raise ValueError("positive codes only")
+    if nat(t, "code") == 0:
+        raise ValueError("0 codes no sequence")
     s = bin(t)[2:]
     return [int(c) for c in s[1:]]
 
 
 def seq_len(t: int) -> int:
     """Sequence length; 0 maps to 0 by the defining disjunction."""
-    if t == 0:
-        return 0
-    return t.bit_length() - 1
+    return max(nat(t, "code").bit_length() - 1, 0)
 
 
 def seq_concat(s: int, t: int) -> int:
     """Append bit-vectors; yields 0 whenever either side is 0."""
-    if s == 0 or t == 0:
+    if 0 in (nat(s, "code"), nat(t, "code")):
         return 0
     p = 1 << seq_len(t)
     return s * p + (t - p)
@@ -121,7 +128,7 @@ def seq_concat(s: int, t: int) -> int:
 
 def seq_prefix(s: int, t: int) -> bool:
     """Improper prefix: some r with s * r = t (so s, t > 0 and s leads t)."""
-    if s == 0 or t == 0:
+    if 0 in (nat(s, "code"), nat(t, "code")):
         return False
     ls, lt = seq_len(s), seq_len(t)
     if ls > lt:
@@ -144,14 +151,14 @@ class FinSet:
 
     def __post_init__(self):
         elems = self.elements
-        if any(e < 0 for e in elems):
-            raise ValueError("negative element")
+        for e in elems:
+            nat(e, "element")
         if any(a >= b for a, b in zip(elems, elems[1:])):
             raise ValueError("elements must be strictly ascending")
 
     @staticmethod
     def of(*xs: int) -> "FinSet":
-        return FinSet(tuple(sorted(set(xs))))
+        return FinSet(tuple(sorted({nat(x, "element") for x in xs})))
 
     def __contains__(self, x: int) -> bool:
         elems = self.elements
@@ -171,6 +178,7 @@ class FinSet:
 
 def ack_member(x: int, y: int) -> bool:
     """Bit-membership: x is in the set coded by y iff bit x of y is 1."""
+    nat(y, "code")
     return x >= 0 and (y >> x) & 1 == 1
 
 
@@ -182,8 +190,7 @@ def ack_encode(s: FinSet) -> int:
 
 
 def ack_decode(y: int) -> FinSet:
-    if y < 0:
-        raise ValueError("negative code")
+    nat(y, "code")
     out = []
     i = 0
     while y:
@@ -198,10 +205,10 @@ def is_tree(s) -> bool:
     """True iff 0 is absent and s is closed under proper sequence prefixes.
 
     Accepts a FinSet or any collection of sequence codes."""
-    members = set(s)
+    members = {nat(t, "member") for t in s}
     if 0 in members:
         return False
-    for t in s:
+    for t in members:
         # proper prefixes of t are its leading bit-strings, down to 1
         p = t >> 1
         while p >= 1:
@@ -210,15 +217,3 @@ def is_tree(s) -> bool:
             p >>= 1
     return True
 
-
-# --- Base-b digit pairing.
-
-def base_pair(x: int, y: int, b: int) -> int:
-    """[x,y]_b = x*b + y; a pairing when both digits are below b."""
-    return x * b + y
-
-
-def base_unpair(v: int, b: int) -> tuple[int, int]:
-    if b <= 0:
-        raise ValueError("base must be positive")
-    return divmod(v, b)

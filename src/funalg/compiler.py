@@ -15,7 +15,7 @@ from functools import reduce
 from typing import Callable
 
 from . import clausal as cl
-from .codec import tuple_encode
+from .codec import pair, tuple_encode
 from .derivation import (ADD, D as D_, Derivation, I, LT, MUL, ORACLE, S,
                          P, comp, fold, mu)
 
@@ -238,24 +238,26 @@ def compile_formula(phi: QuasiFormula, ctx: VarCtx,
 
 def eval_term_direct(t: cl.QuasiTerm, assign: dict[str, int],
                      fns=None) -> int:
-    from .codec import pair
     fns = fns or {}
-    if isinstance(t, cl.Zero):
-        return 0
-    if isinstance(t, cl.Var):
-        return assign[t.name]
-    if isinstance(t, cl.Succ):
-        return eval_term_direct(t.arg, assign, fns) + 1
-    if isinstance(t, cl.TPair):
-        return pair(eval_term_direct(t.left, assign, fns),
-                    eval_term_direct(t.right, assign, fns))
-    if isinstance(t, cl.TAdd):
-        return (eval_term_direct(t.left, assign, fns)
-                + eval_term_direct(t.right, assign, fns))
-    if isinstance(t, cl.TMul):
-        return (eval_term_direct(t.left, assign, fns)
-                * eval_term_direct(t.right, assign, fns))
-    return fns[t.fname](eval_term_direct(t.arg, assign, fns))
+
+    def rule(n: cl.QuasiTerm, k: list[int]) -> int:
+        cls = type(n)
+        if cls is cl.Zero:
+            return 0
+        if cls is cl.Var:
+            return assign[n.name]
+        if cls is cl.Succ:
+            return k[0] + 1
+        if cls is cl.TPair:
+            return pair(k[0], k[1])
+        if cls is cl.TAdd:
+            return k[0] + k[1]
+        if cls is cl.TMul:
+            return k[0] * k[1]
+        if cls is cl.App:
+            return fns[n.fname](k[0])
+        raise TypeError(n)
+    return fold(t, cl.term_kids, rule)
 
 
 def eval_formula_direct(phi: QuasiFormula, assign: dict[str, int],

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .codec import pair, unpair
+from .codec import nat, pair, unpair
 from .derivation import Derivation, Op
 
 
@@ -87,10 +87,7 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
     """
     if not isinstance(d, Derivation):
         raise TypeError(f"expected a Derivation, got {type(d).__name__}")
-    if not isinstance(x, int):
-        raise TypeError(f"expected an int argument, got {type(x).__name__}")
-    if x < 0:
-        raise ValueError(f"argument must be a natural number, got {x}")
+    nat(x)
     if oracle is None:
         oracle = _EMPTY
     if budget is None:

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .codec import FinSet
+from .codec import FinSet, nat
 from .compiler import (HD, ONE, PRED, TL, VarCtx, Z_, compile_formula, dd,
                        lt_d, not_d)
 from .compiler import FBoundedEx, FOracle, FRel
@@ -41,9 +41,7 @@ def char_run(d: Derivation, mode: CharMode, inp,
     One mode: inp is a FinSet X; evaluates d(||X||) with oracle X.
     """
     meter = Meter()
-    if mode is CharMode.ZERO:
-        if not isinstance(inp, int):
-            raise TypeError("Zero mode takes a number")
+    if mode is CharMode.ZERO:  # evaluate checks that inp is a natural
         v = eval_memo(d, inp, budget=budget, meter=meter)
     elif mode is CharMode.ONE:
         if not isinstance(inp, FinSet):
@@ -115,12 +113,13 @@ def scaling_study(d: Derivation, mode: CharMode, sizes,
     """Measure memoized step counts of predicate d across input sizes.
 
     Deterministic for a fixed seed.  A budget overrun stops measurement
-    and flags the report as truncated; any other error propagates.
+    and flags the report as truncated; any other error propagates.  A
+    size that is not a natural number raises TypeError or ValueError.
     """
     rng = random.Random(seed)
     rows: list[tuple[int, int, int]] = []
     truncated = False
-    for size in sorted(sizes):
+    for size in sorted(nat(s, "size") for s in sizes):
         for _ in range(trials_per_size):
             if mode is CharMode.ZERO:
                 inp = rng.randint(max(size // 2, 1), size) if size > 0 else 0

@@ -144,8 +144,7 @@ def build_dispatcher(d: ClausalDef) -> tuple[ClausalDef, int]:
         clauses.append(
             Clause(Var(v), tuple(lits), TPair(Succ(Zero()), c.result)))
     # a clause made from literals two source clauses share is kept once
-    h_def = ClausalDef(f"{d.name}_h", tuple(dict.fromkeys(clauses)),
-                       "explicit")
+    h_def = ClausalDef(f"{d.name}_h", tuple(dict.fromkeys(clauses)))
     return h_def, J
 
 
@@ -165,7 +164,7 @@ def _build_app1(name: str, J: int) -> ClausalDef:
         for i in range(k, 0, -1):
             res = TPair(Var(f"u{i}"), res)
         clauses.append(Clause(TPair(dpat, Var("z")), (), res))
-    return ClausalDef(name, tuple(clauses), "explicit")
+    return ClausalDef(name, tuple(clauses))
 
 
 def _build_f1(name: str, hname: str, app1name: str) -> ClausalDef:
@@ -192,7 +191,7 @@ def _build_f1(name: str, hname: str, app1name: str) -> ClausalDef:
                            cl.App(app1name, TPair(Var(dv), Var(z)))),
                      Var(s2))),
     ]
-    return ClausalDef(name, tuple(clauses), "explicit")
+    return ClausalDef(name, tuple(clauses))
 
 
 def _chain_walk(h_d: Derivation) -> Derivation:

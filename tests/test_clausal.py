@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 import funalg
-from funalg.clausal import (CLSyntaxError, ClausalEvalError, MeasureViolation,
-                            RefinementError, RestrictionError,
-                            check_recursive_restrictions, check_refinement,
-                            complete_to_strict, eval_clausal, parse_cl,
-                            print_cl)
+from funalg.clausal import (CLSyntaxError, ClausalDef, ClausalEvalError,
+                            MeasureViolation, RefinementError,
+                            RestrictionError, check_recursive_restrictions,
+                            check_refinement, complete_to_strict,
+                            eval_clausal, parse_cl, print_cl)
 from funalg.codec import list_encode, pair
 from funalg.corpus import CORPUS_TEXT, corpus_def, corpus_defs
 
@@ -22,6 +22,18 @@ def test_parse_basic():
     assert len(defs) == 1
     assert defs[0].name == "f"
     assert defs[0].kind == "explicit"
+
+
+def test_kind_is_read_off_the_clauses():
+    recursive = {"L", "last", "sumlist", "cat", "nested", "addp", "prdemo"}
+    for d in corpus_defs():
+        assert d.kind == ("recursive" if d.name in recursive else "explicit")
+        assert ClausalDef(d.name, d.clauses).kind == d.kind
+        assert complete_to_strict(d).kind == d.kind
+    with pytest.raises(TypeError):  # a kind cannot be stated apart
+        ClausalDef("L", corpus_def("L").clauses, "explicit")
+    with pytest.raises(RestrictionError, match="double is not recursive"):
+        check_recursive_restrictions(corpus_def("double"))
 
 
 def test_parse_rejects_undeclared_function():

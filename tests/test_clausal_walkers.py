@@ -133,8 +133,7 @@ def test_flatten_pattern_matches_oracle(c, argvar):
        st.integers(0, 6))
 @settings(max_examples=100)
 def test_interpreter_terms_match_oracle(t, a, b):
-    d = ClausalDef("f", (Clause(TPair(Var("a"), Var("b")), (), t),),
-                   "explicit")
+    d = ClausalDef("f", (Clause(TPair(Var("a"), Var("b")), (), t),))
     want = oracle.ev_term(t, {"a": a, "b": b})
     assert want == eval_term_direct(t, {"a": a, "b": b})
     assert eval_clausal([d], "f", pair(a, b)) == want
@@ -160,8 +159,7 @@ def _s_chain(n):
 
 
 def test_deep_result_term_runs_through_the_pipeline():
-    d = ClausalDef("deep", (Clause(Var("x"), (), _s_chain(2000)),),
-                   "explicit")
+    d = ClausalDef("deep", (Clause(Var("x"), (), _s_chain(2000)),))
     assert print_cl(d).startswith("def deep {\n  deep(x) = S(S(")
     sd = complete_to_strict(d)
     assert print_cl(sd) == print_cl(d)
@@ -243,7 +241,7 @@ def refinement_defs(draw):
     if len(paths) > 1 and draw(st.booleans()):
         paths = paths[1:]
     return ClausalDef("f", tuple(Clause(Var("x"), tuple(lits), res)
-                                 for lits, res in paths), "explicit")
+                                 for lits, res in paths))
 
 
 def _rebuilt(t):
@@ -280,12 +278,12 @@ def _walk_outcome(run, d, complete):
         trace, clauses = run(d, complete)
     except RefinementError as e:
         return "RefinementError", str(e)
-    return trace, print_cl(ClausalDef(d.name, tuple(clauses), d.kind))
+    return trace, print_cl(ClausalDef(d.name, tuple(clauses)))
 
 
 @given(st.one_of(refinement_defs(),
                  st.lists(clauses(), min_size=1, max_size=4).map(
-                     lambda cs: ClausalDef("f", tuple(cs), "explicit"))),
+                     lambda cs: ClausalDef("f", tuple(cs)))),
        st.booleans())
 @settings(max_examples=300, deadline=None)
 # both sides of the split on x rename their binders, the first side first

@@ -5,10 +5,11 @@ from hypothesis import given, strategies as st
 
 from funalg import codec
 from funalg.codec import (FinSet, NotAPairError, ack_decode, ack_encode,
-                          base_pair, base_unpair, head, is_tree,
-                          list_decode, list_encode, pair, seq_concat,
-                          seq_decode, seq_encode, seq_len, seq_prefix,
-                          seq_prefix_proper, tail, tuple_encode, unpair)
+                          ack_member, head, is_tree, list_concat,
+                          list_decode, list_encode, list_len, pair,
+                          seq_concat, seq_decode, seq_encode, seq_len,
+                          seq_prefix, seq_prefix_proper, tail, tuple_encode,
+                          unpair)
 
 
 def test_pair_worked_examples():
@@ -143,13 +144,6 @@ def test_tree_predicate():
     assert is_tree(frozenset())
 
 
-def test_base_pair_roundtrip():
-    for b in (2, 5, 10):
-        for x in range(12):
-            for y in range(b):
-                assert base_unpair(base_pair(x, y, b), b) == (x, y)
-
-
 @given(st.lists(st.integers(0, 60)), st.integers(-3, 70))
 def test_finset_membership(xs, q):
     assert (q in FinSet.of(*xs)) == (q in set(xs))
@@ -161,3 +155,36 @@ def test_list_concat(a, b):
     # a code about doubles in width per element: 20 zeros take 166,373 bits
     assert codec.list_concat(list_encode(a), list_encode(b)) == \
         list_encode(a + b)
+
+
+OUT_OF_DOMAIN = [
+    (tuple_encode, ([-1],), ValueError, "natural number, got -1"),
+    (list_encode, ([2, -1],), ValueError, "natural number, got -1"),
+    (list_concat, (0, -4), ValueError, "natural number, got -4"),
+    (pair, (1.5, 2), TypeError, "expected an int argument, got float"),
+    (pair, (3, -2), ValueError, "natural number, got -2"),
+    (unpair, (-3,), NotAPairError, "-3 codes no pair"),
+    (head, (-3,), NotAPairError, "-3 codes no pair"),
+    (tail, (-3,), NotAPairError, "-3 codes no pair"),
+    (list_len, (-3,), ValueError, "natural number, got -3"),
+    (list_decode, (0.0,), TypeError, "got float"),
+    (seq_encode, ([0, 2],), ValueError, "bits, got 2"),
+    (seq_decode, (-1,), ValueError, "natural number, got -1"),
+    (seq_len, (-5,), ValueError, "natural number, got -5"),
+    (seq_concat, (-1, -1), ValueError, "natural number, got -1"),
+    (seq_concat, (0, -2), ValueError, "natural number, got -2"),
+    (seq_prefix, (-1, -1), ValueError, "natural number, got -1"),
+    (seq_prefix_proper, (4, -7), ValueError, "natural number, got -7"),
+    (ack_member, (3, -2), ValueError, "natural number, got -2"),
+    (ack_decode, (-1,), ValueError, "natural number, got -1"),
+    (is_tree, ({-1},), ValueError, "natural number, got -1"),
+    (FinSet, ((1.5,),), TypeError, "expected an int element, got float"),
+    (FinSet, ((-2, 1),), ValueError, "natural number, got -2"),
+]
+
+
+@pytest.mark.parametrize("f,args,error,message", OUT_OF_DOMAIN,
+                         ids=[f"{c[0].__name__}{c[1]}" for c in OUT_OF_DOMAIN])
+def test_out_of_domain_arguments_raise(f, args, error, message):
+    with pytest.raises(error, match=message):
+        f(*args)

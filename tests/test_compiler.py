@@ -71,15 +71,26 @@ def test_unbound_variable_rejected():
         compile_term(Var("zz"), VarCtx.of("x"), {})
 
 
+def _s_chain(n, t):
+    for _ in range(n):
+        t = Succ(t)
+    return t
+
+
+# deeper than the host's recursion limit: every walker must be iterative
+DEEP_TERM = _s_chain(3000, TMul(Var("y"), Var("x")))
+
+
 @given(st.integers(min_value=0, max_value=15),
        st.integers(min_value=0, max_value=15))
 @settings(max_examples=40)
 def test_term_compiler_matches_direct(x, y):
-    t = TPair(TAdd(Var("x"), TMul(Var("y"), Var("y"))), Succ(Var("x")))
     ctx = VarCtx.of("x", "y")
-    d = compile_term(t, ctx, {})
     env = {"x": x, "y": y}
-    assert eval_naive(d, pack_args([x, y])) == eval_term_direct(t, env)
+    for t in (TPair(TAdd(Var("x"), TMul(Var("y"), Var("y"))), Succ(Var("x"))),
+              DEEP_TERM):
+        d = compile_term(t, ctx, {})
+        assert eval_naive(d, pack_args([x, y])) == eval_term_direct(t, env)
 
 
 def test_term_with_function_application():

@@ -123,3 +123,13 @@ def test_scaling_study_propagates_errors():
     # only a budget overrun truncates; an uncalled predicate factory is a bug
     with pytest.raises(TypeError):
         scaling_study(membership_predicate, CharMode.ONE, [4])
+
+
+@pytest.mark.parametrize("mode", list(CharMode))
+@pytest.mark.parametrize("sizes,error,message", [
+    ([4, -3], ValueError, "size must be a natural number, got -3"),
+    ([2.5], TypeError, "expected an int size, got float"),
+])
+def test_scaling_study_rejects_bad_sizes(mode, sizes, error, message):
+    with pytest.raises(error, match=message):
+        scaling_study(constant_predicate(), mode, sizes)
