@@ -4,8 +4,8 @@ clausal definitions to derivations.
 All constructions use only the base operators (so the output stays in DA
 whenever the environment does): the constant-zero combinator Z, the
 projections H and T recovered through the case operator D, the
-predecessor recovered through bounded minimization, and a 0/1-valued
-formula calculus built from D-dispatch.
+predecessor read off the pairing by H, and a 0/1-valued formula
+calculus built from D-dispatch.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from .derivation import (ADD, D as D_, Derivation, I, LT, MUL, ORACLE, S,
 
 # --- Base combinators ---------------------------------------------------
 
-# Z computes the constant 0: on x > 0 the minimization over pair(x, x)
-# finds z = 0 as the least z with S(z * x) = 1; on 0 the bound is 0.
+# Z computes the constant 0: mu reads its argument x as <v, p> (and 0 as
+# <0, 0>) and returns the least w < v with S(w * p) = 1, or v if none.
+# w = 0 passes, so Z runs one round when v > 0 and none when v = 0.
 Z_ = mu(comp(S, MUL))
 
 # H and T through the case operator: D on pair(tag, z) selects a
@@ -30,9 +31,15 @@ Z_ = mu(comp(S, MUL))
 HD = comp(D_, P(Z_, I))
 TL = comp(D_, P(comp(S, Z_), I))
 
-# Predecessor: least z with tail < S(S(head)) over pair(x, x), i.e. the
-# least z with x < z + 2, which is x - 1 (and 0 at 0).
-PRED = comp(mu(comp(LT, P(TL, comp(S, comp(S, HD))))), P(I, I))
+# DBL(x) = x + x
+DBL = comp(ADD, P(I, I))
+
+# Predecessor, read off the pairing <a, b> = T(a + b) + a + 1 with
+# T(n) = n(n + 1)/2: PRED(z) = HD(z(2z + 2)), computed as 2z * (z + 1).
+# It is exact for every z.  HD(0) = 0.  For z >= 1,
+# 2z^2 + 2z - 1 - T(2z) = z - 1 lies in [0, 2z], so z(2z + 2) codes
+# <z - 1, z + 1> on diagonal 2z.  A fixed number of steps for every z.
+PRED = comp(HD, comp(MUL, P(DBL, comp(S, I))))
 
 ONE = comp(S, Z_)
 

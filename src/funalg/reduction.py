@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from . import clausal as cl
 from .clausal import (AppEq, Clause, ClausalDef, Literal, Succ, TPair, Var,
                       VarPair, VarZero, Zero, check_recursive_restrictions)
-from .compiler import (HD, ONE, PRED, TL, Z_, compile_explicit, const, dd,
-                       lt_d)
-from .derivation import (ADD, Derivation, I, MUL, PolyBound, S, comp, fold,
-                         mu, P, pr, snr)
+from .compiler import (DBL, HD, ONE, PRED, TL, Z_, compile_explicit, const,
+                       dd, lt_d)
+from .derivation import (ADD, Derivation, I, LT, MUL, PolyBound, S, comp,
+                         fold, mu, P, pr, snr)
 from .evaluator import Budget, eval_memo
 
 
@@ -63,10 +63,18 @@ def mul_d(a: Derivation, b: Derivation) -> Derivation:
 
 
 def sub_d(a: Derivation, b: Derivation) -> Derivation:
-    """Modified subtraction a - b (0 when negative), via minimization:
-    the least z < S(a) with a < S(b + z)."""
-    test = lt_d(comp(a, TL), comp(S, add_d(comp(b, TL), HD)))
-    return comp(mu(test), P(comp(S, a), I))
+    """Modified subtraction a - b (0 when a < b), read off the pairing
+    <a, b> = T(a + b) + a + 1 with T(n) = n(n + 1)/2, in a fixed number
+    of steps: a - b = [a >= b] * HD(2(a + b)^2 + 2a + 1).
+
+    Proof.  Let s = a + b and a >= b.  Then
+    2s^2 + 2a - T(2s) = a - b lies in [0, 2s], so 2s^2 + 2a + 1 codes
+    <a - b, a + 3b> on diagonal 2s, and HD reads a - b.  On <a, b>, D
+    dispatches on lt(a, b) to 0 when a < b.
+    """
+    sq_plus_a = add_d(mul_d(ADD, ADD), HD)  # s^2 + a on <a, b>
+    on_pair = dd(LT, comp(HD, comp(S, comp(DBL, sq_plus_a))), Z_)
+    return comp(on_pair, P(a, b))
 
 
 def pair_depth_d() -> Derivation:
@@ -206,7 +214,8 @@ def _chain_walk(h_d: Derivation) -> Derivation:
     by S(x) finds it.  A `pr` over j then folds the results back up:
     v_0 = TL r(A(n, x)) and v_(j+1) = TL h((A(n-1-j, x), (v_j, 0))),
     since the caller at A(n-1-j, x) resumes with the value v_j of its one
-    call; f(x) = v_n.
+    call; f(x) = v_n.  Each fold step finds n-1-j by `sub_d` in a fixed
+    number of steps.
     """
     r = comp(h_d, P(I, Z_))
     step = dd(comp(HD, r), comp(TL, r), I)
@@ -234,9 +243,11 @@ def reduce_recursive_to_pr(d: ClausalDef,
     can recompute each caller instead of keeping it.  Every value is a
     fixed nesting of pairs of one chain argument, one result and the
     depth, so widths do not grow with the depth as a stack's do.  The
-    cost is O(n^2) steps in the recursion depth n: fold step j finds
-    n-1-j by a `sub_d` scan of n-1-j rounds; memoized evaluation then
-    finds A(n-1-j, x) computed by the depth scan already.
+    cost is O(n^2) steps in the recursion depth n: the depth scan's round
+    i runs walk's `pr` from 0 up to i again.  The fold adds O(n) steps:
+    step j finds n-1-j by `sub_d` in a fixed number of steps, and
+    memoized evaluation finds A(n-1-j, x) computed by the depth scan
+    already.
 
     With J >= 2 the result iterates the stack stepper f1 enough times on
     the initial stack ((x,0),0) and reads the value off the final stack.

@@ -15,7 +15,7 @@ from funalg.compiler import (FAnd, FBoundedEx, FNot, FOr, FOracle,
                              FQuasiBoundedEx, FRel)
 from funalg.corpus import corpus_defs
 from funalg.derivation import I, P, S, comp
-from funalg.evaluator import eval_naive
+from funalg.evaluator import Meter, eval_naive
 from funalg.clausal import eval_clausal, parse_cl
 
 
@@ -28,6 +28,26 @@ def test_combinator_semantics():
     assert eval_naive(HD, 0) == 0 and eval_naive(TL, 0) == 0
     for x in range(12):
         assert eval_naive(PRED, x) == max(0, x - 1)
+
+
+def test_pred_is_exact():
+    for z in range(20_000):
+        assert eval_naive(PRED, z) == max(z - 1, 0), z
+
+
+@given(st.integers(0, 10**40 - 1))
+def test_pred_is_exact_on_large_numbers(z):
+    assert eval_naive(PRED, z) == max(z - 1, 0)
+
+
+def test_pred_runs_no_scan():
+    # the mu scan took z rounds; now only the one-round Z_ in HD is left,
+    # and it runs no round at z = 1, where HD reads 4 = <0, 2>
+    def steps(z):
+        m = Meter()
+        eval_naive(PRED, z, meter=m)
+        return m.steps
+    assert steps(1) <= steps(2) == steps(10**40)
 
 
 def test_boolean_combinators():

@@ -5,7 +5,8 @@ A change here is a change of output: strict forms (fresh names and
 literal order included), refinement traces, compiled explicit
 definitions, and the dispatcher of each PR reduction and its stack
 stepper, which only a reduction with two or more self-calls per clause
-has."""
+has.  The compiled digests of pred and split3, whose successor splits use
+PRED, were recorded again when PRED became a closed form."""
 
 import hashlib
 import json

@@ -13,11 +13,12 @@ from funalg.compiler import HD, TL, compile_explicit
 from funalg.corpus import corpus_def, corpus_defs
 from funalg.derivation import (CLASSES, PolyBound, TA, comp, d_print,
                                validate)
-from funalg.evaluator import Budget, BudgetExceeded, Meter, eval_memo
+from funalg.evaluator import (Budget, BudgetExceeded, Meter, eval_memo,
+                              eval_naive)
 from funalg.reduction import (BoundViolation, ReductionError, _snr_state,
                               build_dispatcher, pair_depth_d,
                               reduce_bounded_nested_to_snr,
-                              reduce_recursive_to_pr)
+                              reduce_recursive_to_pr, sub_d)
 
 BIG = Budget(10**9, 10**6)
 X_BOUND = PolyBound("var")
@@ -184,12 +185,35 @@ def test_hand_defs_iterate_by_their_descent(name, xs):
 
 def test_successor_descent_cost_guard():
     # the stack machine ran out of 10^6 bits at 14: its stack doubled in
-    # width per frame.  The walk costs O(n^2) steps in the depth n = x.
+    # width per frame.  A sub_d scan in each fold step took 3,298,311
+    # steps here; the depth scan re-running walk still costs O(n^2).
     d = next(d for d in _HAND if d.name == "sd")
     art = reduce_recursive_to_pr(d, {})
     m = Meter()
-    assert eval_memo(art.result, 150, budget=BIG, meter=m) == 150
-    assert m.steps <= 600_000 and m.peak_bits <= 300
+    assert eval_memo(art.result, 400, budget=BIG, meter=m) == 400
+    assert m.steps <= 220_000 and m.peak_bits <= 160
+
+
+def test_chain_walk_with_parameter_cost_guard():
+    # a sub_d scan in each fold step took 3,326,277 steps here
+    art = reduce_recursive_to_pr(corpus_def("addp"), {})
+    m = Meter()
+    assert eval_memo(art.result, pair(400, 0), budget=BIG, meter=m) == 400
+    assert m.steps <= 240_000 and m.peak_bits <= 491
+
+
+def test_modified_subtraction_is_exact():
+    d = sub_d(HD, TL)
+    for a in range(200):
+        for b in range(200):
+            assert eval_naive(d, pair(a, b)) == max(a - b, 0), (a, b)
+
+
+@given(st.integers(0, 10**40 - 1), st.integers(0, 10**40 - 1))
+def test_modified_subtraction_is_exact_on_large_numbers(a, b):
+    d = sub_d(HD, TL)
+    assert eval_naive(d, pair(a, b)) == max(a - b, 0)
+    assert eval_naive(d, pair(b, a)) == max(b - a, 0)
 
 
 def _k(x):
@@ -259,19 +283,19 @@ def test_pair_descent_with_two_calls_per_clause():
                 == eval_clausal([d], d.name, x)), x
 
 
-# sha256 of d_print of the PR reductions.  nested's was recorded before
-# pair descent was detected, and the stack machine of J >= 2 keeps it byte
-# for byte; cat's, addp's and prdemo's when the chain walk replaced the
-# stack machine for J = 1
+# sha256 of d_print of the PR reductions, recorded when PRED and sub_d
+# became closed forms read off the pairing: nested's dispatcher splits a
+# successor by PRED, and the chain walks of cat, addp and prdemo fold
+# back by sub_d
 _RESULT_DIGESTS = {
     "cat":
-        "b0e9a6d5193e3c8575f5112d16c3268747d7b68fde682b39658be025a0ad9286",
+        "11475d6764b329cd7a6172512abbef7a0065e21cf3a7520cbf0abb0dfc1dd190",
     "nested":
-        "edc058e8ef06555e4fa61677985bf6bc00010689991035dc8303ac0d02931f2f",
+        "70028eeb7bfa7b679986f38952e2562f21af1251b81ce70d5f74637baf436d35",
     "addp":
-        "89a3cd1c1da5d15aa98532d623d0b9a20fdb82aec445e5412ff05cb2cfb159a7",
+        "fa1f5678800688870f04e89fd8bc10cb93413947eb7b98d8fe9b6cb48075e779",
     "prdemo":
-        "0387c5b033160179e8cc7fe15ed400b2d3d1e6ab9a46408c209b54445535eaf6",
+        "a32f972452e715d345466537eee29aef07ff401995627da1bd394d36f611fde9",
 }
 
 
@@ -413,6 +437,15 @@ def test_snr_nested_cost_guard():
     for x in (96, 128):
         assert (eval_memo(d, x, budget=_CASE_BUDGET)
                 == eval_clausal(defs, "nested", x))
+
+
+def test_snr_nested_steps_take_no_pred_scan():
+    # PRED(kf) and the S(u) split's PRED scanned as long as their argument,
+    # which took 219,870 steps here
+    d = reduce_bounded_nested_to_snr(corpus_def("nested"), X_BOUND)
+    m = Meter()
+    assert eval_memo(d, 128, budget=BIG, meter=m) == 0
+    assert m.steps <= 82_000
 
 
 def test_snr_state_takes_no_scan_per_step():
