@@ -141,12 +141,21 @@ class VarPair:
     w2: str
 
 
+def check_rel(rel: str) -> None:
+    """Raise ValueError unless rel is a relation symbol, "=" or "<"."""
+    if rel not in ("=", "<"):
+        raise ValueError(f"unknown relation {rel!r}: expected '=' or '<'")
+
+
 @dataclass(frozen=True)
 class Rel:
     left: QuasiTerm
-    rel: str  # "=" or "<"
+    rel: str
     right: QuasiTerm
     negated: bool = False
+
+    def __post_init__(self):
+        check_rel(self.rel)
 
 
 @dataclass(frozen=True)

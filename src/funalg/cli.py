@@ -13,7 +13,7 @@ import sys
 from .clausal import (ClausalDef, check_refinement, parse_cl, print_cl)
 from .compiler import compile_explicit
 from .derivation import (CLASSES, Derivation, PolyBound, d_parse, d_print,
-                         enumerate_derivations, validate)
+                         enumerate_derivations, fold, validate)
 from .evaluator import Budget, Meter, eval_memo, eval_naive, meter_line
 from .harness import CharMode, scaling_study
 from .reduction import reduce_bounded_nested_to_snr, reduce_recursive_to_pr
@@ -72,19 +72,26 @@ def _parse_bound(expr: str) -> PolyBound:
         tree = ast.parse(expr, mode="eval").body
     except SyntaxError:
         raise CliError(f"bad bound expression {expr!r}") from None
+    except RecursionError:
+        raise CliError("bound expression nests too deeply") from None
 
-    def walk(node) -> PolyBound:
+    def kids(node) -> tuple:
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add,
+                                                                ast.Mult)):
+            return (node.left, node.right)
+        return ()
+
+    def rule(node, args: list[PolyBound]) -> PolyBound:
+        if args:
+            kind = "add" if isinstance(node.op, ast.Add) else "mul"
+            return PolyBound(kind, args=tuple(args))
         if isinstance(node, ast.Constant) and isinstance(node.value, int):
             return PolyBound("const", node.value)
         if isinstance(node, ast.Name) and node.id == "n":
             return PolyBound("var")
-        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add,
-                                                                ast.Mult)):
-            kind = "add" if isinstance(node.op, ast.Add) else "mul"
-            return PolyBound(kind, args=(walk(node.left), walk(node.right)))
         raise CliError(f"bound must be a polynomial in n: {expr!r}")
 
-    return walk(tree)
+    return fold(tree, kids, rule)
 
 
 def _compile_env(defs: list[ClausalDef]) -> dict[str, Derivation]:

@@ -5,19 +5,20 @@ All constructions use only the base operators (so the output stays in DA
 whenever the environment does): the constant-zero combinator Z, the
 projections H and T recovered through the case operator D, the
 predecessor read off the pairing by H, and a 0/1-valued formula
-calculus built from D-dispatch.
-"""
+calculus built from D-dispatch.  Terms and formulas are interned nodes,
+and every walker over them, the direct interpreters included, is a
+derivation.fold rule or a loop over an explicit stack, so none recurses."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import clausal as cl
 from .codec import pair, tuple_encode
-from .derivation import (ADD, D as D_, Derivation, I, LT, MUL, ORACLE, S,
-                         P, comp, fold, mu)
+from .derivation import (ADD, D as D_, Derivation, I, Interned, LT, MUL,
+                         ORACLE, S, P, comp, fold, mu)
 
 # --- Base combinators ---------------------------------------------------
 
@@ -158,86 +159,94 @@ def compile_term(t: cl.QuasiTerm, ctx: VarCtx,
 
 
 # --- Quasi-bounded formulas -------------------------------------------------
+#
+# Formulas are interned like quasi-terms (see derivation.Interned), so
+# equality, hash, repr, copy and pickle never recurse, however deep the
+# formula.  Their shape is stated once, by formula_kids.
 
 
-@dataclass(frozen=True)
-class FRel:
-    left: cl.QuasiTerm
-    rel: str  # "=" or "<"
-    right: cl.QuasiTerm
+class FRel(Interned):
+    __slots__ = ("left", "rel", "right")
+
+    def _check(self):
+        cl.check_rel(self.rel)
 
 
-@dataclass(frozen=True)
-class FOracle:
-    term: cl.QuasiTerm
+class FOracle(Interned):
+    __slots__ = ("term",)
 
 
-@dataclass(frozen=True)
-class FNot:
-    body: "QuasiFormula"
+class FNot(Interned):
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True)
-class FOr:
-    left: "QuasiFormula"
-    right: "QuasiFormula"
+class FOr(Interned):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class FAnd:
-    left: "QuasiFormula"
-    right: "QuasiFormula"
+class FAnd(Interned):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class FBoundedEx:
-    var: str
-    bound: cl.QuasiTerm
-    body: "QuasiFormula"
+class FBoundedEx(Interned):
+    __slots__ = ("var", "bound", "body")
 
 
-@dataclass(frozen=True)
-class FQuasiBoundedEx:
-    var: str
-    fname: str
-    arg: cl.QuasiTerm
-    body: "QuasiFormula"
+class FQuasiBoundedEx(Interned):
+    __slots__ = ("var", "fname", "arg", "body")
 
 
 QuasiFormula = (FRel | FOracle | FNot | FOr | FAnd
                 | FBoundedEx | FQuasiBoundedEx)
+_CONNECTIVE_D = {FNot: not_d, FOr: or_d, FAnd: and_d}
+
+
+def formula_kids(phi: QuasiFormula) -> tuple:
+    """The subformulas of phi, left to right."""
+    cls = type(phi)
+    if cls is FOr or cls is FAnd:
+        return (phi.left, phi.right)
+    return (phi.body,) if cls in (FNot, FBoundedEx, FQuasiBoundedEx) else ()
+
+
+def _atom_d(lit, var: Callable[[str], Derivation],
+            env: dict[str, Derivation]) -> Derivation:
+    """An atom's unnegated 0/1 derivation (relation or oracle query)."""
+    if type(lit) is FOracle or type(lit) is cl.OracleMem:
+        return comp(ORACLE, _term_d(lit.term, var, env))
+    a = _term_d(lit.left, var, env)
+    b = _term_d(lit.right, var, env)
+    return lt_d(a, b) if lit.rel == "<" else eq_d(a, b)
 
 
 def compile_formula(phi: QuasiFormula, ctx: VarCtx,
                     env: dict[str, Derivation] | None = None) -> Derivation:
     """A 0/1-valued derivation computing the formula's truth value."""
     env = env or {}
-    if isinstance(phi, FRel):
-        a = compile_term(phi.left, ctx, env)
-        b = compile_term(phi.right, ctx, env)
-        return lt_d(a, b) if phi.rel == "<" else eq_d(a, b)
-    if isinstance(phi, FOracle):
-        return comp(ORACLE, compile_term(phi.term, ctx, env))
-    if isinstance(phi, FNot):
-        return not_d(compile_formula(phi.body, ctx, env))
-    if isinstance(phi, FOr):
-        return or_d(compile_formula(phi.left, ctx, env),
-                    compile_formula(phi.right, ctx, env))
-    if isinstance(phi, FAnd):
-        return and_d(compile_formula(phi.left, ctx, env),
-                     compile_formula(phi.right, ctx, env))
-    if isinstance(phi, FBoundedEx):
-        inner = VarCtx((phi.var,) + ctx.vars)
-        body = compile_formula(phi.body, inner, env)
-        bound = compile_term(phi.bound, ctx, env)
-        witness = comp(mu(body), P(bound, I))
-        return lt_d(witness, bound)
-    if isinstance(phi, FQuasiBoundedEx):
-        inner = VarCtx((phi.var,) + ctx.vars)
-        body = compile_formula(phi.body, inner, env)
-        witness = compile_term(cl.App(phi.fname, phi.arg), ctx, env)
-        return comp(body, P(witness, I))
-    raise TypeError(phi)
+
+    # The fold runs on occurrences (formula, context); a quantifier hands
+    # its body the context extended by the bound variable.
+    def kids(o: tuple) -> list:
+        f, c = o
+        if type(f) is FBoundedEx or type(f) is FQuasiBoundedEx:
+            c = VarCtx((f.var,) + c.vars)
+        return [(k, c) for k in formula_kids(f)]
+
+    def rule(o: tuple, k: list[Derivation]) -> Derivation:
+        f, c = o
+        cls = type(f)
+        if cls is FRel or cls is FOracle:
+            return _atom_d(f, c.projection, env)
+        if cls in _CONNECTIVE_D:
+            return _CONNECTIVE_D[cls](*k)
+        if cls is FBoundedEx:
+            bound = _term_d(f.bound, c.projection, env)
+            return lt_d(comp(mu(k[0]), P(bound, I)), bound)
+        if cls is FQuasiBoundedEx:
+            witness = _term_d(cl.App(f.fname, f.arg), c.projection, env)
+            return comp(k[0], P(witness, I))
+        raise TypeError(f)
+    return fold((phi, ctx), kids, rule)
 
 
 # --- Truth oracle (reference semantics for tests) ----------------------------
@@ -267,34 +276,49 @@ def eval_term_direct(t: cl.QuasiTerm, assign: dict[str, int],
     return fold(t, cl.term_kids, rule)
 
 
+def _instances(q, a: dict[str, int], fns) -> Iterator[tuple]:
+    """q's body under a, q's variable bound to each witness in turn."""
+    ws = (range(eval_term_direct(q.bound, a, fns)) if type(q) is FBoundedEx
+          else (fns[q.fname](eval_term_direct(q.arg, a, fns)),))
+    return ((q.body, {**a, q.var: w}) for w in ws)
+
+
 def eval_formula_direct(phi: QuasiFormula, assign: dict[str, int],
                         oracle=frozenset(), fns=None) -> bool:
+    """The truth value of phi under assign, by one loop; no operand after
+    the one that decides a connective or quantifier is evaluated."""
     fns = fns or {}
-    if isinstance(phi, FRel):
-        a = eval_term_direct(phi.left, assign, fns)
-        b = eval_term_direct(phi.right, assign, fns)
-        return a < b if phi.rel == "<" else a == b
-    if isinstance(phi, FOracle):
-        return eval_term_direct(phi.term, assign, fns) in oracle
-    if isinstance(phi, FNot):
-        return not eval_formula_direct(phi.body, assign, oracle, fns)
-    if isinstance(phi, FOr):
-        return (eval_formula_direct(phi.left, assign, oracle, fns)
-                or eval_formula_direct(phi.right, assign, oracle, fns))
-    if isinstance(phi, FAnd):
-        return (eval_formula_direct(phi.left, assign, oracle, fns)
-                and eval_formula_direct(phi.right, assign, oracle, fns))
-    if isinstance(phi, FBoundedEx):
-        b = eval_term_direct(phi.bound, assign, fns)
-        return any(
-            eval_formula_direct(phi.body, {**assign, phi.var: y},
-                                oracle, fns)
-            for y in range(b))
-    if isinstance(phi, FQuasiBoundedEx):
-        w = fns[phi.fname](eval_term_direct(phi.arg, assign, fns))
-        return eval_formula_direct(phi.body, {**assign, phi.var: w},
-                                   oracle, fns)
-    raise TypeError(phi)
+    # A frame (operands, stop, hit) per compound formula entered, over a
+    # lazy stream of (formula, assignment) pairs: as with `any` and `all`,
+    # it is valued hit at its first operand valued stop, else not hit.  A
+    # negation is a one-operand conjunction, negated; a quantifier, a
+    # disjunction over its witnesses.
+    stack = []
+    f, a = phi, assign
+    while True:
+        cls, value = type(f), None
+        if cls is FRel:
+            left = eval_term_direct(f.left, a, fns)
+            right = eval_term_direct(f.right, a, fns)
+            value = left < right if f.rel == "<" else left == right
+        elif cls is FOracle:
+            value = eval_term_direct(f.term, a, fns) in oracle
+        elif cls is FBoundedEx or cls is FQuasiBoundedEx:
+            stack.append((_instances(f, a, fns), True, True))
+        elif cls is FNot or cls is FOr or cls is FAnd:
+            stack.append((iter([(k, a) for k in formula_kids(f)]),
+                          cls is FOr, cls is not FAnd))
+        else:
+            raise TypeError(f)
+        while stack:
+            operands, stop, hit = stack[-1]
+            if value is not stop and (nxt := next(operands, None)):
+                f, a = nxt
+                break
+            stack.pop()
+            value = hit if value is stop else not hit
+        else:
+            return value
 
 
 # --- Explicit clausal definitions ---------------------------------------
@@ -342,13 +366,8 @@ def compile_explicit(d: cl.ClausalDef,
                 bind[lit.w2] = comp(TL, bind[lit.v])
             elif isinstance(lit, cl.AppEq):
                 bind[lit.out] = _term_d(cl.App(lit.fname, lit.arg), var, env)
-            elif isinstance(lit, cl.Rel):
-                a = _term_d(lit.left, var, env)
-                b = _term_d(lit.right, var, env)
-                g = lt_d(a, b) if lit.rel == "<" else eq_d(a, b)
-                guards.append(not_d(g) if lit.negated else g)
-            else:
-                g = comp(ORACLE, _term_d(lit.term, var, env))
+            else:  # a relation or an oracle query
+                g = _atom_d(lit, var, env)
                 guards.append(not_d(g) if lit.negated else g)
         guard = reduce(and_d, guards) if guards else ONE
         compiled.append((guard, _term_d(c.result, var, env)))

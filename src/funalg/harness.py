@@ -113,13 +113,19 @@ def scaling_study(d: Derivation, mode: CharMode, sizes,
     """Measure memoized step counts of predicate d across input sizes.
 
     Deterministic for a fixed seed.  A budget overrun stops measurement
-    and flags the report as truncated; any other error propagates.  A
-    size that is not a natural number raises TypeError or ValueError.
+    and flags the report as truncated; so does a One-mode size above the
+    bit budget, before its set is built, as the set's code would be wider
+    than the budget.  Any other error propagates.  A size that is not a
+    natural number raises TypeError or ValueError.
     """
     rng = random.Random(seed)
     rows: list[tuple[int, int, int]] = []
     truncated = False
+    max_bits = (budget or Budget()).max_bits
     for size in sorted(nat(s, "size") for s in sizes):
+        if mode is CharMode.ONE and size > max_bits:
+            truncated = True
+            break
         for _ in range(trials_per_size):
             if mode is CharMode.ZERO:
                 inp = rng.randint(max(size // 2, 1), size) if size > 0 else 0

@@ -129,6 +129,20 @@ def test_reduce_bad_bound(capsys, corpus_file):
     assert code == 1 and err
 
 
+def test_reduce_bound_parses_a_long_sum():
+    from funalg.cli import _parse_bound
+    b = _parse_bound("+".join(["n"] * 1200))
+    assert [b(n) for n in (0, 1, 7)] == [0, 1200, 8400]
+
+
+def test_reduce_bound_nesting_too_deep_is_a_domain_error(capsys,
+                                                         corpus_file):
+    code, _, err = run(capsys, "reduce", corpus_file, "--fn", "L",
+                       "--to", "snr", "--bound", "+".join(["n"] * 3000))
+    assert code == 1
+    assert "nests too deeply" in err and "RecursionError" not in err
+
+
 def test_meter_csv(capsys):
     code, out, _ = run(capsys, "meter", "--d", "(comp lt (P I S))", "--mode",
                        "zero", "--sizes", "4,8,16", "--seed", "3")

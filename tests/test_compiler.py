@@ -1,10 +1,14 @@
 """Compiling quasi-terms, quasi-bounded formulas, and explicit defs."""
 
+import copy
+import hashlib
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from funalg.acceptance import _ceil_half_derivation, _formula_corpus
 from funalg.clausal import App, Succ, TAdd, TMul, TPair, Var, Zero
 from funalg.codec import FinSet, pair
 from funalg.compiler import (HD, ONE, PRED, TL, UnboundVariableError, VarCtx,
@@ -14,9 +18,9 @@ from funalg.compiler import (HD, ONE, PRED, TL, UnboundVariableError, VarCtx,
 from funalg.compiler import (FAnd, FBoundedEx, FNot, FOr, FOracle,
                              FQuasiBoundedEx, FRel)
 from funalg.corpus import corpus_defs
-from funalg.derivation import I, P, S, comp
+from funalg.derivation import I, P, S, comp, d_print
 from funalg.evaluator import Meter, eval_naive
-from funalg.clausal import eval_clausal, parse_cl
+from funalg.clausal import Rel, eval_clausal, parse_cl
 
 
 def test_combinator_semantics():
@@ -186,3 +190,84 @@ def split3 {
     assert eval_naive(cd, 0) == 0
     assert eval_naive(cd, pair(0, 9)) == 9
     assert eval_naive(cd, pair(3, 9)) == pair(2, 9)
+
+
+# --- formulas as interned nodes -------------------------------------------
+
+
+def test_formulas_are_interned():
+    x, y = Var("x"), Var("y")
+    assert FRel(x, "<", y) is FRel(x, "<", y)
+    assert FRel(x, "<", y) is not FRel(x, "=", y)
+    body = FAnd(FOracle(Var("z")), FNot(FRel(x, "<", y)))
+    assert FBoundedEx("z", Succ(x), body) is FBoundedEx(
+        "z", Succ(x), FAnd(FOracle(Var("z")), FNot(FRel(x, "<", y))))
+    assert FQuasiBoundedEx("z", "f", x, FOr(FOracle(x), FOracle(y))) \
+        is FQuasiBoundedEx("z", "f", x, FOr(FOracle(x), FOracle(y)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda l, rel, r: FRel(l, rel, r),
+    lambda l, rel, r: Rel(l, rel, r),
+], ids=["FRel", "Rel"])
+@pytest.mark.parametrize("rel", ["<=", ">", "==", "", None])
+def test_relation_symbols_checked_at_construction(make, rel):
+    with pytest.raises(ValueError, match=f"unknown relation {rel!r}"):
+        make(Var("x"), rel, Succ(Zero()))
+
+
+DEPTH = 3000
+
+
+def _not_chain():
+    f = FRel(Var("x"), "=", Zero())
+    for _ in range(DEPTH):
+        f = FNot(f)
+    return f
+
+
+def _mixed_spine():
+    x = Var("x")
+    atoms = [FRel(x, "=", Zero()), FRel(Zero(), "<", x), FOracle(x),
+             FRel(x, "=", Succ(Zero()))]
+    f = atoms[0]
+    for i in range(DEPTH):
+        f = (FAnd if i % 3 else FOr)(f, atoms[i % 4])
+    return f
+
+
+@pytest.mark.parametrize("make", [_not_chain, _mixed_spine])
+def test_deep_formulas_need_no_recursion(make):
+    f = make()
+    assert hash(f) == hash(make()) and f is make()
+    assert repr(f).startswith(f"<{type(f).__name__}: ")
+    assert copy.deepcopy(f) is f and copy.copy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    d = compile_formula(f, VarCtx.of("x"), {})
+    oracle = FinSet((1,))
+    for x in range(3):
+        got = eval_naive(d, x, oracle=oracle)
+        assert got == int(eval_formula_direct(f, {"x": x}, oracle)), x
+
+
+def test_bounded_exists_stops_at_its_first_witness():
+    f = FBoundedEx("z", Var("x"), FRel(Var("z"), "=", Zero()))
+    assert eval_formula_direct(f, {"x": 10**30}) is True
+
+
+def test_disjunction_stops_at_its_first_true_operand():
+    x = Var("x")
+    g = FQuasiBoundedEx("z", "nofn", x, FRel(Var("z"), "=", x))
+    true, false = FRel(x, "=", x), FRel(x, "<", x)
+    assert eval_formula_direct(FOr(true, g), {"x": 3}) is True
+    assert eval_formula_direct(FAnd(false, g), {"x": 3}) is False
+    with pytest.raises(KeyError):
+        eval_formula_direct(FOr(false, g), {"x": 3})
+
+
+def test_formula_corpus_compiles_to_the_pinned_derivations():
+    env = {"halfish": _ceil_half_derivation()}
+    text = "\n".join(d_print(compile_formula(f, VarCtx.of(*names), env))
+                     for f, names in _formula_corpus())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0708c6938b781d6db96e8cec6cd8223c2fc6ae98ec1a1eceacb566e4f5faed30")

@@ -113,6 +113,18 @@ def test_scaling_truncates_on_budget():
     assert rep.truncated
 
 
+def test_one_mode_size_above_bit_budget_truncates_before_building():
+    # a set of size 10^30 would take 10^30 bits and as many loop rounds
+    mem = membership_predicate()
+    rep = scaling_study(mem, CharMode.ONE, [8, 10**30], seed=4)
+    assert rep.truncated
+    assert rep.rows == scaling_study(mem, CharMode.ONE, [8], seed=4).rows
+    assert {s for s, _, _ in rep.rows} == {8}
+    small = scaling_study(mem, CharMode.ONE, [8, 300], 1,
+                          budget=Budget(10**6, 256))
+    assert small.truncated and [s for s, _, _ in small.rows] == [8]
+
+
 def test_doubling_clamp_is_boolean():
     dc = doubling_clamp_predicate()
     got = [char_run(dc, CharMode.ZERO, x)[0] for x in range(6)]

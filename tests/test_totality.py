@@ -211,15 +211,10 @@ def _decided(run):
     return run[0] in (True, False)
 
 
-# A One-mode input of size n is a set with about n/2 elements, built in
-# memory, so One-mode sizes stay small.
 @given(st.sampled_from(sorted(_PREDICATES)), st.sampled_from(CharMode),
-       st.data())
+       st.lists(ANY, max_size=3))
 @settings(max_examples=60, deadline=None)
-def test_scaling_study_is_total(name, mode, data):
-    sizes = data.draw(st.lists(
-        ANY if mode is CharMode.ZERO else SMALL | st.integers(max_value=-1)
-        | NON_INTS, max_size=3))
+def test_scaling_study_is_total(name, mode, sizes):
     bad = [s for s in sizes if _expected([s])]
     out = _outcome(scaling_study, _PREDICATES[name], mode, sizes, 1, 0,
                    BUDGET)
