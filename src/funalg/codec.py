@@ -182,23 +182,30 @@ def ack_member(x: int, y: int) -> bool:
     return x >= 0 and (y >> x) & 1 == 1
 
 
+_ACK_BITS = 1 << 24
+
+
 def ack_encode(s: FinSet) -> int:
-    code = 0
-    for e in s:
-        code |= 1 << e
-    return code
+    """The code with bit e set for each element e of s, max(s) + 1 bits wide.
+
+    A code is at most 2**24 bits (2 MiB) wide: an element of 2**24 or more
+    raises ValueError, naming it, before any of the code is built."""
+    if not s.elements:
+        return 0
+    top = s.elements[-1]
+    if top >= _ACK_BITS:
+        raise ValueError(f"element {top} needs a code wider than 2**24 bits")
+    code = bytearray((top >> 3) + 1)
+    for e in s.elements:
+        code[e >> 3] |= 1 << (e & 7)
+    return int.from_bytes(code, "little")
 
 
 def ack_decode(y: int) -> FinSet:
-    nat(y, "code")
-    out = []
-    i = 0
-    while y:
-        if y & 1:
-            out.append(i)
-        y >>= 1
-        i += 1
-    return FinSet(tuple(out))
+    """The set of the 1 bits of y; one pass over its bytes."""
+    code = nat(y, "code").to_bytes((y.bit_length() + 7) >> 3, "little")
+    return FinSet(tuple(i << 3 | j for i, byte in enumerate(code) if byte
+                        for j in range(8) if byte >> j & 1))
 
 
 def is_tree(s) -> bool:

@@ -225,12 +225,16 @@ def compile_formula(phi: QuasiFormula, ctx: VarCtx,
     env = env or {}
 
     # The fold runs on occurrences (formula, context); a quantifier hands
-    # its body the context extended by the bound variable.
+    # its body the context extended by the bound variable.  Each distinct
+    # occurrence is one tuple, so fold, which works by identity, compiles
+    # a shared subformula once per context, not once per path to it.
+    occs: dict[tuple, tuple] = {}
+
     def kids(o: tuple) -> list:
         f, c = o
         if type(f) is FBoundedEx or type(f) is FQuasiBoundedEx:
             c = VarCtx((f.var,) + c.vars)
-        return [(k, c) for k in formula_kids(f)]
+        return [occs.setdefault((k, c), (k, c)) for k in formula_kids(f)]
 
     def rule(o: tuple, k: list[Derivation]) -> Derivation:
         f, c = o

@@ -11,7 +11,10 @@ The meter, which is the cost model of every reduction criterion:
   iteration;
 - with memo=True, a compound call whose (node, argument) this evaluation
   has already computed is a memo hit and costs no step; nodes are
-  interned, so equal subterms, however built, share memo entries;
+  interned, so equal subterms, however built, share memo entries.  There
+  is one entry per distinct (node, argument) call and no more: the
+  iterates f(w, p) that a pr/bpr call at <v, p> runs through are not
+  entries, so a later call at <v', p> starts again from w = 0;
 - peak_bits is the widest argument or value seen, in bits;
 - max_depth counts frames, leaves included: a leaf called from a frame
   at depth k sits at depth k + 1, and the root is at depth 1;
@@ -22,6 +25,13 @@ The meter, which is the cost model of every reduction criterion:
 A step is checked against the budget as it is charged and a width as it
 is seen.  E and smash check the width of their value before computing it.
 On return or BudgetExceeded the meter holds the counts so far.
+
+Memoized evaluation keeps, for this call only, one {argument: value}
+table per compound node entered and a table of every pair the loop
+builds (P's value and the arguments that mu, pr, bpr and snr pass on), so
+unpairing such a pair again, as HD, TL and the recursions do, is a lookup
+and not a square root.  Naive evaluation keeps neither: its memory is the
+frame stack, O(depth).  Neither table changes a value or the meter.
 """
 
 from __future__ import annotations
@@ -78,9 +88,11 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
 
     Returns the value; metering accumulates into `meter` if given.  With
     memo=True, every compound node (in particular pr/bpr/snr) is memoized
-    on (node, arg) for the duration of this call, so each distinct
-    argument is expanded at most once (course-of-values evaluation); the
-    key is the interned node, so equal subterms share entries.
+    on (node, arg) for the duration of this call, so each distinct call is
+    expanded at most once; the key is the interned node, so equal subterms
+    share entries.  The iterates inside a pr/bpr call are not memoized
+    (no course-of-values evaluation), and the pair table that spares
+    re-unpairing exists only with memo=True (see the module docstring).
     expansion_log, if given, receives a (node, arg) entry for every
     recursion-node invocation.  Raises TypeError unless d is a Derivation
     and x an int, and ValueError if x is negative.
@@ -96,17 +108,22 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
         meter = Meter()
     max_steps, max_bits = budget.max_steps, budget.max_bits
     log = expansion_log
-    cache: dict[tuple[int, int], int] = {}
-    cache_get = cache.get
+    # With memo: each compound node's {argument: value} table, made on the
+    # node's first entry, and z -> (head, tail) for every pair z the loop
+    # builds, which each unpair below tries before isqrt.
+    if memo:
+        tables: dict[Derivation, dict[int, int]] = {}
+        pairs: dict[int, tuple[int, int]] = {}
+        pget = pairs.get
     steps, peak = meter.steps, meter.peak_bits
     hits, maxd = meter.memo_hits, meter.max_depth
     lim = 1 << peak  # a value is wider than peak iff it is >= lim
-    # Saved frames: (node, code, arg, pc, memo key, v, p, w).  The current
-    # frame lives in the same locals, plus its depth; v, p and w are its
-    # operator's variables and pc says where it resumes.  The root
+    # Saved frames: (node, code, arg, pc, memo table, v, p, w).  The
+    # current frame lives in the same locals, plus its depth; v, p and w
+    # are its operator's variables and pc says where it resumes.  The root
     # pseudo-frame, at depth 0, calls d at x and returns the value.
     stack: list[tuple] = []
-    node, c, a, pc, key, dep = d, _ROOT, x, 0, None, 0
+    node, c, a, pc, tab, dep = d, _ROOT, x, 0, None, 0
     v = p = w = val = 0
     try:
         while True:
@@ -134,13 +151,19 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                     ca = a
                 else:
                     s = v + val
-                    val = (s * (s + 1) >> 1) + v + 1  # <v, val>
+                    z = (s * (s + 1) >> 1) + v + 1  # <v, val>
+                    if memo:
+                        pairs[z] = v, val
+                    val = z
             elif c == _MU:
                 # a = <v, p>: the least w < v with g(<w, p>) = 1, else v
                 if pc == 0:
                     pc = 1
                     w = 0
-                    v, p = unpair(a) if a else (0, 0)
+                    if a:
+                        v, p = memo and pget(a) or unpair(a)
+                    else:
+                        v = p = 0
                 elif val == 1:
                     v = w
                 else:
@@ -149,6 +172,8 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                     cn = node.children[0]
                     s = w + p
                     ca = (s * (s + 1) >> 1) + w + 1  # <w, p>
+                    if memo:
+                        pairs[ca] = w, p
                 else:
                     val = v
             elif c == _PR or c == _BPR:
@@ -158,7 +183,7 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                     if a:
                         pc = 1
                         w = 0
-                        v, p = unpair(a)
+                        v, p = memo and pget(a) or unpair(a)
                         cn = node.children[0]
                         ca = p
                     else:
@@ -181,6 +206,9 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                         t = (s * (s + 1) >> 1) + val + 1
                         s = w + t
                         ca = (s * (s + 1) >> 1) + w + 1  # <w, <val, p>>
+                        if memo:
+                            pairs[t] = val, p
+                            pairs[ca] = w, t
             elif c == _SNR:
                 # a = <v, p>; g(a) = <0, b> with b < v answers
                 # f(<h(<v, <f(<b, p>), p>>), p>) when h's value is below v,
@@ -188,18 +216,20 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                 if pc == 0:
                     if a:
                         pc = 1
-                        v, p = unpair(a)
+                        v, p = memo and pget(a) or unpair(a)
                         cn = node.children[0]
                         ca = a
                     else:
                         val = 0
                 elif pc == 1:
                     if val:
-                        t, b = unpair(val)
+                        t, b = memo and pget(val) or unpair(val)
                         if t == 0 and b < v:
                             pc = 2
                             cn = node
                             ca = pair(b, p)
+                            if memo:
+                                pairs[ca] = b, p
                         elif t == 1 and b <= p:
                             val = b
                         else:
@@ -207,12 +237,18 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                 elif pc == 2:
                     pc = 3
                     cn = node.children[1]
-                    ca = pair(v, pair(val, p))
+                    t = pair(val, p)
+                    ca = pair(v, t)
+                    if memo:
+                        pairs[t] = val, p
+                        pairs[ca] = v, t
                 elif pc == 3:
                     if val < v:
                         pc = 4
                         cn = node
                         ca = pair(val, p)
+                        if memo:
+                            pairs[ca] = val, p
                     else:
                         val = 0
             elif pc == 0:  # the root pseudo-frame
@@ -228,9 +264,9 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                     lim = 1 << peak
                     if peak > max_bits:
                         raise BudgetExceeded("bits", meter)
-                if key is not None:
-                    cache[key] = val
-                node, c, a, pc, key, v, p, w = stack.pop()
+                if tab is not None:
+                    tab[a] = val
+                node, c, a, pc, tab, v, p, w = stack.pop()
                 dep -= 1
                 continue
 
@@ -239,14 +275,17 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                 if log is not None and cc >= _PR and dep:
                     log.append((cn, ca))
                 if memo:
-                    k = (id(cn), ca)
-                    hit = cache_get(k)
-                    if hit is not None:
-                        hits += 1
-                        val = hit
-                        continue
+                    ct = tables.get(cn)
+                    if ct is None:
+                        ct = tables[cn] = {}
+                    else:
+                        hit = ct.get(ca)
+                        if hit is not None:
+                            hits += 1
+                            val = hit
+                            continue
                 else:
-                    k = None
+                    ct = None
                 steps += 1
                 if steps > max_steps:
                     raise BudgetExceeded("steps", meter)
@@ -255,8 +294,8 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                     lim = 1 << peak
                     if peak > max_bits:
                         raise BudgetExceeded("bits", meter)
-                stack.append((node, c, a, pc, key, v, p, w))
-                node, c, a, pc, key = cn, cc, ca, 0, k
+                stack.append((node, c, a, pc, tab, v, p, w))
+                node, c, a, pc, tab = cn, cc, ca, 0, ct
                 dep += 1
                 if dep > maxd:
                     maxd = dep
@@ -277,9 +316,12 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                 val = ca + 1
             elif cc <= _D:  # add, mul, lt, D: the projections of ca
                 if ca:
-                    s = (isqrt(8 * ca - 7) - 1) >> 1
-                    t = ca - 1 - (s * (s + 1) >> 1)
-                    b = s - t  # ca = <t, b>
+                    if memo and (tb := pget(ca)):
+                        t, b = tb
+                    else:
+                        s = (isqrt(8 * ca - 7) - 1) >> 1
+                        t = ca - 1 - (s * (s + 1) >> 1)
+                        b = s - t  # ca = <t, b>
                     if cc == _ADD:
                         val = t + b
                     elif cc == _MUL:
@@ -287,10 +329,13 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                     elif cc == _LT:
                         val = 1 if t < b else 0
                     elif b:  # D: <t, <y, z>> gives y if t = 0, else z
-                        s = (isqrt(8 * b - 7) - 1) >> 1
-                        val = b - 1 - (s * (s + 1) >> 1)
-                        if t:
-                            val = s - val
+                        if memo and (yz := pget(b)):
+                            val = yz[1] if t else yz[0]
+                        else:
+                            s = (isqrt(8 * b - 7) - 1) >> 1
+                            val = b - 1 - (s * (s + 1) >> 1)
+                            if t:
+                                val = s - val
                     else:
                         val = 0
                 else:

@@ -1,5 +1,7 @@
 """Pairing, sequence, set, and tree encodings."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -132,6 +134,24 @@ def test_ack_membership_is_bit():
         assert ((code >> x) & 1 == 1) == (x in s)
 
 
+def test_ack_encode_at_its_width_limit():
+    code = ack_encode(FinSet((0, 9, 2**24 - 1)))
+    assert code == 1 | 1 << 9 | 1 << (2**24 - 1)
+    assert ack_decode(code) == FinSet((0, 9, 2**24 - 1))
+
+
+@pytest.mark.parametrize("top", [2**24, 2**40, 10**30])
+def test_ack_encode_rejects_a_wide_code_before_building_it(top):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"element {top} "):
+            ack_encode(FinSet((3, top)))
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert allocated < 10**5
+
+
 def test_finset_size():
     assert FinSet(()).size() == 0
     assert FinSet((0, 2)).size() == 3  # one more than the largest element
@@ -177,6 +197,7 @@ OUT_OF_DOMAIN = [
     (seq_prefix_proper, (4, -7), ValueError, "natural number, got -7"),
     (ack_member, (3, -2), ValueError, "natural number, got -2"),
     (ack_decode, (-1,), ValueError, "natural number, got -1"),
+    (ack_encode, (FinSet((10**30,)),), ValueError, f"element {10**30} "),
     (is_tree, ({-1},), ValueError, "natural number, got -1"),
     (FinSet, ((1.5,),), TypeError, "expected an int element, got float"),
     (FinSet, ((-2, 1),), ValueError, "natural number, got -2"),

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import itertools
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from funalg.compiler import (FAnd, FBoundedEx, FNot, FOr, FOracle,
                              FQuasiBoundedEx, FRel)
 from funalg.corpus import corpus_defs
 from funalg.derivation import I, P, S, comp, d_print
-from funalg.evaluator import Meter, eval_naive
+from funalg.evaluator import Meter, eval_memo, eval_naive
 from funalg.clausal import Rel, eval_clausal, parse_cl
 
 
@@ -248,6 +249,25 @@ def test_deep_formulas_need_no_recursion(make):
     for x in range(3):
         got = eval_naive(d, x, oracle=oracle)
         assert got == int(eval_formula_direct(f, {"x": x}, oracle)), x
+
+
+def test_shared_formula_compiles_once_per_context():
+    # FAnd(f, f) 30 deep: 31 distinct formulas, 2^30 paths to the atom
+    x = Var("x")
+    f = FRel(x, "<", Succ(x))
+    for _ in range(30):
+        f = FAnd(f, f)
+    start = time.perf_counter()
+    d = compile_formula(f, VarCtx.of("x"))
+    assert time.perf_counter() - start < 1
+    assert eval_memo(d, 7) == 1
+    # one shared formula under two contexts compiles once under each
+    g = FRel(x, "<", Succ(Succ(Zero())))
+    phi = FOr(FAnd(g, FRel(x, "=", Zero())), FBoundedEx("z", x, FAnd(g, g)))
+    d = compile_formula(phi, VarCtx.of("x"))
+    for xv in range(4):
+        want = eval_formula_direct(phi, {"x": xv})
+        assert eval_naive(d, xv) == int(want), xv
 
 
 def test_bounded_exists_stops_at_its_first_witness():

@@ -304,6 +304,12 @@ def _dags(draw, allowed):
 _ARGS = st.one_of(st.integers(0, 64),
                   st.builds(pair, st.integers(0, 12), st.integers(0, 300)),
                   st.integers(0, 2**80))
+# 600 to 5,000 bits, alone, in either side of a pair and inside D's pair
+_WIDE = st.integers(2**599, 2**5000)
+_WIDE_ARGS = st.one_of(
+    _WIDE, st.builds(pair, st.integers(0, 12), _WIDE),
+    st.builds(pair, _WIDE, st.integers(0, 300)),
+    st.builds(pair, st.integers(0, 2), st.builds(pair, _WIDE, _WIDE)))
 _ORACLES = st.none() | st.lists(st.integers(0, 40)).map(
     lambda xs: FinSet.of(*xs))
 _METERS = st.builds(Meter, st.integers(0, 20), st.integers(0, 24),
@@ -323,6 +329,22 @@ def test_matches_generator_evaluator(allowed, data):
                  Budget(data.draw(st.integers(1, 1500)), data.draw(bits)),
                  data.draw(st.booleans()), data.draw(_METERS),
                  data.draw(st.booleans()))
+
+
+@pytest.mark.parametrize("allowed", [CLASSES[c].allowed
+                                     for c in ("DA", "SA", "TA", "PRA")]
+                         + [frozenset(Op) - {Op.E, Op.SMASH}],
+                         ids=["DA", "SA", "TA", "PRA", "all but E, smash"])
+@pytest.mark.parametrize("memo", [False, True], ids=["naive", "memo"])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_matches_generator_evaluator_on_wide_arguments(allowed, memo, data):
+    # the oracle computes E and smash before checking their width
+    d = data.draw(_dags(allowed))
+    _assert_same(d, data.draw(_WIDE_ARGS), data.draw(_ORACLES),
+                 Budget(data.draw(st.integers(1, 1500)),
+                        data.draw(st.integers(600, 12_000))),
+                 memo, data.draw(_METERS), data.draw(st.booleans()))
 
 
 @given(_dags(frozenset(Op)))
@@ -354,3 +376,11 @@ def test_matches_generator_evaluator_on_reductions():
         _assert_same(pr_l, list_encode([1]), memo=memo)
         _assert_same(pr_l, list_encode([2, 1]), memo=memo,
                      budget=Budget(20_000, 300))
+
+
+def test_matches_generator_evaluator_on_wide_pr_stacks():
+    # the stack codes of PR nested reach 18,692 bits at x = 8
+    defs = {c.name: c for c in parse_cl(CORPUS_TEXT)}
+    pr_nested = reduce_recursive_to_pr(defs["nested"]).result
+    for x in range(9):
+        _assert_same(pr_nested, x, budget=Budget(2**22, 2**15), memo=True)

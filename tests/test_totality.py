@@ -171,6 +171,16 @@ def test_sets_answer_membership_for_any_element(s, x):
         assert kind is TypeError or v in (True, False)
 
 
+@given(st.lists(NATURALS, max_size=5).map(lambda xs: FinSet.of(*xs)))
+def test_ack_encode_is_total(s):
+    top = max(s, default=0)
+    out = _outcome(codec.ack_encode, s)
+    if top < 2**24:
+        assert out[0] == "ok" and codec.ack_decode(out[1]) == s
+    else:  # a huge element's code would pass the width limit
+        assert out[0] is ValueError and str(top) in str(out[1]), out
+
+
 @pytest.mark.parametrize("cls", CLASSES)
 @given(st.integers(0, 10**6), ANY)
 @settings(max_examples=150, deadline=None)
