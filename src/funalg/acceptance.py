@@ -255,17 +255,27 @@ def check_9_course_of_values():
 
 
 def _random_derivation(rng, cls, depth, evalsafe=True):
+    """A random derivation of the class, its operators drawn in pre-order:
+    at depth 0 a leaf, above it any operator (PR, E and smash left out
+    when evalsafe), each child one level down."""
     from .derivation import ARITY, Op, _ENUM_TAG_ORDER
     skip = (Op.PR, Op.E, Op.SMASH) if evalsafe else ()
     ops = [op for op in _ENUM_TAG_ORDER
            if op in cls.allowed and op not in skip]
     leaves = [op for op in ops if ARITY[op] == 0]
-    if depth == 0:
-        return Derivation(rng.choice(leaves))
-    op = rng.choice(ops)
-    kids = tuple(_random_derivation(rng, cls, depth - 1, evalsafe)
-                 for _ in range(ARITY[op]))
-    return Derivation(op, kids)
+    drawn, todo = [], [depth]
+    while todo:  # siblings have one depth, so a stack keeps pre-order
+        k = todo.pop()
+        op = rng.choice(ops if k else leaves)
+        drawn.append(op)
+        todo += [k - 1] * ARITY[op]
+    # build from the right end of the prefix form: each operator's
+    # children are then on top of the stack, first child topmost
+    built: list[Derivation] = []
+    for op in reversed(drawn):
+        kids = tuple(built.pop() for _ in range(ARITY[op]))
+        built.append(Derivation(op, kids))
+    return built[0]
 
 
 def check_10_poly_bound():

@@ -281,46 +281,54 @@ def eval_term_direct(t: cl.QuasiTerm, assign: dict[str, int],
 
 
 def _instances(q, a: dict[str, int], fns) -> Iterator[tuple]:
-    """q's body under a, q's variable bound to each witness in turn."""
+    """q's body under a, q's variable bound to each witness in turn, each
+    assignment with a memo of its own."""
     ws = (range(eval_term_direct(q.bound, a, fns)) if type(q) is FBoundedEx
           else (fns[q.fname](eval_term_direct(q.arg, a, fns)),))
-    return ((q.body, {**a, q.var: w}) for w in ws)
+    return ((q.body, {**a, q.var: w}, {}) for w in ws)
 
 
 def eval_formula_direct(phi: QuasiFormula, assign: dict[str, int],
                         oracle=frozenset(), fns=None) -> bool:
     """The truth value of phi under assign, by one loop; no operand after
-    the one that decides a connective or quantifier is evaluated."""
+    the one that decides a connective or quantifier is evaluated, and a
+    compound subformula met again under the same assignment is not
+    evaluated again."""
     fns = fns or {}
-    # A frame (operands, stop, hit) per compound formula entered, over a
-    # lazy stream of (formula, assignment) pairs: as with `any` and `all`,
-    # it is valued hit at its first operand valued stop, else not hit.  A
-    # negation is a one-operand conjunction, negated; a quantifier, a
-    # disjunction over its witnesses.
+    # A frame (formula, memo, operands, stop, hit) per compound formula
+    # entered, over a lazy stream of (formula, assignment, memo) triples:
+    # as with `any` and `all`, it is valued hit at its first operand valued
+    # stop, else not hit.  A negation is a one-operand conjunction,
+    # negated; a quantifier, a disjunction over its witnesses.  Each
+    # assignment has one memo, {compound formula: value}, which lives as
+    # long as the frames under that assignment.
     stack = []
-    f, a = phi, assign
+    f, a, memo = phi, assign, {}
     while True:
-        cls, value = type(f), None
-        if cls is FRel:
+        cls, value = type(f), memo.get(f)
+        if value is not None:
+            pass  # valued before under this assignment
+        elif cls is FRel:
             left = eval_term_direct(f.left, a, fns)
             right = eval_term_direct(f.right, a, fns)
             value = left < right if f.rel == "<" else left == right
         elif cls is FOracle:
             value = eval_term_direct(f.term, a, fns) in oracle
         elif cls is FBoundedEx or cls is FQuasiBoundedEx:
-            stack.append((_instances(f, a, fns), True, True))
+            stack.append((f, memo, _instances(f, a, fns), True, True))
         elif cls is FNot or cls is FOr or cls is FAnd:
-            stack.append((iter([(k, a) for k in formula_kids(f)]),
+            stack.append((f, memo, iter([(k, a, memo)
+                                         for k in formula_kids(f)]),
                           cls is FOr, cls is not FAnd))
         else:
             raise TypeError(f)
         while stack:
-            operands, stop, hit = stack[-1]
+            g, m, operands, stop, hit = stack[-1]
             if value is not stop and (nxt := next(operands, None)):
-                f, a = nxt
+                f, a, memo = nxt
                 break
             stack.pop()
-            value = hit if value is stop else not hit
+            value = m[g] = hit if value is stop else not hit
         else:
             return value
 

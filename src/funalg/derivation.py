@@ -6,6 +6,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import islice
+from operator import length_hint
 from threading import Lock
 from typing import Any, Callable, Iterator
 from weakref import ref
@@ -316,7 +318,7 @@ _ATOM_OF = {
     Op.S: "S", Op.ADD: "add", Op.MUL: "mul", Op.LT: "lt", Op.I: "I",
     Op.D: "D", Op.E: "E", Op.SMASH: "smash", Op.ORACLE: "X",
 }
-_OP_OF_ATOM = {v: k for k, v in _ATOM_OF.items()}
+_NODE_OF_ATOM = {v: Derivation(k) for k, v in _ATOM_OF.items()}
 _HEAD_OF = {Op.P: "P", Op.COMP: "comp", Op.MU: "mu",
             Op.PR: "pr", Op.BPR: "bpr", Op.SNR: "snr"}
 _OP_OF_HEAD = {v: k for k, v in _HEAD_OF.items()}
@@ -341,48 +343,75 @@ class ParseError(ValueError):
 _TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
+def _error(text: str, msg: str, i: int) -> ParseError:
+    """A ParseError at the start of the text's i-th token."""
+    return ParseError(msg,
+                      next(islice(_TOKEN.finditer(text), i, None)).start())
+
+
+def _opening(toks: list[str], k: int) -> int:
+    """The index of the '(' that the ')' at index k closes."""
+    depth = 1
+    while depth:
+        k -= 1
+        depth += (toks[k] == ")") - (toks[k] == "(")
+    return k
+
+
 def d_parse(text: str) -> Derivation:
-    """Parse the S-expression derivation format."""
-    # one frame per open '(': its operator token, offset, children so far
-    frames: list[tuple[str, int, list[Derivation]]] = []
-    root = None
-    toks = _TOKEN.finditer(text)
-    for m in toks:
-        tok, off = m.group(), m.start()
-        if root is not None:
-            raise ParseError("trailing input", off)
-        if tok == "(":
-            head = next(toks, None)
-            if head is None:
-                raise ParseError("missing operator after '('", off)
-            if head.group() not in _OP_OF_HEAD:
-                raise ParseError(f"unknown operator {head.group()!r}",
-                                 head.start())
-            frames.append((head.group(), off, []))
-            continue
-        if tok == ")":
+    """Parse the S-expression derivation format.
+
+    The tokens come from one C-level split (str.split and the regex's \\s
+    test the same Unicode whitespace), and a compound node is looked up in
+    the intern table before its constructor is called.  Token positions
+    and byte offsets are worked out only for an error.
+    """
+    toks = text.replace("(", " ( ").replace(")", " ) ").split()
+    out: list[Derivation] = []  # finished nodes; an open frame's kids end it
+    frames: list[tuple[Op, int]] = []  # per open '(': its op and len(out)
+    table = Derivation._table
+    it = iter(toks)
+
+    def last() -> int:
+        """The index of the last token taken (a list iterator's length
+        hint is exact: the number of tokens not yet taken)."""
+        return len(toks) - length_hint(it) - 1
+
+    for tok in it:
+        node = _NODE_OF_ATOM.get(tok)
+        if node is None:
+            if tok == "(":
+                op = _OP_OF_HEAD.get(head := next(it, None))
+                if op is None:
+                    raise _error(text, "missing operator after '('"
+                                 if head is None
+                                 else f"unknown operator {head!r}", last())
+                frames.append((op, len(out)))
+                continue
+            if tok != ")":
+                raise _error(text, f"unknown atom {tok!r}", last())
             if not frames:
-                raise ParseError("unexpected ')'", off)
-            name, start, kids = frames.pop()
-            op = _OP_OF_HEAD[name]
-            if len(kids) != ARITY[op]:
-                raise ParseError(
-                    f"{name} takes {ARITY[op]} children, got {len(kids)}",
-                    start)
-            node = Derivation(op, tuple(kids))
-        elif tok in _OP_OF_ATOM:
-            node = Derivation(_OP_OF_ATOM[tok])
-        else:
-            raise ParseError(f"unknown atom {tok!r}", off)
-        if frames:
-            frames[-1][2].append(node)
-        else:
-            root = node
-    if frames:
-        raise ParseError("missing ')'", len(text))
-    if root is None:
-        raise ParseError("unexpected end of input", len(text))
-    return root
+                raise _error(text, "unexpected ')'", last())
+            op, at = frames.pop()
+            kids = tuple(out[at:])
+            del out[at:]
+            r = table.get((op, kids))
+            node = None if r is None else r()
+            if node is None:
+                if len(kids) != ARITY[op]:
+                    raise _error(text, f"{_HEAD_OF[op]} takes {ARITY[op]} "
+                                 f"children, got {len(kids)}",
+                                 _opening(toks, last()))
+                node = Derivation(op, kids)
+        if not frames:
+            break
+        out.append(node)
+    else:
+        raise ParseError("missing ')'" if frames
+                         else "unexpected end of input", len(text))
+    if length_hint(it):
+        raise _error(text, "trailing input", last() + 1)
+    return node
 
 
 # --- Standard enumeration --------------------------------------------------

@@ -270,6 +270,38 @@ def test_shared_formula_compiles_once_per_context():
         assert eval_naive(d, xv) == int(want), xv
 
 
+def _shared(f, n):
+    for _ in range(n):
+        f = FAnd(f, f)
+    return f
+
+
+def test_shared_formula_is_valued_once_per_assignment():
+    x, z = Var("x"), Var("z")
+    for atom in (FRel(x, "<", Succ(x)), FRel(x, "<", Succ(Succ(Zero())))):
+        # 2^30 paths to the atom, 31 distinct formulas
+        f = _shared(atom, 30)
+        d = compile_formula(f, VarCtx.of("x"))
+        for xv in range(4):
+            start = time.perf_counter()
+            got = eval_formula_direct(f, {"x": xv})
+            assert time.perf_counter() - start < 1
+            assert eval_memo(d, xv) == int(got), xv
+        small = _shared(atom, 8)
+        d = compile_formula(small, VarCtx.of("x"))
+        for xv in range(4):
+            want = eval_formula_direct(small, {"x": xv})
+            assert eval_naive(d, xv) == int(want), xv
+    # the body's value depends on the witness, so one witness's memo
+    # must not answer for the next: some z < S(x) with not z < x
+    phi = FBoundedEx("z", Succ(x), FNot(_shared(FRel(z, "<", x), 30)))
+    phi = FAnd(phi, FOr(phi, FNot(phi)))
+    d = compile_formula(phi, VarCtx.of("x"))
+    for xv in range(4):
+        assert eval_formula_direct(phi, {"x": xv}) is True
+        assert eval_memo(d, xv) == 1, xv
+
+
 def test_bounded_exists_stops_at_its_first_witness():
     f = FBoundedEx("z", Var("x"), FRel(Var("z"), "=", Zero()))
     assert eval_formula_direct(f, {"x": 10**30}) is True

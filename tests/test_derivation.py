@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from funalg.clausal import App, Succ, TAdd, TMul, TPair, Var, Zero
+from funalg.compiler import compile_explicit
+from funalg.corpus import corpus_def, corpus_defs
 from funalg.derivation import (ADD, ARITY, CLASSES, DA, DEA, E, LT, ORACLE,
                                SMASH, AlgebraClass, Derivation,
                                EnumerationError, I, Op, P, PRA, ParseError,
@@ -22,6 +24,8 @@ from funalg.derivation import (ADD, ARITY, CLASSES, DA, DEA, E, LT, ORACLE,
                                enumerate_derivations, fold, index_of, mu,
                                poly_bound, pr, snr, validate)
 from funalg.evaluator import eval_naive
+from funalg.reduction import (reduce_bounded_nested_to_snr,
+                              reduce_recursive_to_pr)
 
 
 def test_arity_enforced():
@@ -432,6 +436,45 @@ def test_parse_error_cases_match_oracle():
                  "(comp\u00a0S\x1cS)", "(mu\u2003S)x"):
         assert _parse_outcome(d_parse, text) == _parse_outcome(rec_parse,
                                                                 text), text
+
+
+def test_reductions_and_a_p_tower_parse_back_to_themselves():
+    env = {}
+    for d in corpus_defs():
+        if d.kind == "explicit":
+            env[d.name] = compile_explicit(d, env)
+    built = [reduce_recursive_to_pr(d, env).result
+             for d in corpus_defs() if d.kind == "recursive"]
+    # the corpus defs bounded by x whose interpretation needs no helper
+    built += [reduce_bounded_nested_to_snr(corpus_def(name), PolyBound("var"))
+              for name in ("L", "last", "sumlist", "addp", "nested")]
+    built.append(_tower(I, 16))
+    assert built[-1].node_count() == 2**17 - 1
+    for d in built:
+        assert d_parse(d_print(d)) is d
+
+
+def test_a_deep_chain_of_new_nodes_parses():
+    depth = 100_000
+    d = d_parse("(mu " * depth + "S" + ")" * depth)
+    for _ in range(depth):
+        assert d.op is Op.MU
+        d, = d.children
+    assert d is S
+
+
+def test_error_offsets_near_the_end_of_a_long_text_match_oracle():
+    text = d_print(_tower(I, 15))
+    assert len(text.replace("(", " ( ").replace(")", " ) ").split()) > 10**5
+    last_atom, last_node = text.rindex("I"), text.rindex("(P I I)")
+    for bad, at in ((text[:last_atom] + "q" + text[last_atom + 1:],
+                     last_atom),
+                    (text[:last_node] + "(P I I I)" + text[last_node + 7:],
+                     last_node),
+                    (text + " S", len(text) + 1)):
+        got = _parse_outcome(d_parse, bad)
+        assert got == _parse_outcome(rec_parse, bad)
+        assert got[1] == at, got
 
 
 def test_poly_bound_matches_recursive_oracle():

@@ -15,10 +15,7 @@ import funalg
 SOURCES = sorted(Path(funalg.__file__).parent.glob("*.py"))
 
 # module:function -> why its recursion is bounded
-EXEMPT = {
-    "acceptance:_random_derivation":
-        "its callers cap the depth at 4",
-}
+EXEMPT: dict[str, str] = {}
 
 
 def _calls_itself(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
