@@ -1006,8 +1006,9 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
     Every definition is brought to strict form, in order; strict terms hold
     no applications, since each is an AppEq literal.  Recursive self-calls
     are dynamically checked against the identity measure (argument
-    strictly decreasing).  Raises TypeError unless x is an int and
-    ValueError if x is negative.
+    strictly decreasing).  Raises TypeError unless x is an int,
+    ValueError if x is negative and ClausalEvalError if fname, or a
+    function it calls, is not in defs.
 
     Evaluation is one loop over an explicit stack of suspended calls, so
     the call depth is bounded by the budget, not the host's call stack.
@@ -1051,7 +1052,10 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
                 meter.peak_bits = x.bit_length()
                 if x.bit_length() > max_bits:
                     raise BudgetExceeded("bits", meter)
-            cs = iter(env[f].clauses)
+            fd = env.get(f)
+            if fd is None:
+                raise ClausalEvalError(f"undefined function {f!r}")
+            cs = iter(fd.clauses)
             c = next(cs)
             argvar = c.pattern.name
             b = {argvar: x}

@@ -30,8 +30,22 @@ Memoized evaluation keeps, for this call only, one {argument: value}
 table per compound node entered and a table of every pair the loop
 builds (P's value and the arguments that mu, pr, bpr and snr pass on), so
 unpairing such a pair again, as HD, TL and the recursions do, is a lookup
-and not a square root.  Naive evaluation keeps neither: its memory is the
-frame stack, O(depth).  Neither table changes a value or the meter.
+and not a square root.  Neither table changes a value or the meter.
+
+Naive evaluation charges every call in full, repeats included, but once
+a run has charged its first _ARM_STEPS steps it records each compound
+call it completes: its value, the steps it charged and the height of its
+deepest frame above its caller.  A later call at the same (node,
+argument) is replayed, not entered: its steps are added, max_depth rises
+to the caller's depth plus that height, and peak_bits, which already
+covers every width the recorded run saw, stays.  A call whose steps would
+pass the step budget is entered and run for real, so BudgetExceeded comes
+at the same step with the same meter; a run that keeps an expansion log
+records nothing, so the log lists every call.  Values and meters are
+those of running every call.  The records are dropped, all at once, when
+there are _RECORDS of them or they could hold 2 * _RECORD_BITS bits of
+numbers, so a naive run's memory is its frame stack, O(depth), plus a
+constant.
 """
 
 from __future__ import annotations
@@ -39,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .codec import nat, pair, unpair
+from .codec import nat
 from .derivation import Derivation, Op
 
 
@@ -79,6 +93,13 @@ _P, _COMP, _MU, _PR, _BPR, _SNR = (op.code for op in (
     Op.P, Op.COMP, Op.MU, Op.PR, Op.BPR, Op.SNR))
 _E, _SMASH, _ORACLE = Op.E.code, Op.SMASH.code, Op.ORACLE.code
 _ROOT = -1  # the pseudo-frame that calls the root node
+# Naive evaluation records calls once a run has charged _ARM_STEPS steps,
+# and drops its records, all at once, when they number _RECORDS or their
+# number times peak_bits, which bounds each argument and each value,
+# passes _RECORD_BITS.
+_ARM_STEPS = 256
+_RECORDS = 1 << 16
+_RECORD_BITS = 1 << 25
 
 
 def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
@@ -92,7 +113,10 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
     expanded at most once; the key is the interned node, so equal subterms
     share entries.  The iterates inside a pr/bpr call are not memoized
     (no course-of-values evaluation), and the pair table that spares
-    re-unpairing exists only with memo=True (see the module docstring).
+    re-unpairing exists only with memo=True.  With memo=False every call
+    is charged in full; a repeated call, past the run's first steps, is
+    replayed from its record at its recorded cost unless that cost would
+    pass the step budget or a log is kept (see the module docstring).
     expansion_log, if given, receives a (node, arg) entry for every
     recursion-node invocation.  Raises TypeError unless d is a Derivation
     and x an int, and ValueError if x is negative.
@@ -116,11 +140,22 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
         pairs: dict[int, tuple[int, int]] = {}
         pget = pairs.get
     steps, peak = meter.steps, meter.peak_bits
+    # Without memo or log: past the run's first _ARM_STEPS steps, each
+    # compound node's {argument: (value, steps, height)} records, which
+    # replay a call (see the module docstring), and their number.  A step
+    # past `stop` either exceeds the budget or arms the records.
+    records: dict[Derivation, dict[int, tuple[int, int, int]]] | None = None
+    held = 0
+    stop = max_steps
+    if not memo and log is None:
+        stop = min(max_steps, steps + _ARM_STEPS)
     hits, maxd = meter.memo_hits, meter.max_depth
     lim = 1 << peak  # a value is wider than peak iff it is >= lim
-    # Saved frames: (node, code, arg, pc, memo table, v, p, w).  The
-    # current frame lives in the same locals, plus its depth; v, p and w
-    # are its operator's variables and pc says where it resumes.  The root
+    # Saved frames: (node, code, arg, pc, tab, v, p, w), where tab is the
+    # node's memo table, or a naive frame's (records of the node, steps
+    # before the call, max depth outside it), or None.  The current frame
+    # lives in the same locals, plus its depth; v, p and w are its
+    # operator's variables and pc says where it resumes.  The root
     # pseudo-frame, at depth 0, calls d at x and returns the value.
     stack: list[tuple] = []
     node, c, a, pc, tab, dep = d, _ROOT, x, 0, None, 0
@@ -160,10 +195,14 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                 if pc == 0:
                     pc = 1
                     w = 0
-                    if a:
-                        v, p = memo and pget(a) or unpair(a)
-                    else:
+                    if not a:
                         v = p = 0
+                    elif memo and (vp := pget(a)):
+                        v, p = vp
+                    else:
+                        s = (isqrt(8 * a - 7) - 1) >> 1
+                        v = a - 1 - (s * (s + 1) >> 1)
+                        p = s - v  # a = <v, p>
                 elif val == 1:
                     v = w
                 else:
@@ -183,7 +222,12 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                     if a:
                         pc = 1
                         w = 0
-                        v, p = memo and pget(a) or unpair(a)
+                        if memo and (vp := pget(a)):
+                            v, p = vp
+                        else:
+                            s = (isqrt(8 * a - 7) - 1) >> 1
+                            v = a - 1 - (s * (s + 1) >> 1)
+                            p = s - v
                         cn = node.children[0]
                         ca = p
                     else:
@@ -200,7 +244,8 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                         if steps > max_steps:
                             raise BudgetExceeded("steps", meter)
                         if log is not None:
-                            log.append((node, pair(w, p)))
+                            s = w + p
+                            log.append((node, (s * (s + 1) >> 1) + w + 1))
                         cn = node.children[1]
                         s = val + p
                         t = (s * (s + 1) >> 1) + val + 1
@@ -216,18 +261,29 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                 if pc == 0:
                     if a:
                         pc = 1
-                        v, p = memo and pget(a) or unpair(a)
+                        if memo and (vp := pget(a)):
+                            v, p = vp
+                        else:
+                            s = (isqrt(8 * a - 7) - 1) >> 1
+                            v = a - 1 - (s * (s + 1) >> 1)
+                            p = s - v
                         cn = node.children[0]
                         ca = a
                     else:
                         val = 0
                 elif pc == 1:
                     if val:
-                        t, b = memo and pget(val) or unpair(val)
+                        if memo and (tb := pget(val)):
+                            t, b = tb
+                        else:
+                            s = (isqrt(8 * val - 7) - 1) >> 1
+                            t = val - 1 - (s * (s + 1) >> 1)
+                            b = s - t
                         if t == 0 and b < v:
                             pc = 2
                             cn = node
-                            ca = pair(b, p)
+                            s = b + p
+                            ca = (s * (s + 1) >> 1) + b + 1
                             if memo:
                                 pairs[ca] = b, p
                         elif t == 1 and b <= p:
@@ -237,8 +293,10 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                 elif pc == 2:
                     pc = 3
                     cn = node.children[1]
-                    t = pair(val, p)
-                    ca = pair(v, t)
+                    s = val + p
+                    t = (s * (s + 1) >> 1) + val + 1
+                    s = v + t
+                    ca = (s * (s + 1) >> 1) + v + 1  # <v, <val, p>>
                     if memo:
                         pairs[t] = val, p
                         pairs[ca] = v, t
@@ -246,7 +304,8 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                     if val < v:
                         pc = 4
                         cn = node
-                        ca = pair(val, p)
+                        s = val + p
+                        ca = (s * (s + 1) >> 1) + val + 1
                         if memo:
                             pairs[ca] = val, p
                     else:
@@ -264,8 +323,17 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                     lim = 1 << peak
                     if peak > max_bits:
                         raise BudgetExceeded("bits", meter)
-                if tab is not None:
+                if memo:  # every memoized frame has its node's table
                     tab[a] = val
+                elif tab is not None:  # record the call; maxd ran inside it
+                    rt, s0, m0 = tab
+                    rt[a] = val, steps - s0, maxd - dep + 1
+                    if m0 > maxd:
+                        maxd = m0
+                    held += 1
+                    if held >= _RECORDS or held * peak > _RECORD_BITS:
+                        records.clear()
+                        held = 0
                 node, c, a, pc, tab, v, p, w = stack.pop()
                 dep -= 1
                 continue
@@ -284,11 +352,30 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                             hits += 1
                             val = hit
                             continue
-                else:
+                elif records is None:
                     ct = None
+                else:
+                    rt = records.get(cn)
+                    if rt is None:
+                        rt = records[cn] = {}
+                    else:
+                        rec = rt.get(ca)
+                        if rec is not None and steps + rec[1] <= max_steps:
+                            val, k, h = rec  # replay the recorded call
+                            steps += k
+                            if dep + h > maxd:
+                                maxd = dep + h
+                            continue
+                    # the node's records, the steps before this call and
+                    # the depth reached outside it; maxd then runs inside
+                    ct = rt, steps, maxd
+                    maxd = dep
                 steps += 1
-                if steps > max_steps:
-                    raise BudgetExceeded("steps", meter)
+                if steps > stop:
+                    if steps > max_steps:
+                        raise BudgetExceeded("steps", meter)
+                    stop = max_steps
+                    records = {}
                 if ca >= lim:
                     peak = ca.bit_length()
                     lim = 1 << peak
@@ -361,6 +448,12 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
             if dep >= maxd:
                 maxd = dep + 1
     finally:
+        if records is not None:
+            # each open naive frame, and ct until it is pushed, holds the
+            # depth reached outside it; an older ct holds one counted since
+            for t in (ct, tab, *[f[4] for f in stack]):
+                if t is not None and t[2] > maxd:
+                    maxd = t[2]
         meter.steps, meter.peak_bits = steps, peak
         meter.memo_hits, meter.max_depth = hits, maxd
 

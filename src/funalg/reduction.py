@@ -360,7 +360,9 @@ def reduce_bounded_nested_to_snr(d: ClausalDef, bound: PolyBound,
     The bound is checked dynamically and trusted beyond it: the
     definition is interpreted on [0, _VALIDATE_TO] and any output above
     bound(x) raises BoundViolation.  Above _VALIDATE_TO a violated bound
-    can break the order, and SNR then answers 0.
+    can break the order, and SNR then answers 0.  The definition is
+    interpreted alone, so a helper call on [0, _VALIDATE_TO] raises
+    ReductionError naming the helper.
     """
     env = dict(env or {})
     if d.kind != "recursive":
@@ -371,8 +373,12 @@ def reduce_bounded_nested_to_snr(d: ClausalDef, bound: PolyBound,
         raise ReductionError(
             f"J = {J} exceeds the unrolling limit {_UNROLL_LIMIT}")
     for x in range(_VALIDATE_TO + 1):
-        val = cl.eval_clausal([d], d.name, x,
-                              budget=Budget(max_steps=10**7))
+        try:
+            val = cl.eval_clausal([d], d.name, x,
+                                  budget=Budget(max_steps=10**7))
+        except cl.ClausalEvalError as e:
+            raise ReductionError(
+                f"cannot check the bound of {d.name}: {e}") from None
         if val > bound(x):
             raise BoundViolation(
                 f"{d.name}({x}) = {val} exceeds bound {bound(x)}")

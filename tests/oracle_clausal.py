@@ -296,7 +296,9 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
             meter.peak_bits = x.bit_length()
             if x.bit_length() > budget.max_bits:
                 raise BudgetExceeded("bits", meter)
-        d = env[f]
+        d = env.get(f)
+        if d is None:
+            raise cl.ClausalEvalError(f"undefined function {f!r}")
         argvar = d.clauses[0].pattern.name
         for c in d.clauses:
             b = {argvar: x}

@@ -170,6 +170,13 @@ def test_eval_undefined_function():
         eval_clausal(corpus_defs(), "nosuch", 0)
 
 
+def test_eval_undefined_callee():
+    # prdemo calls id, which is not among the definitions given
+    with pytest.raises(ClausalEvalError, match="undefined function 'id'"):
+        eval_clausal([corpus_def("prdemo")], "prdemo", pair(0, 3))
+    assert eval_clausal([corpus_def("prdemo")], "prdemo", 0) == 0
+
+
 def test_measure_violation_detected():
     # self-call on an argument that does not decrease
     d = parse_cl("""

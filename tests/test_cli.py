@@ -129,6 +129,14 @@ def test_reduce_bad_bound(capsys, corpus_file):
     assert code == 1 and err
 
 
+def test_reduce_snr_of_a_definition_with_a_helper(capsys, corpus_file):
+    code, out, err = run(capsys, "reduce", corpus_file, "--fn", "prdemo",
+                         "--to", "snr", "--bound", "n")
+    assert code == 1 and not out
+    assert err == ("error: ReductionError: cannot check the bound of prdemo:"
+                   " undefined function 'id'\n")
+
+
 def test_reduce_bound_parses_a_long_sum():
     from funalg.cli import _parse_bound
     b = _parse_bound("+".join(["n"] * 1200))

@@ -10,12 +10,14 @@ import oracle_evaluator
 from funalg import evaluator
 from funalg.clausal import parse_cl
 from funalg.codec import FinSet, list_encode, pair
+from funalg.compiler import HD, ONE, TL
 from funalg.corpus import CORPUS_TEXT
-from funalg.derivation import (ARITY, CLASSES, D, Derivation, E, I, LT, Op,
-                               P, PolyBound, S, SMASH, bpr, comp, d_parse,
+from funalg.derivation import (ADD, ARITY, CLASSES, D, Derivation, E, I, LT,
+                               Op, P, PolyBound, S, SMASH, bpr, comp, d_parse,
                                d_print, mu, pr, snr)
 from funalg.evaluator import (Budget, BudgetExceeded, Meter, eval_memo,
                               eval_naive, evaluate, meter_line)
+from funalg.harness import exhaustive_search_predicate
 from funalg.reduction import (reduce_bounded_nested_to_snr,
                               reduce_recursive_to_pr)
 
@@ -371,11 +373,12 @@ def test_matches_generator_evaluator_on_reductions():
         _assert_same(snr_l, x, memo=True)
     for x in (0, 1):  # naive SNR evaluation is exponential in x
         _assert_same(snr_l, x)
-    _assert_same(snr_l, 5, budget=Budget(100_000, 10**6))
-    for memo in (False, True):
-        _assert_same(pr_l, list_encode([1]), memo=memo)
-        _assert_same(pr_l, list_encode([2, 1]), memo=memo,
-                     budget=Budget(20_000, 300))
+    for logged in (True, False):  # unlogged naive runs replay calls
+        _assert_same(snr_l, 5, budget=Budget(100_000, 10**6), logged=logged)
+        for memo in (False, True):
+            _assert_same(pr_l, list_encode([1]), memo=memo, logged=logged)
+            _assert_same(pr_l, list_encode([2, 1]), memo=memo,
+                         budget=Budget(20_000, 300), logged=logged)
 
 
 def test_matches_generator_evaluator_on_wide_pr_stacks():
@@ -384,3 +387,99 @@ def test_matches_generator_evaluator_on_wide_pr_stacks():
     pr_nested = reduce_recursive_to_pr(defs["nested"]).result
     for x in range(9):
         _assert_same(pr_nested, x, budget=Budget(2**22, 2**15), memo=True)
+
+
+# --- naive replay of recorded calls --------------------------------------
+
+# mu scans x values at <x, x>; each tower level calls the one below twice
+# at one argument, so naive runs past their first steps replay calls
+_SCAN = comp(mu(comp(LT, P(S, HD))), P(I, I))
+
+
+def _tower(n):
+    d = _SCAN
+    for _ in range(n):
+        d = P(d, d)
+    return d
+
+
+def test_replay_matches_generator_evaluator_under_step_budgets():
+    d = _tower(4)
+    m = Meter()
+    evaluate(d, 20, meter=m)
+    assert m.steps == 3887
+    for steps in [*range(1, m.steps + 2, 17), m.steps - 1, m.steps]:
+        for meter0 in (Meter(), Meter(100, 3, 2, 30)):
+            _assert_same(d, 20, budget=Budget(steps, 10**6), meter0=meter0,
+                         logged=False)
+
+
+def test_replay_matches_generator_evaluator_under_bit_budgets():
+    # f(w + 1, p) = f(w, p) + f(w, p) reads f(w, p) twice at one argument
+    fw = comp(HD, TL)
+    dbl = pr(ONE, comp(ADD, P(fw, fw)))
+    for bits in range(1, 110):
+        for meter0 in (Meter(), Meter(100, 3, 2, 30)):
+            _assert_same(dbl, pair(100, 0), budget=Budget(10**6, bits),
+                         meter0=meter0, logged=False)
+
+
+def test_replay_deeper_than_its_record_raises_max_depth():
+    # the tower records _SCAN at 20 at depth 6; deep replays it at depth 8
+    deep = _SCAN
+    for _ in range(6):
+        deep = comp(S, deep)
+    d = P(P(_tower(3), _SCAN), deep)
+    scan, m = Meter(), Meter()
+    evaluate(_SCAN, 20, meter=scan)
+    evaluate(d, 20, meter=m)
+    assert m.max_depth == 7 + scan.max_depth
+    for meter0 in (Meter(), Meter(7, 1, 0, 12), Meter(7, 1, 0, 40)):
+        _assert_same(d, 20, meter0=meter0, logged=False)
+
+
+@pytest.mark.parametrize("records", [1, 3, 50])
+def test_replay_matches_generator_evaluator_when_records_are_dropped(
+        records, monkeypatch):
+    monkeypatch.setattr(evaluator, "_RECORDS", records)
+    for x in (5, 20):
+        _assert_same(_tower(4), x, logged=False)
+        _assert_same(_tower(4), x, budget=Budget(1000, 10**6), logged=False)
+
+
+def test_replay_matches_generator_evaluator_past_the_record_cap():
+    # 344,081 steps; its distinct calls outnumber evaluator._RECORDS
+    es = exhaustive_search_predicate()
+    _assert_same(es, 14, meter0=Meter(5, 2, 1, 3), logged=False)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_long_naive_runs_match_generator_evaluator(data):
+    # unlogged naive runs with budgets past the first steps, so they replay
+    d = data.draw(_dags(frozenset(Op) - {Op.E, Op.SMASH}))
+    _assert_same(d, data.draw(_ARGS), data.draw(_ORACLES),
+                 Budget(data.draw(st.integers(300, 20_000)),
+                        data.draw(st.integers(1, 200))),
+                 False, data.draw(_METERS), False)
+
+
+@pytest.mark.parametrize("d, x", [
+    (exhaustive_search_predicate(), 40),  # narrow calls, all distinct
+    (bpr(I, comp(I, I)), pair(10**4, 2**1024)),  # 4,098 bits wide
+], ids=["many calls", "wide calls"])
+def test_naive_records_stay_bounded(d, x, monkeypatch):
+    # caps lowered so the runs stay short under tracemalloc; they allocate
+    # 137 KB and 42 KB, and with the cap that binds lifted 395 KB and 630 KB
+    monkeypatch.setattr(evaluator, "_RECORDS", 1024)
+    monkeypatch.setattr(evaluator, "_RECORD_BITS", 1 << 18)
+    m = Meter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as e:
+            eval_naive(d, x, budget=Budget(20_000, 10**6), meter=m)
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.value.kind == "steps" and m.steps == 20_001
+    assert allocated < 2**18

@@ -120,6 +120,12 @@ def test_snr_reduction_rejects_violated_bound():
         reduce_bounded_nested_to_snr(corpus_def("L"), small)
 
 
+def test_snr_reduction_names_a_helper_it_cannot_interpret():
+    with pytest.raises(ReductionError, match=(
+            "cannot check the bound of prdemo: undefined function 'id'")):
+        reduce_bounded_nested_to_snr(corpus_def("prdemo"), X_BOUND)
+
+
 def test_memoized_snr_keeps_expansions_linear():
     from funalg.derivation import Op
     from funalg.evaluator import evaluate
