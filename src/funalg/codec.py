@@ -35,15 +35,13 @@ def pair(x: int, y: int) -> int:
 
 
 def unpair(z: int) -> tuple[int, int]:
-    """Inverse of pair; z must be positive."""
+    """Inverse of pair; z must be positive.  The diagonal x + y of
+    z = <x, y> is the largest s with s(s + 1)/2 <= z - 1, which isqrt
+    gives exactly; the evaluator inlines the same formula."""
     if z <= 0:
         raise NotAPairError(f"{z} codes no pair")
-    w = 2 * z - 2
-    s = (isqrt(4 * w + 1) - 1) // 2
-    x = (w - s * (s + 1)) // 2
-    if x > s:  # isqrt landed one diagonal short
-        s += 1
-        x = (w - s * (s + 1)) // 2
+    s = (isqrt(8 * z - 7) - 1) // 2
+    x = z - 1 - s * (s + 1) // 2
     return x, s - x
 
 

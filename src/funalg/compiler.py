@@ -256,8 +256,19 @@ def compile_formula(phi: QuasiFormula, ctx: VarCtx,
 # --- Truth oracle (reference semantics for tests) ----------------------------
 
 
+def _fn(fns, name: str):
+    """The function fns gives name; UnboundVariableError if none."""
+    try:
+        return fns[name]
+    except KeyError:
+        raise UnboundVariableError(f"unbound function {name!r}") from None
+
+
 def eval_term_direct(t: cl.QuasiTerm, assign: dict[str, int],
                      fns=None) -> int:
+    """The value of t under assign, fns giving each function's Python
+    callable; a variable or function missing from them raises
+    UnboundVariableError."""
     fns = fns or {}
 
     def rule(n: cl.QuasiTerm, k: list[int]) -> int:
@@ -265,7 +276,11 @@ def eval_term_direct(t: cl.QuasiTerm, assign: dict[str, int],
         if cls is cl.Zero:
             return 0
         if cls is cl.Var:
-            return assign[n.name]
+            try:
+                return assign[n.name]
+            except KeyError:
+                raise UnboundVariableError(
+                    f"unbound variable {n.name!r}") from None
         if cls is cl.Succ:
             return k[0] + 1
         if cls is cl.TPair:
@@ -275,7 +290,7 @@ def eval_term_direct(t: cl.QuasiTerm, assign: dict[str, int],
         if cls is cl.TMul:
             return k[0] * k[1]
         if cls is cl.App:
-            return fns[n.fname](k[0])
+            return _fn(fns, n.fname)(k[0])
         raise TypeError(n)
     return fold(t, cl.term_kids, rule)
 
@@ -284,7 +299,7 @@ def _instances(q, a: dict[str, int], fns) -> Iterator[tuple]:
     """q's body under a, q's variable bound to each witness in turn, each
     assignment with a memo of its own."""
     ws = (range(eval_term_direct(q.bound, a, fns)) if type(q) is FBoundedEx
-          else (fns[q.fname](eval_term_direct(q.arg, a, fns)),))
+          else (_fn(fns, q.fname)(eval_term_direct(q.arg, a, fns)),))
     return ((q.body, {**a, q.var: w}, {}) for w in ws)
 
 

@@ -34,19 +34,20 @@ class Op(Enum):
     __hash__ = object.__hash__
 
 
-# A dense int per operator, in declaration order, so the evaluator can
-# dispatch on ints instead of hashing enum members.
-for _code, _op in enumerate(Op):
-    _op.code = _code
-del _code, _op
-
-
 ARITY = {
     Op.S: 0, Op.ADD: 0, Op.MUL: 0, Op.LT: 0, Op.I: 0, Op.D: 0,
     Op.E: 0, Op.SMASH: 0, Op.ORACLE: 0,
     Op.MU: 1,
     Op.P: 2, Op.COMP: 2, Op.PR: 2, Op.BPR: 2, Op.SNR: 2,
 }
+
+# A dense int per operator, so the evaluator can dispatch on ints instead
+# of hashing enum members: the leaves first, then the compound operators,
+# each in declaration order.  So the nine leaves are 0..8 and P, COMP,
+# MU, PR, BPR, SNR are 9..14, and one compare tells a compound node.
+for _code, _op in enumerate(sorted(Op, key=lambda op: ARITY[op] > 0)):
+    _op.code = _code
+del _code, _op
 
 
 def _drop(table: dict, key: tuple, r: ref) -> None:

@@ -2,12 +2,14 @@
 
 Evaluation is one loop over an explicit stack of frames, one frame per
 compound node being evaluated, so recursion depth is bounded only by the
-budget, never by the host interpreter's call stack.  Leaves are computed
-inline and push no frame.
+budget, never by the host interpreter's call stack.  Every call takes
+one path: a compound node's memo entry or record first, then its step
+and the width of its argument, then its frame, or for a leaf its value,
+computed inline with no frame.
 
 The meter, which is the cost model of every reduction criterion:
 
-- a step is charged for each compound entry, each leaf and each pr/bpr
+- a step is charged for each call, compound or leaf, and each pr/bpr
   iteration;
 - with memo=True, a compound call whose (node, argument) this evaluation
   has already computed is a memo hit and costs no step; nodes are
@@ -85,8 +87,9 @@ class BudgetExceeded(RuntimeError):
 
 _EMPTY: frozenset[int] = frozenset()
 
-# Op codes (declaration order of Op): the compound operators are
-# _P.._SNR, and of them the recursions are _PR.._SNR.
+# Op codes (see derivation.py): the leaves come first, so a node is
+# compound iff its code is >= _P; mu and the recursions, whose argument is
+# read as <v, p>, are the codes >= _MU, and the recursions those >= _PR.
 _S, _ADD, _MUL, _LT, _I, _D = (op.code for op in (
     Op.S, Op.ADD, Op.MUL, Op.LT, Op.I, Op.D))
 _P, _COMP, _MU, _PR, _BPR, _SNR = (op.code for op in (
@@ -117,9 +120,10 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
     is charged in full; a repeated call, past the run's first steps, is
     replayed from its record at its recorded cost unless that cost would
     pass the step budget or a log is kept (see the module docstring).
-    expansion_log, if given, receives a (node, arg) entry for every
-    recursion-node invocation.  Raises TypeError unless d is a Derivation
-    and x an int, and ValueError if x is negative.
+    expansion_log, if given, receives (node, arg) for every call of a
+    pr, bpr or snr node below the root, memo hits included, and
+    (node, <w, p>) for each pr/bpr iteration w.  Raises TypeError unless
+    d is a Derivation and x an int, and ValueError if x is negative.
     """
     if not isinstance(d, Derivation):
         raise TypeError(f"expected a Derivation, got {type(d).__name__}")
@@ -155,8 +159,9 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
     # node's memo table, or a naive frame's (records of the node, steps
     # before the call, max depth outside it), or None.  The current frame
     # lives in the same locals, plus its depth; v, p and w are its
-    # operator's variables and pc says where it resumes.  The root
-    # pseudo-frame, at depth 0, calls d at x and returns the value.
+    # operator's variables, read off a = <v, p> at the push for mu and
+    # the recursions, and pc says where it resumes.  The root pseudo-frame,
+    # at depth 0, calls d at x and returns the value.
     stack: list[tuple] = []
     node, c, a, pc, tab, dep = d, _ROOT, x, 0, None, 0
     v = p = w = val = 0
@@ -195,14 +200,6 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                 if pc == 0:
                     pc = 1
                     w = 0
-                    if not a:
-                        v = p = 0
-                    elif memo and (vp := pget(a)):
-                        v, p = vp
-                    else:
-                        s = (isqrt(8 * a - 7) - 1) >> 1
-                        v = a - 1 - (s * (s + 1) >> 1)
-                        p = s - v  # a = <v, p>
                 elif val == 1:
                     v = w
                 else:
@@ -222,12 +219,6 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                     if a:
                         pc = 1
                         w = 0
-                        if memo and (vp := pget(a)):
-                            v, p = vp
-                        else:
-                            s = (isqrt(8 * a - 7) - 1) >> 1
-                            v = a - 1 - (s * (s + 1) >> 1)
-                            p = s - v
                         cn = node.children[0]
                         ca = p
                     else:
@@ -261,12 +252,6 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                 if pc == 0:
                     if a:
                         pc = 1
-                        if memo and (vp := pget(a)):
-                            v, p = vp
-                        else:
-                            s = (isqrt(8 * a - 7) - 1) >> 1
-                            v = a - 1 - (s * (s + 1) >> 1)
-                            p = s - v
                         cn = node.children[0]
                         ca = a
                     else:
@@ -338,8 +323,10 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                 dep -= 1
                 continue
 
+            # call cn at ca: a compound node's memo entry or record, then
+            # one step, one width check, and the frame or the leaf's value
             cc = cn.op.code
-            if _P <= cc <= _SNR:  # enter a compound node
+            if cc >= _P:
                 if log is not None and cc >= _PR and dep:
                     log.append((cn, ca))
                 if memo:
@@ -370,33 +357,35 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                     # the depth reached outside it; maxd then runs inside
                     ct = rt, steps, maxd
                     maxd = dep
-                steps += 1
-                if steps > stop:
-                    if steps > max_steps:
-                        raise BudgetExceeded("steps", meter)
-                    stop = max_steps
-                    records = {}
-                if ca >= lim:
-                    peak = ca.bit_length()
-                    lim = 1 << peak
-                    if peak > max_bits:
-                        raise BudgetExceeded("bits", meter)
+            steps += 1
+            if steps > stop:
+                if steps > max_steps:
+                    raise BudgetExceeded("steps", meter)
+                stop = max_steps
+                records = {}
+            if ca >= lim:
+                peak = ca.bit_length()
+                lim = 1 << peak
+                if peak > max_bits:
+                    raise BudgetExceeded("bits", meter)
+            if cc >= _P:  # push its frame
                 stack.append((node, c, a, pc, tab, v, p, w))
                 node, c, a, pc, tab = cn, cc, ca, 0, ct
+                if cc >= _MU:  # a = <v, p>, and 0 gives v = p = 0
+                    if not ca:
+                        v = p = 0
+                    elif memo and (vp := pget(ca)):
+                        v, p = vp
+                    else:
+                        s = (isqrt(8 * ca - 7) - 1) >> 1
+                        v = ca - 1 - (s * (s + 1) >> 1)
+                        p = s - v
                 dep += 1
                 if dep > maxd:
                     maxd = dep
                 continue
 
             # a leaf, at depth dep + 1
-            steps += 1
-            if steps > max_steps:
-                raise BudgetExceeded("steps", meter)
-            if ca >= lim:
-                peak = ca.bit_length()
-                lim = 1 << peak
-                if peak > max_bits:
-                    raise BudgetExceeded("bits", meter)
             if cc == _I:
                 val = ca
             elif cc == _S:

@@ -96,6 +96,25 @@ def test_unbound_variable_rejected():
         compile_term(Var("zz"), VarCtx.of("x"), {})
 
 
+@pytest.mark.parametrize("t, name", [
+    (Var("zz"), "zz"), (App("nofn", Var("x")), "nofn"),
+    (TAdd(Var("x"), App("f", App("nofn", Zero()))), "nofn"),
+], ids=["variable", "function", "inner function"])
+def test_direct_interpreters_reject_what_compilation_rejects(t, name):
+    # the direct interpreters raise the error compile_term raises
+    with pytest.raises(UnboundVariableError):
+        compile_term(t, VarCtx.of("x"), {"f": I})
+    for interpret in (
+            lambda: eval_term_direct(t, {"x": 1}, {"f": abs}),
+            lambda: eval_formula_direct(FRel(t, "=", Zero()), {"x": 1},
+                                        fns={"f": abs}),
+            lambda: eval_formula_direct(
+                FQuasiBoundedEx("z", "f", t, FRel(Var("z"), "=", Zero())),
+                {"x": 1}, fns={"f": abs})):
+        with pytest.raises(UnboundVariableError, match=f"'{name}'"):
+            interpret()
+
+
 def _s_chain(n, t):
     for _ in range(n):
         t = Succ(t)
@@ -313,7 +332,7 @@ def test_disjunction_stops_at_its_first_true_operand():
     true, false = FRel(x, "=", x), FRel(x, "<", x)
     assert eval_formula_direct(FOr(true, g), {"x": 3}) is True
     assert eval_formula_direct(FAnd(false, g), {"x": 3}) is False
-    with pytest.raises(KeyError):
+    with pytest.raises(UnboundVariableError, match="'nofn'"):
         eval_formula_direct(FOr(false, g), {"x": 3})
 
 

@@ -253,11 +253,14 @@ def test_wide_result_raises_before_computing(d, x, width):
 
 
 def test_op_codes_group_compound_operators():
-    # the evaluator tells compound and recursion nodes by code ranges
+    # the evaluator tells compound nodes, the nodes whose argument it reads
+    # as <v, p>, and recursion nodes each by one compare of their code
+    assert sorted(op.code for op in Op) == list(range(len(Op)))
     for op in Op:
-        assert (evaluator._P <= op.code <= evaluator._SNR) == (ARITY[op] > 0)
-        assert (evaluator._PR <= op.code <= evaluator._SNR) == (
-            op in (Op.PR, Op.BPR, Op.SNR))
+        assert (op.code >= evaluator._P) == (ARITY[op] > 0)
+        assert (op.code >= evaluator._MU) == (
+            op in (Op.MU, Op.PR, Op.BPR, Op.SNR))
+        assert (op.code >= evaluator._PR) == (op in (Op.PR, Op.BPR, Op.SNR))
 
 
 # --- differential test against the generator evaluator ------------------
@@ -403,6 +406,14 @@ def _tower(n):
     return d
 
 
+def _deep_scan(k):
+    """_SCAN below k successors, so its calls sit k frames deeper."""
+    d = _SCAN
+    for _ in range(k):
+        d = comp(S, d)
+    return d
+
+
 def test_replay_matches_generator_evaluator_under_step_budgets():
     d = _tower(4)
     m = Meter()
@@ -426,16 +437,27 @@ def test_replay_matches_generator_evaluator_under_bit_budgets():
 
 def test_replay_deeper_than_its_record_raises_max_depth():
     # the tower records _SCAN at 20 at depth 6; deep replays it at depth 8
-    deep = _SCAN
-    for _ in range(6):
-        deep = comp(S, deep)
-    d = P(P(_tower(3), _SCAN), deep)
+    d = P(P(_tower(3), _SCAN), _deep_scan(6))
     scan, m = Meter(), Meter()
     evaluate(_SCAN, 20, meter=scan)
     evaluate(d, 20, meter=m)
     assert m.max_depth == 7 + scan.max_depth
     for meter0 in (Meter(), Meter(7, 1, 0, 12), Meter(7, 1, 0, 40)):
         _assert_same(d, 20, meter0=meter0, logged=False)
+
+
+def test_replay_matches_generator_evaluator_armed_at_any_step(monkeypatch):
+    # arming at each of the first 40 steps, which fall on leaves and on
+    # compound calls alike; each run replays calls, some deeper than their
+    # records; step budgets cut the 461-step run, after replays start, at
+    # a step that moves with the arming step
+    d = P(P(_tower(2), _SCAN), _deep_scan(6))
+    for arm in range(1, 41):
+        monkeypatch.setattr(evaluator, "_ARM_STEPS", arm)
+        for meter0 in (Meter(), Meter(100, 3, 2, 10)):
+            for steps in (*range(arm + 300, 461, 11), 461):
+                _assert_same(d, 6, meter0=meter0, logged=False,
+                             budget=Budget(meter0.steps + steps, 10**6))
 
 
 @pytest.mark.parametrize("records", [1, 3, 50])
