@@ -13,13 +13,12 @@ import random
 
 from . import codec
 from .codec import FinSet, list_encode, pair, seq_decode, seq_encode, seq_len
-from .clausal import (Succ, TAdd, TMul, TPair, Var, Zero, eval_clausal,
-                      print_cl, parse_cl)
+from .clausal import (OracleMem, Rel, Succ, TAdd, TMul, TPair, Var, Zero,
+                      eval_clausal, print_cl, parse_cl)
 from .compiler import (VarCtx, compile_explicit, compile_formula,
                        compile_term, eval_formula_direct, eval_term_direct,
                        pack_args)
-from .compiler import (FBoundedEx, FNot, FOr, FOracle, FQuasiBoundedEx,
-                       FRel)
+from .compiler import FBoundedEx, FNot, FOr, FQuasiBoundedEx
 from .clausal import App
 from .corpus import corpus_def, corpus_defs
 from .derivation import (CLASSES, DA, Derivation, I, PolyBound, S, SA, TA,
@@ -102,16 +101,16 @@ def check_3_terms():
 def _formula_corpus():
     x, y, z = Var("x"), Var("y"), Var("z")
     return [
-        (FRel(x, "<", y), ("x", "y")),
-        (FRel(TAdd(x, x), "=", y), ("x", "y")),
-        (FOracle(x), ("x",)),
-        (FNot(FOracle(x)), ("x",)),
-        (FOr(FRel(x, "<", y), FRel(y, "<", x)), ("x", "y")),
-        (FBoundedEx("z", Succ(x), FRel(TAdd(z, z), "=", x)), ("x",)),
-        (FBoundedEx("z", y, FOracle(z)), ("x", "y")),
-        (FNot(FBoundedEx("z", x, FRel(TMul(z, z), "=", x))), ("x",)),
-        (FQuasiBoundedEx("z", "halfish", x, FRel(TAdd(z, z), "=", x)), ("x",)),
-        (FOr(FOracle(x), FBoundedEx("z", y, FRel(z, "=", x))), ("x", "y")),
+        (Rel(x, "<", y), ("x", "y")),
+        (Rel(TAdd(x, x), "=", y), ("x", "y")),
+        (OracleMem(x), ("x",)),
+        (FNot(OracleMem(x)), ("x",)),
+        (FOr(Rel(x, "<", y), Rel(y, "<", x)), ("x", "y")),
+        (FBoundedEx("z", Succ(x), Rel(TAdd(z, z), "=", x)), ("x",)),
+        (FBoundedEx("z", y, OracleMem(z)), ("x", "y")),
+        (FNot(FBoundedEx("z", x, Rel(TMul(z, z), "=", x))), ("x",)),
+        (FQuasiBoundedEx("z", "halfish", x, Rel(TAdd(z, z), "=", x)), ("x",)),
+        (FOr(OracleMem(x), FBoundedEx("z", y, Rel(z, "=", x))), ("x", "y")),
     ]
 
 

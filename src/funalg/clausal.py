@@ -1,16 +1,18 @@
 """The CL (Clausal Language) frontend.
 
-Parses clausal function definitions, checks the refinement discipline
-(the clause set must be reconstructible by the five refinement rules, so
-antecedents are pairwise disjoint and exhaustive), checks the restrictions
-on recursive definitions, completes relaxed definitions to strict form,
-and interprets definitions directly.
+Quasi-terms and literals are interned nodes (see derivation.Interned);
+the literals Rel and OracleMem are also the atoms of the quasi-bounded
+formulas of funalg.compiler.  Parses clausal function definitions, checks
+the refinement discipline (the clause set must be reconstructible by the
+five refinement rules, so antecedents are pairwise disjoint and
+exhaustive), checks the restrictions on recursive definitions, completes
+relaxed definitions to strict form, and interprets definitions directly,
+with eval_term_direct, the one quasi-term interpreter, valuing terms.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -114,54 +116,52 @@ def term_apps(t: QuasiTerm) -> list[App]:
 
 
 # --- Literals and clauses ---------------------------------------------------
+#
+# Literals are interned like quasi-terms; negated is the last field of Rel
+# and OracleMem.
 
 
-@dataclass(frozen=True)
-class AppEq:
-    fname: str
-    arg: QuasiTerm
-    out: str
+class AppEq(Interned):
+    __slots__ = ("fname", "arg", "out")
 
 
-@dataclass(frozen=True)
-class VarZero:
-    v: str
+class VarZero(Interned):
+    __slots__ = ("v",)
 
 
-@dataclass(frozen=True)
-class VarSucc:
-    v: str
-    w: str
+class VarSucc(Interned):
+    __slots__ = ("v", "w")
 
 
-@dataclass(frozen=True)
-class VarPair:
-    v: str
-    w1: str
-    w2: str
+class VarPair(Interned):
+    __slots__ = ("v", "w1", "w2")
 
 
-def check_rel(rel: str) -> None:
-    """Raise ValueError unless rel is a relation symbol, "=" or "<"."""
-    if rel not in ("=", "<"):
-        raise ValueError(f"unknown relation {rel!r}: expected '=' or '<'")
+def _negation(negated: bool) -> bool:
+    """negated, checked before the intern table, where 1 finds True."""
+    if type(negated) is not bool:
+        raise TypeError(f"negated must be a bool, got {negated!r}")
+    return negated
 
 
-@dataclass(frozen=True)
-class Rel:
-    left: QuasiTerm
-    rel: str
-    right: QuasiTerm
-    negated: bool = False
+class Rel(Interned):
+    __slots__ = ("left", "rel", "right", "negated")
 
-    def __post_init__(self):
-        check_rel(self.rel)
+    def __new__(cls, left: QuasiTerm, rel: str, right: QuasiTerm,
+                negated: bool = False):
+        return super().__new__(cls, left, rel, right, _negation(negated))
+
+    def _check(self):
+        if self.rel not in ("=", "<"):
+            raise ValueError(
+                f"unknown relation {self.rel!r}: expected '=' or '<'")
 
 
-@dataclass(frozen=True)
-class OracleMem:
-    term: QuasiTerm
-    negated: bool = False
+class OracleMem(Interned):
+    __slots__ = ("term", "negated")
+
+    def __new__(cls, term: QuasiTerm, negated: bool = False):
+        return super().__new__(cls, term, _negation(negated))
 
 
 Literal = AppEq | VarZero | VarSucc | VarPair | Rel | OracleMem
@@ -184,9 +184,9 @@ def _lit_map(lit: Literal, on_term, on_name) -> Literal:
     """lit with on_term applied to its terms, in field order, and on_name
     to the variables it reads and binds."""
     terms, used, binders, _ = _LIT_SHAPE[type(lit)]
-    new = {f: on_term(getattr(lit, f)) for f in terms}
-    new.update((f, on_name(getattr(lit, f))) for f in used + binders)
-    return type(lit)(**(vars(lit) | new))
+    names = used + binders
+    return type(lit)(*(on_term(v) if f in terms else on_name(v) if f in names
+                       else v for f, v in zip(lit.__slots__, lit._fields())))
 
 
 def lit_subst(lit: Literal, sub: dict[str, str]) -> Literal:
@@ -274,6 +274,10 @@ class MeasureViolation(RuntimeError):
 
 
 class ClausalEvalError(RuntimeError):
+    pass
+
+
+class UnboundVariableError(ValueError):
     pass
 
 
@@ -471,6 +475,9 @@ class _Parser:
         if nm[0] != "ident":
             raise CLSyntaxError("expected function name", nm[2], nm[3])
         name = nm[1]
+        if name in declared:
+            raise CLSyntaxError(f"duplicate definition {name!r}",
+                                nm[2], nm[3])
         self.expect("{")
         clauses = []
         while not self.at_sym("}"):
@@ -482,7 +489,8 @@ class _Parser:
         calls = [f for c in clauses for f in _clause_calls(c)]
         for f in calls:
             if f != name and f not in declared:
-                raise CLSyntaxError(f"undeclared function {f!r}", 0, 0)
+                raise CLSyntaxError(f"undeclared function {f!r}",
+                                    nm[2], nm[3])
         return ClausalDef(name, tuple(clauses))
 
 
@@ -573,8 +581,8 @@ _LIT_FORMATS = {AppEq: "{fname}({arg}) = {out}", VarZero: "{v} = 0",
 
 
 def lit_str(lit: Literal) -> str:
-    parts = vars(lit) | {f: term_str(t) for f, t in
-                         zip(_LIT_SHAPE[type(lit)][0], _lit_terms(lit))}
+    parts = dict(zip(lit.__slots__, lit._fields()))
+    parts.update((f, term_str(parts[f])) for f in _LIT_SHAPE[type(lit)][0])
     s = _LIT_FORMATS[type(lit)].format_map(parts)
     return f"! {s}" if parts.get("negated") else s
 
@@ -718,7 +726,8 @@ def _lit_key(lit: Literal) -> tuple:
     """Identity of a literal up to the names it binds: its tag, then its
     other fields in order."""
     _, _, bind, tag = _LIT_SHAPE[type(lit)]
-    return (tag, *(v for f, v in vars(lit).items() if f not in bind))
+    return (tag, *(v for f, v in zip(lit.__slots__, lit._fields())
+                   if f not in bind))
 
 
 def _canon_binders(side: list[_State], bound: set[str],
@@ -864,8 +873,8 @@ def _walk(states: list[_State], trace: list[str], complete: bool,
                 raise RefinementError(
                     "clauses split on different relations: "
                     + " vs ".join(sorted(lit_str(l) for l in firsts)))
-            base = replace(firsts[0], negated=False)
-            negd = replace(base, negated=True)
+            kind, fields = type(firsts[0]), firsts[0]._fields()[:-1]
+            base, negd = kind(*fields, False), kind(*fields, True)
             pos = or_default([s for s in group if not s.first.negated],
                              lambda: base, f"case {lit_str(base)}")
             neg = or_default([s for s in group if s.first.negated],
@@ -994,8 +1003,42 @@ def check_recursive_restrictions(d: ClausalDef) -> RestrictionReport:
 # --- Direct interpretation ---------------------------------------------------
 
 
-_ARITH = {Zero: lambda: 0, Succ: lambda a: a + 1, TPair: pair,
-          TAdd: operator.add, TMul: operator.mul}
+def _fn(fns, name: str):
+    """The function fns gives name; UnboundVariableError if none."""
+    try:
+        return fns[name]
+    except KeyError:
+        raise UnboundVariableError(f"unbound function {name!r}") from None
+
+
+def eval_term_direct(t: QuasiTerm, assign: dict[str, int], fns=None) -> int:
+    """The value of t under assign, fns giving each function's Python
+    callable; a variable or function missing from them raises
+    UnboundVariableError."""
+    fns = fns or {}
+
+    def rule(n: QuasiTerm, k: list[int]) -> int:
+        cls = type(n)
+        if cls is Zero:
+            return 0
+        if cls is Var:
+            try:
+                return assign[n.name]
+            except KeyError:
+                raise UnboundVariableError(
+                    f"unbound variable {n.name!r}") from None
+        if cls is Succ:
+            return k[0] + 1
+        if cls is TPair:
+            return pair(k[0], k[1])
+        if cls is TAdd:
+            return k[0] + k[1]
+        if cls is TMul:
+            return k[0] * k[1]
+        if cls is App:
+            return _fn(fns, n.fname)(k[0])
+        raise TypeError(n)
+    return fold(t, term_kids, rule)
 
 
 def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
@@ -1023,15 +1066,9 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
     if fname not in env:
         raise ClausalEvalError(f"undefined function {fname!r}")
     max_steps, max_bits = budget.max_steps, budget.max_bits
-
-    def ev_term(t: QuasiTerm, b: dict[str, int]) -> int:
-        def rule(n: QuasiTerm, v: list[int]) -> int:
-            if type(n) is Var:
-                if n.name not in b:
-                    raise ClausalEvalError(f"unbound variable {n.name!r}")
-                return b[n.name]
-            return _ARITH[type(n)](*v)
-        return fold(t, term_kids, rule)
+    # the refinement walk has checked that every variable a strict term
+    # reads is bound, so ev never raises UnboundVariableError
+    ev = eval_term_direct
 
     # The current call is f at x, at depth: its clause c, drawn from the
     # iterator cs over f's clauses, runs its literal iterator lits with
@@ -1079,22 +1116,22 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
                             break
                         b[lit.w1], b[lit.w2] = head(b[lit.v]), tail(b[lit.v])
                     elif cls is AppEq:
-                        v = ev_term(lit.arg, b)
+                        v = ev(lit.arg, b)
                         if lit.fname == f and v >= x:
                             raise MeasureViolation(
                                 f"{f}({v}) called from {f}({x})")
                         call = lit
                         break
                     elif cls is Rel:
-                        l = ev_term(lit.left, b)
-                        r = ev_term(lit.right, b)
+                        l = ev(lit.left, b)
+                        r = ev(lit.right, b)
                         held = l == r if lit.rel == "=" else l < r
                         if held == lit.negated:
                             break
-                    elif (ev_term(lit.term, b) in oracle) == lit.negated:
+                    elif (ev(lit.term, b) in oracle) == lit.negated:
                         break
                 else:  # c applies: return its result to the caller
-                    val = ev_term(c.result, b)
+                    val = ev(c.result, b)
                     if not stack:
                         return val
                     f, x, depth, argvar, cs, c, lits, b, out = stack.pop()

@@ -85,7 +85,7 @@ def _parse_bound(expr: str) -> PolyBound:
         if args:
             kind = "add" if isinstance(node.op, ast.Add) else "mul"
             return PolyBound(kind, args=tuple(args))
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
             return PolyBound("const", node.value)
         if isinstance(node, ast.Name) and node.id == "n":
             return PolyBound("var")

@@ -5,9 +5,12 @@ All constructions use only the base operators (so the output stays in DA
 whenever the environment does): the constant-zero combinator Z, the
 projections H and T recovered through the case operator D, the
 predecessor read off the pairing by H, and a 0/1-valued formula
-calculus built from D-dispatch.  Terms and formulas are interned nodes,
-and every walker over them, the direct interpreters included, is a
-derivation.fold rule or a loop over an explicit stack, so none recurses."""
+calculus built from D-dispatch.  Terms, literals and formulas are
+interned nodes; a formula's atoms are the clausal literals Rel and
+OracleMem, negated or not, so one helper compiles both a formula's atoms
+and an explicit definition's guards.  Every walker over them, the direct
+interpreters included, is a derivation.fold rule or a loop over an
+explicit stack, so none recurses."""
 
 from __future__ import annotations
 
@@ -16,7 +19,8 @@ from functools import reduce
 from typing import Callable, Iterator
 
 from . import clausal as cl
-from .codec import pair, tuple_encode
+from .clausal import UnboundVariableError, _fn, eval_term_direct
+from .codec import tuple_encode
 from .derivation import (ADD, D as D_, Derivation, I, Interned, LT, MUL,
                          ORACLE, S, P, comp, fold, mu)
 
@@ -108,10 +112,6 @@ class VarCtx:
         return d if i == n else comp(HD, d)
 
 
-class UnboundVariableError(ValueError):
-    pass
-
-
 def pack_args(values) -> int:
     """Right-associated packing of a context assignment."""
     return tuple_encode(list(values))
@@ -162,18 +162,10 @@ def compile_term(t: cl.QuasiTerm, ctx: VarCtx,
 #
 # Formulas are interned like quasi-terms (see derivation.Interned), so
 # equality, hash, repr, copy and pickle never recurse, however deep the
-# formula.  Their shape is stated once, by formula_kids.
+# formula.  Their atoms are the clausal literals Rel and OracleMem, which
+# FRel and FOracle name.  Their shape is stated once, by formula_kids.
 
-
-class FRel(Interned):
-    __slots__ = ("left", "rel", "right")
-
-    def _check(self):
-        cl.check_rel(self.rel)
-
-
-class FOracle(Interned):
-    __slots__ = ("term",)
+FRel, FOracle = cl.Rel, cl.OracleMem
 
 
 class FNot(Interned):
@@ -196,7 +188,7 @@ class FQuasiBoundedEx(Interned):
     __slots__ = ("var", "fname", "arg", "body")
 
 
-QuasiFormula = (FRel | FOracle | FNot | FOr | FAnd
+QuasiFormula = (cl.Rel | cl.OracleMem | FNot | FOr | FAnd
                 | FBoundedEx | FQuasiBoundedEx)
 _CONNECTIVE_D = {FNot: not_d, FOr: or_d, FAnd: and_d}
 
@@ -209,14 +201,17 @@ def formula_kids(phi: QuasiFormula) -> tuple:
     return (phi.body,) if cls in (FNot, FBoundedEx, FQuasiBoundedEx) else ()
 
 
-def _atom_d(lit, var: Callable[[str], Derivation],
+def _atom_d(lit: cl.Rel | cl.OracleMem, var: Callable[[str], Derivation],
             env: dict[str, Derivation]) -> Derivation:
-    """An atom's unnegated 0/1 derivation (relation or oracle query)."""
-    if type(lit) is FOracle or type(lit) is cl.OracleMem:
-        return comp(ORACLE, _term_d(lit.term, var, env))
-    a = _term_d(lit.left, var, env)
-    b = _term_d(lit.right, var, env)
-    return lt_d(a, b) if lit.rel == "<" else eq_d(a, b)
+    """An atom's 0/1 derivation: a relation or an oracle query, negated
+    if the atom is."""
+    if type(lit) is cl.OracleMem:
+        g = comp(ORACLE, _term_d(lit.term, var, env))
+    else:
+        a = _term_d(lit.left, var, env)
+        b = _term_d(lit.right, var, env)
+        g = lt_d(a, b) if lit.rel == "<" else eq_d(a, b)
+    return not_d(g) if lit.negated else g
 
 
 def compile_formula(phi: QuasiFormula, ctx: VarCtx,
@@ -239,7 +234,7 @@ def compile_formula(phi: QuasiFormula, ctx: VarCtx,
     def rule(o: tuple, k: list[Derivation]) -> Derivation:
         f, c = o
         cls = type(f)
-        if cls is FRel or cls is FOracle:
+        if cls is cl.Rel or cls is cl.OracleMem:
             return _atom_d(f, c.projection, env)
         if cls in _CONNECTIVE_D:
             return _CONNECTIVE_D[cls](*k)
@@ -254,45 +249,6 @@ def compile_formula(phi: QuasiFormula, ctx: VarCtx,
 
 
 # --- Truth oracle (reference semantics for tests) ----------------------------
-
-
-def _fn(fns, name: str):
-    """The function fns gives name; UnboundVariableError if none."""
-    try:
-        return fns[name]
-    except KeyError:
-        raise UnboundVariableError(f"unbound function {name!r}") from None
-
-
-def eval_term_direct(t: cl.QuasiTerm, assign: dict[str, int],
-                     fns=None) -> int:
-    """The value of t under assign, fns giving each function's Python
-    callable; a variable or function missing from them raises
-    UnboundVariableError."""
-    fns = fns or {}
-
-    def rule(n: cl.QuasiTerm, k: list[int]) -> int:
-        cls = type(n)
-        if cls is cl.Zero:
-            return 0
-        if cls is cl.Var:
-            try:
-                return assign[n.name]
-            except KeyError:
-                raise UnboundVariableError(
-                    f"unbound variable {n.name!r}") from None
-        if cls is cl.Succ:
-            return k[0] + 1
-        if cls is cl.TPair:
-            return pair(k[0], k[1])
-        if cls is cl.TAdd:
-            return k[0] + k[1]
-        if cls is cl.TMul:
-            return k[0] * k[1]
-        if cls is cl.App:
-            return _fn(fns, n.fname)(k[0])
-        raise TypeError(n)
-    return fold(t, cl.term_kids, rule)
 
 
 def _instances(q, a: dict[str, int], fns) -> Iterator[tuple]:
@@ -323,12 +279,13 @@ def eval_formula_direct(phi: QuasiFormula, assign: dict[str, int],
         cls, value = type(f), memo.get(f)
         if value is not None:
             pass  # valued before under this assignment
-        elif cls is FRel:
+        elif cls is cl.Rel:
             left = eval_term_direct(f.left, a, fns)
             right = eval_term_direct(f.right, a, fns)
-            value = left < right if f.rel == "<" else left == right
-        elif cls is FOracle:
-            value = eval_term_direct(f.term, a, fns) in oracle
+            value = (left < right if f.rel == "<"
+                     else left == right) != f.negated
+        elif cls is cl.OracleMem:
+            value = (eval_term_direct(f.term, a, fns) in oracle) != f.negated
         elif cls is FBoundedEx or cls is FQuasiBoundedEx:
             stack.append((f, memo, _instances(f, a, fns), True, True))
         elif cls is FNot or cls is FOr or cls is FAnd:
@@ -394,8 +351,7 @@ def compile_explicit(d: cl.ClausalDef,
             elif isinstance(lit, cl.AppEq):
                 bind[lit.out] = _term_d(cl.App(lit.fname, lit.arg), var, env)
             else:  # a relation or an oracle query
-                g = _atom_d(lit, var, env)
-                guards.append(not_d(g) if lit.negated else g)
+                guards.append(_atom_d(lit, var, env))
         guard = reduce(and_d, guards) if guards else ONE
         compiled.append((guard, _term_d(c.result, var, env)))
 

@@ -315,20 +315,18 @@ def validate(d: Derivation, c: AlgebraClass) -> bool:
 
 # --- S-expression format ---------------------------------------------------
 
-_ATOM_OF = {
-    Op.S: "S", Op.ADD: "add", Op.MUL: "mul", Op.LT: "lt", Op.I: "I",
-    Op.D: "D", Op.E: "E", Op.SMASH: "smash", Op.ORACLE: "X",
-}
-_NODE_OF_ATOM = {v: Derivation(k) for k, v in _ATOM_OF.items()}
-_HEAD_OF = {Op.P: "P", Op.COMP: "comp", Op.MU: "mu",
-            Op.PR: "pr", Op.BPR: "bpr", Op.SNR: "snr"}
-_OP_OF_HEAD = {v: k for k, v in _HEAD_OF.items()}
+# An operator is spelled by its value: a leaf as an atom, a compound node
+# as the head of its list.  _SPELLING reads it by a dict lookup, which is
+# faster than Enum's value property.
+_SPELLING = {op: op.value for op in Op}
+_NODE_OF_ATOM = {op.value: Derivation(op) for op in Op if not ARITY[op]}
+_OP_OF_HEAD = {op.value: op for op in Op if ARITY[op]}
 
 
 def _print_rule(d: Derivation, kids: list[str]) -> str:
     if not kids:
-        return _ATOM_OF[d.op]
-    return f"({_HEAD_OF[d.op]} {' '.join(kids)})"
+        return _SPELLING[d.op]
+    return f"({_SPELLING[d.op]} {' '.join(kids)})"
 
 
 def d_print(d: Derivation) -> str:
@@ -400,7 +398,7 @@ def d_parse(text: str) -> Derivation:
             node = None if r is None else r()
             if node is None:
                 if len(kids) != ARITY[op]:
-                    raise _error(text, f"{_HEAD_OF[op]} takes {ARITY[op]} "
+                    raise _error(text, f"{op.value} takes {ARITY[op]} "
                                  f"children, got {len(kids)}",
                                  _opening(toks, last()))
                 node = Derivation(op, kids)
@@ -558,16 +556,34 @@ class UnboundedOperatorError(ValueError):
     """The derivation contains an operator with no polynomial bound."""
 
 
+_BOUND_ARITY = {"const": 0, "var": 0, "add": 2, "mul": 2}
+
+
 class PolyBound(Interned):
     """A closed monotone expression in one variable.
 
-    kind is one of "const", "var", "add", "mul"; args carry subterms.
+    kind is one of "const", "var", "add", "mul"; args carry subterms,
+    two for add and mul, none otherwise; value is a const's value, an
+    int >= 0, and 0 for the other kinds.  The fields are checked before
+    the intern-table lookup, where True would find the node of 1.
     """
 
     __slots__ = ("kind", "value", "args")
 
     def __new__(cls, kind: str, value: int = 0,
                 args: tuple["PolyBound", ...] = ()):
+        arity = _BOUND_ARITY.get(kind)
+        if arity is None:
+            raise ValueError(f"unknown bound kind {kind!r}")
+        if len(args) != arity:
+            raise ValueError(f"{kind} takes {arity} args, got {len(args)}")
+        if type(value) is not int:
+            raise TypeError(
+                f"a bound's value is an int, got {type(value).__name__}")
+        if value < 0:
+            raise ValueError(f"a const bound is at least 0, got {value}")
+        if value and kind != "const":
+            raise ValueError(f"a {kind} bound holds no value, got {value}")
         return super().__new__(cls, kind, value, args)
 
     def __call__(self, n: int) -> int:

@@ -108,22 +108,13 @@ _RECORD_BITS = 1 << 25
 def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
              meter: Meter | None = None, memo: bool = False,
              expansion_log: list | None = None) -> int:
-    """Evaluate derivation d at argument x.
+    """Evaluate derivation d at argument x and return its value.
 
-    Returns the value; metering accumulates into `meter` if given.  With
-    memo=True, every compound node (in particular pr/bpr/snr) is memoized
-    on (node, arg) for the duration of this call, so each distinct call is
-    expanded at most once; the key is the interned node, so equal subterms
-    share entries.  The iterates inside a pr/bpr call are not memoized
-    (no course-of-values evaluation), and the pair table that spares
-    re-unpairing exists only with memo=True.  With memo=False every call
-    is charged in full; a repeated call, past the run's first steps, is
-    replayed from its record at its recorded cost unless that cost would
-    pass the step budget or a log is kept (see the module docstring).
-    expansion_log, if given, receives (node, arg) for every call of a
-    pr, bpr or snr node below the root, memo hits included, and
-    (node, <w, p>) for each pr/bpr iteration w.  Raises TypeError unless
-    d is a Derivation and x an int, and ValueError if x is negative.
+    Metering accumulates into `meter` if given.  What a step is, what
+    memo=True keeps, how a naive run replays a repeated call and what
+    expansion_log receives are the module docstring's contract.  Raises
+    TypeError unless d is a Derivation and x an int, and ValueError if x
+    is negative.
     """
     if not isinstance(d, Derivation):
         raise TypeError(f"expected a Derivation, got {type(d).__name__}")

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .codec import FinSet, nat
 from .compiler import (HD, ONE, PRED, TL, VarCtx, Z_, compile_formula, dd,
                        lt_d, not_d)
-from .compiler import FBoundedEx, FOracle, FRel
-from .clausal import Succ, TAdd, Var
+from .compiler import FBoundedEx
+from .clausal import OracleMem, Rel, Succ, TAdd, Var
 from .derivation import (ADD, Derivation, E, I, P, S, bpr, comp, mu, snr,
                          poly_bound)
 from .evaluator import Budget, BudgetExceeded, Meter, eval_memo, eval_naive
@@ -115,18 +115,20 @@ def scaling_study(d: Derivation, mode: CharMode, sizes,
     Deterministic for a fixed seed.  A budget overrun stops measurement
     and flags the report as truncated; so does a One-mode size above the
     bit budget, before its set is built, as the set's code would be wider
-    than the budget.  Any other error propagates.  A size that is not a
-    natural number raises TypeError or ValueError.
+    than the budget.  Any other error propagates.  A size or a
+    trials_per_size that is not a natural number raises TypeError or
+    ValueError.
     """
     rng = random.Random(seed)
     rows: list[tuple[int, int, int]] = []
     truncated = False
+    trials = range(nat(trials_per_size, "trials_per_size"))
     max_bits = (budget or Budget()).max_bits
     for size in sorted(nat(s, "size") for s in sizes):
         if mode is CharMode.ONE and size > max_bits:
             truncated = True
             break
-        for _ in range(trials_per_size):
+        for _ in trials:
             if mode is CharMode.ZERO:
                 inp = rng.randint(max(size // 2, 1), size) if size > 0 else 0
             else:
@@ -148,7 +150,7 @@ def scaling_study(d: Derivation, mode: CharMode, sizes,
 def parity_predicate() -> Derivation:
     """1 iff x is even: the compiled formula (exists y < S(x)) y + y = x."""
     f = FBoundedEx("y", Succ(Var("x")),
-                   FRel(TAdd(Var("y"), Var("y")), "=", Var("x")))
+                   Rel(TAdd(Var("y"), Var("y")), "=", Var("x")))
     return compile_formula(f, VarCtx.of("x"), {})
 
 
@@ -158,7 +160,7 @@ def membership_predicate() -> Derivation:
     In One mode the argument is ||X||, which exceeds every element of X,
     so the scan decides whether X is nonempty.
     """
-    f = FBoundedEx("y", Var("x"), FOracle(Var("y")))
+    f = FBoundedEx("y", Var("x"), OracleMem(Var("y")))
     return compile_formula(f, VarCtx.of("x"), {})
 
 

@@ -22,8 +22,6 @@ on deep terms.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from funalg import clausal as cl
 from funalg.clausal import (App, AppEq, Clause, Literal, OracleMem,
                             QuasiTerm, RefinementError, Rel, Succ, TAdd,
@@ -383,7 +381,7 @@ class RecursiveParser(cl._Parser):
             self.next()
             inner = self.parse_lit()
             if isinstance(inner, (Rel, OracleMem)):
-                return replace(inner, negated=not inner.negated)
+                return type(inner)(*inner._fields()[:-1], not inner.negated)
             self.err("only relations and oracle atoms can be negated")
         t1 = self.parse_term()
         nxt = self.peek()
@@ -408,7 +406,8 @@ def lit_key(lit: Literal) -> tuple:
     """Identity of a first literal, ignoring the names it binds: its tag,
     then its other fields in order."""
     _, _, binders, tag = cl._LIT_SHAPE[type(lit)]
-    return (tag, *(v for f, v in vars(lit).items() if f not in binders))
+    return (tag, *(v for f, v in zip(lit.__slots__, lit._fields())
+                   if f not in binders))
 
 
 def canon_binders(side: list[cl._State], bound: set[str],
@@ -530,8 +529,8 @@ def walk(group: list[cl._State], prefix: list[Literal], bound: set[str],
             raise RefinementError(
                 "clauses split on different relations: "
                 + " vs ".join(sorted(cl.lit_str(l) for l in firsts)))
-        base = replace(firsts[0], negated=False)
-        negd = replace(base, negated=True)
+        kind, fields = type(firsts[0]), firsts[0]._fields()[:-1]
+        base, negd = kind(*fields, False), kind(*fields, True)
         pos = or_default([s for s in group if not s.lits[0].negated],
                          lambda: base, f"case {cl.lit_str(base)}")
         neg = or_default([s for s in group if s.lits[0].negated],

@@ -41,6 +41,24 @@ def test_parse_rejects_undeclared_function():
         parse_cl("def f { f(x) = g(x); }")
 
 
+def test_undeclared_function_is_reported_at_the_definition_name():
+    with pytest.raises(CLSyntaxError,
+                       match=r"^3:6: undeclared function 'g'$") as e:
+        parse_cl("def id { id(x) = x; }\n\ndef  f {\n  f(x) = g(id(x));\n}")
+    assert (e.value.line, e.value.col) == (3, 6)
+
+
+def test_parse_rejects_a_second_definition_of_one_name():
+    # otherwise eval_clausal would run the last f and `compile --fn f`
+    # the first
+    with pytest.raises(CLSyntaxError,
+                       match=r"^2:5: duplicate definition 'f'$"):
+        parse_cl("def f { f(x) = x; }\ndef f { f(x) = 0; }")
+    with pytest.raises(CLSyntaxError, match="duplicate definition 'g'"):
+        parse_cl("def g { g(x) = x; } def h { h(x) = g(x); } "
+                 "def g { g(x) = h(x); }")
+
+
 def test_parse_rejects_nonzero_numerals():
     with pytest.raises(CLSyntaxError):
         parse_cl("def f { f(x) = 1; }")

@@ -3,6 +3,9 @@ stack and the parser's explicit bracket stack, against their recursive
 oracles, on deep terms and deep recursions, and the strict form kept per
 definition."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -271,6 +274,53 @@ def test_equal_terms_are_one_object(a, b):
     assert (a is b) == (a == b) == _same_term(a, b)
     # printed text is no identity: it drops the brackets of + and *
     assert TMul(TAdd(a, b), a) is not TAdd(a, TMul(b, a))
+
+
+def _literals():
+    """A literal of every kind, Rel and OracleMem negated or not."""
+    x, y = Var("x"), Var("y")
+    return [AppEq("f", TPair(x, y), "z"), VarZero("x"), VarSucc("x", "w"),
+            VarPair("x", "w1", "w2"), Rel(TAdd(x, y), "<", Succ(x)),
+            Rel(x, "=", Zero(), True), OracleMem(TMul(x, y)),
+            OracleMem(x, True)]
+
+
+def test_equal_literals_are_one_object():
+    assert {type(lit) for lit in _literals()} == set(cl._LIT_SHAPE)
+    for lit, again in zip(_literals(), _literals()):
+        assert lit is again and hash(lit) == hash(again)
+        assert type(lit)(*lit._fields()) is lit
+        assert lit_str(lit) == lit_str(again)
+    assert Rel(Var("x"), "<", Zero()) is Rel(Var("x"), "<", Zero(), False)
+    assert OracleMem(Var("x")) is not OracleMem(Var("x"), True)
+    # 1 == True, so an int would find the node built with True
+    for flag in (1, 0, "no", None):
+        with pytest.raises(TypeError, match="negated must be a bool"):
+            Rel(Var("x"), "<", Zero(), flag)
+        with pytest.raises(TypeError, match="negated must be a bool"):
+            OracleMem(Var("x"), flag)
+
+
+@pytest.mark.parametrize("lit", _literals(), ids=lambda lit: lit_str(lit))
+def test_literals_copy_and_pickle_to_themselves(lit):
+    assert copy.copy(lit) is lit and copy.deepcopy(lit) is lit
+    assert pickle.loads(pickle.dumps(lit)) is lit
+
+
+def test_literal_repr_names_every_field_in_order():
+    assert [repr(lit) for lit in _literals()] == [
+        "AppEq(fname='f', arg=TPair(left=Var(name='x'), "
+        "right=Var(name='y')), out='z')",
+        "VarZero(v='x')",
+        "VarSucc(v='x', w='w')",
+        "VarPair(v='x', w1='w1', w2='w2')",
+        "Rel(left=TAdd(left=Var(name='x'), right=Var(name='y')), rel='<', "
+        "right=Succ(arg=Var(name='x')), negated=False)",
+        "Rel(left=Var(name='x'), rel='=', right=Zero(), negated=True)",
+        "OracleMem(term=TMul(left=Var(name='x'), right=Var(name='y')), "
+        "negated=False)",
+        "OracleMem(term=Var(name='x'), negated=True)",
+    ]
 
 
 def _walk_outcome(run, d, complete):

@@ -137,6 +137,14 @@ def test_reduce_snr_of_a_definition_with_a_helper(capsys, corpus_file):
                    " undefined function 'id'\n")
 
 
+@pytest.mark.parametrize("bound", ["n * True", "False", "n + 1.5"])
+def test_reduce_bound_takes_only_natural_numerals(capsys, corpus_file, bound):
+    code, out, err = run(capsys, "reduce", corpus_file, "--fn", "L",
+                         "--to", "snr", "--bound", bound)
+    assert code == 1 and not out
+    assert err == f"error: bound must be a polynomial in n: {bound!r}\n"
+
+
 def test_reduce_bound_parses_a_long_sum():
     from funalg.cli import _parse_bound
     b = _parse_bound("+".join(["n"] * 1200))
@@ -174,6 +182,14 @@ def test_meter_non_predicate_is_an_error(capsys):
                          "zero", "--sizes", "4")
     assert code == 1 and out == ""
     assert "PredicateError" in err
+
+
+def test_meter_negative_trial_count_is_an_error(capsys):
+    code, out, err = run(capsys, "meter", "--d", "(comp lt (P I S))",
+                         "--mode", "zero", "--sizes", "4", "--trials", "-1")
+    assert code == 1 and out == ""
+    assert err == ("error: ValueError: trials_per_size must be a natural "
+                   "number, got -1\n")
 
 
 def test_eval_negative_argument(capsys):

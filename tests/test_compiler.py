@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import pickle
 import time
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +20,11 @@ from funalg.compiler import (HD, ONE, PRED, TL, UnboundVariableError, VarCtx,
 from funalg.compiler import (FAnd, FBoundedEx, FNot, FOr, FOracle,
                              FQuasiBoundedEx, FRel)
 from funalg.corpus import corpus_defs
-from funalg.derivation import I, P, S, comp, d_print
+from funalg.derivation import (Derivation, I, Interned, P, PolyBound, S,
+                               comp, d_print)
 from funalg.evaluator import Meter, eval_memo, eval_naive
-from funalg.clausal import Rel, eval_clausal, parse_cl
+from funalg import clausal as cl, compiler
+from funalg.clausal import OracleMem, Rel, eval_clausal, parse_cl
 
 
 def test_combinator_semantics():
@@ -224,6 +227,49 @@ def test_formulas_are_interned():
         "z", Succ(x), FAnd(FOracle(Var("z")), FNot(FRel(x, "<", y))))
     assert FQuasiBoundedEx("z", "f", x, FOr(FOracle(x), FOracle(y))) \
         is FQuasiBoundedEx("z", "f", x, FOr(FOracle(x), FOracle(y)))
+
+
+def test_formula_atoms_are_the_clausal_literals():
+    assert FRel is Rel and FOracle is OracleMem
+
+
+@pytest.mark.parametrize("cls", [
+    *typing.get_args(cl.QuasiTerm), *typing.get_args(cl.Literal),
+    *typing.get_args(compiler.QuasiFormula), Derivation, PolyBound],
+    ids=lambda cls: cls.__name__)
+def test_every_syntax_node_is_interned(cls):
+    assert issubclass(cls, Interned)
+
+
+def test_negated_atoms_compile_as_they_evaluate():
+    oracle = FinSet((1, 3, 5))
+    x, y, z = Var("x"), Var("y"), Var("z")
+    formulas = [
+        Rel(x, "<", y, negated=True),
+        Rel(TAdd(x, x), "=", y, True),
+        OracleMem(x, True),
+        FNot(OracleMem(y, True)),
+        FOr(Rel(x, "=", y, True), OracleMem(TAdd(x, y), True)),
+        FAnd(Rel(x, "<", y), Rel(y, "<", Succ(x), True)),
+        FBoundedEx("z", y, Rel(TAdd(z, z), "=", x, True)),
+        FQuasiBoundedEx("z", "f", x, OracleMem(z, True)),
+    ]
+    ctx, fns = VarCtx.of("x", "y"), {"f": lambda n: n + 1}
+    for f in formulas:
+        d = compile_formula(f, ctx, {"f": comp(S, I)})
+        for xv in range(6):
+            for yv in range(6):
+                a = {"x": xv, "y": yv}
+                got = eval_naive(d, pack_args([xv, yv]), oracle=oracle)
+                want = eval_formula_direct(f, a, oracle, fns)
+                assert got in (0, 1)
+                assert (got == 1) == want, (f, xv, yv)
+    for xv, yv in itertools.product(range(4), repeat=2):
+        a = {"x": xv, "y": yv}
+        for atom in (Rel(x, "<", y), Rel(x, "=", y), OracleMem(x)):
+            negated = type(atom)(*atom._fields()[:-1], True)
+            assert (eval_formula_direct(negated, a, oracle)
+                    is not eval_formula_direct(atom, a, oracle))
 
 
 @pytest.mark.parametrize("make", [

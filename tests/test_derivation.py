@@ -706,6 +706,29 @@ def test_every_constructor_form_gives_one_node(d):
     assert PolyBound("var") is PolyBound("var", 0, ())
 
 
+@pytest.mark.parametrize("args,error,message", [
+    (("bogus",), ValueError, "unknown bound kind 'bogus'"),
+    (("mul", 0, (PolyBound("var"),)), ValueError, "mul takes 2 args, got 1"),
+    (("var", 0, (PolyBound("var"),)), ValueError, "var takes 0 args, got 1"),
+    (("const", True), TypeError, "is an int, got bool"),
+    (("const", 2.0), TypeError, "is an int, got float"),
+    (("const", -1), ValueError, "at least 0, got -1"),
+    (("var", 5), ValueError, "a var bound holds no value, got 5"),
+], ids=["kind", "mul-args", "var-args", "bool", "float", "negative",
+        "var-value"])
+def test_a_malformed_bound_is_rejected(args, error, message):
+    with pytest.raises(error, match=message):
+        PolyBound(*args)
+
+
+def test_a_bool_constant_does_not_find_the_node_of_one():
+    one = PolyBound("const", 1)
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            PolyBound("const", flag)
+    assert str(PolyBound("add", args=(PolyBound("var"), one))) == "(n + 1)"
+
+
 def _comp_chain(depth, leaf=I):
     d = leaf
     for _ in range(depth):

@@ -145,3 +145,13 @@ def test_scaling_study_propagates_errors():
 def test_scaling_study_rejects_bad_sizes(mode, sizes, error, message):
     with pytest.raises(error, match=message):
         scaling_study(constant_predicate(), mode, sizes)
+
+
+@pytest.mark.parametrize("trials,error,message", [
+    (-1, ValueError, "trials_per_size must be a natural number, got -1"),
+    (1.5, TypeError, "expected an int trials_per_size, got float"),
+])
+def test_scaling_study_rejects_a_bad_trial_count(trials, error, message):
+    for sizes in ([4], []):
+        with pytest.raises(error, match=message):
+            scaling_study(constant_predicate(), CharMode.ZERO, sizes, trials)
