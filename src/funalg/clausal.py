@@ -531,15 +531,24 @@ _PATTERN_NODES = (Zero, Var, Succ, TPair)
 
 
 def _validate_pattern(p: QuasiTerm):
+    """RefinementError for a node that is not 0, a variable, S or a pair,
+    else for a variable that occurs twice (the least such name)."""
     # descend only through valid nodes, so the leftmost outermost invalid
-    # node is the one reported
+    # node is the one reported; two occurrences of a variable meet at a pair
+    repeated: set[str] = set()
+
     def kids(t: QuasiTerm) -> tuple:
         return term_kids(t) if type(t) in _PATTERN_NODES else ()
 
-    def rule(t: QuasiTerm, _):
+    def rule(t: QuasiTerm, vs: list[set[str]]) -> set[str]:
         if type(t) not in _PATTERN_NODES:
             raise RefinementError(f"invalid pattern {term_str(t)}")
+        if type(t) is TPair:
+            repeated.update(vs[0] & vs[1])
+        return {t.name} if type(t) is Var else set().union(*vs)
     fold(p, kids, rule)
+    if repeated:
+        raise RefinementError(f"repeated pattern variable {min(repeated)!r}")
 
 
 def parse_cl(text: str) -> list[ClausalDef]:
@@ -637,6 +646,7 @@ def _clause_all_vars(c: Clause) -> set[str]:
 
 def _flatten_pattern(c: Clause, argvar: str) -> Clause:
     """Move a head pattern into antecedent literals over a plain variable."""
+    _validate_pattern(c.pattern)
     fresh = _Fresh(lambda: _clause_all_vars(c) | {argvar})
     lits: list[Literal] = []
     subs: dict[str, str] = {}
@@ -650,13 +660,11 @@ def _flatten_pattern(c: Clause, argvar: str) -> Clause:
             lits.append(VarZero(v))
         elif cls is Var:
             subs[p.name] = v
-        elif cls is Succ or cls is TPair:
+        else:  # S or a pair, as the pattern is valid
             ws = [k.name if type(k) is Var else fresh() for k in term_kids(p)]
             lits.append(VarSucc(v, *ws) if cls is Succ else VarPair(v, *ws))
             return [(w, k) for w, k in zip(ws, term_kids(p))
                     if type(k) is not Var]
-        else:
-            raise RefinementError(f"invalid pattern {term_str(p)}")
         return []
 
     fold((argvar, c.pattern), kids, lambda o, _: None)
@@ -981,21 +989,20 @@ def check_recursive_restrictions(d: ClausalDef) -> RestrictionReport:
                 param_ok = False
                 notes.append(f"clause of {d.name} calls functions but its "
                              "argument is not split as (v, p)")
+                continue
             for l in apps:
-                p = first_pair.w2 if first_pair else None
                 # the parameter must be the rightmost leaf of the call's
                 # argument tuple, shipped unchanged
                 t = l.arg
                 while isinstance(t, TPair):
                     t = t.right
-                ok = isinstance(t, Var) and t.name == p
-                if not ok:
+                if not (isinstance(t, Var) and t.name == first_pair.w2):
                     param_ok = False
                     notes.append(
-                        f"call {l.fname}({term_str(t)}) does not ship the "
-                        f"parameter {p!r} unchanged")
+                        f"call {l.fname}({term_str(l.arg)}) does not ship "
+                        f"the parameter {first_pair.w2!r} unchanged")
     if calls_helpers and not param_ok:
-        raise RestrictionError("; ".join(notes))
+        raise RestrictionError("; ".join(dict.fromkeys(notes)))
     return RestrictionReport(True, dynamic, calls_helpers and param_ok,
                              tuple(notes), pair_descent)
 

@@ -1,4 +1,4 @@
-"""Number encodings: pairing, tuples, lists, 0-1 sequences, coded sets, trees.
+"""Number encodings: pairing, tuples, lists, 0-1 sequences, finite sets.
 
 Everything here is a pure function on the natural numbers, as Python ints
 of any size.  The domain is stated once, by nat: a non-int raises
@@ -116,30 +116,7 @@ def seq_len(t: int) -> int:
     return max(nat(t, "code").bit_length() - 1, 0)
 
 
-def seq_concat(s: int, t: int) -> int:
-    """Append bit-vectors; yields 0 whenever either side is 0."""
-    if 0 in (nat(s, "code"), nat(t, "code")):
-        return 0
-    p = 1 << seq_len(t)
-    return s * p + (t - p)
-
-
-def seq_prefix(s: int, t: int) -> bool:
-    """Improper prefix: some r with s * r = t (so s, t > 0 and s leads t)."""
-    if 0 in (nat(s, "code"), nat(t, "code")):
-        return False
-    ls, lt = seq_len(s), seq_len(t)
-    if ls > lt:
-        return False
-    return t >> (lt - ls) == s
-
-
-def seq_prefix_proper(s: int, t: int) -> bool:
-    """Proper prefix: improper prefix and s < t."""
-    return seq_prefix(s, t) and s < t
-
-
-# --- Finite sets coded as bit masks (x in code iff bit x is set).
+# --- Finite sets: the oracles of One-mode runs, whose argument is size().
 
 @dataclass(frozen=True)
 class FinSet:
@@ -172,53 +149,3 @@ class FinSet:
     def size(self) -> int:
         """Least strict upper bound of the set (0 for the empty set)."""
         return self.elements[-1] + 1 if self.elements else 0
-
-
-def ack_member(x: int, y: int) -> bool:
-    """Bit-membership: x is in the set coded by y iff bit x of y is 1."""
-    nat(y, "code")
-    return x >= 0 and (y >> x) & 1 == 1
-
-
-_ACK_BITS = 1 << 24
-
-
-def ack_encode(s: FinSet) -> int:
-    """The code with bit e set for each element e of s, max(s) + 1 bits wide.
-
-    A code is at most 2**24 bits (2 MiB) wide: an element of 2**24 or more
-    raises ValueError, naming it, before any of the code is built."""
-    if not s.elements:
-        return 0
-    top = s.elements[-1]
-    if top >= _ACK_BITS:
-        raise ValueError(f"element {top} needs a code wider than 2**24 bits")
-    code = bytearray((top >> 3) + 1)
-    for e in s.elements:
-        code[e >> 3] |= 1 << (e & 7)
-    return int.from_bytes(code, "little")
-
-
-def ack_decode(y: int) -> FinSet:
-    """The set of the 1 bits of y; one pass over its bytes."""
-    code = nat(y, "code").to_bytes((y.bit_length() + 7) >> 3, "little")
-    return FinSet(tuple(i << 3 | j for i, byte in enumerate(code) if byte
-                        for j in range(8) if byte >> j & 1))
-
-
-def is_tree(s) -> bool:
-    """True iff 0 is absent and s is closed under proper sequence prefixes.
-
-    Accepts a FinSet or any collection of sequence codes."""
-    members = {nat(t, "member") for t in s}
-    if 0 in members:
-        return False
-    for t in members:
-        # proper prefixes of t are its leading bit-strings, down to 1
-        p = t >> 1
-        while p >= 1:
-            if p not in members:
-                return False
-            p >>= 1
-    return True
-

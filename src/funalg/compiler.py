@@ -15,7 +15,7 @@ explicit stack, so none recurses."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable, Iterator
 
 from . import clausal as cl
@@ -102,14 +102,19 @@ class VarCtx:
     def projection(self, name: str) -> Derivation:
         """The derivation extracting one variable from the
         right-associated packing x0,(x1,(...,xn))."""
-        if name not in self.vars:
-            raise UnboundVariableError(f"unbound variable {name!r}")
-        i = self.vars.index(name)
-        n = len(self.vars) - 1
-        d = I
-        for _ in range(i):
-            d = comp(TL, d)
-        return d if i == n else comp(HD, d)
+        return _projection(self.vars, name)
+
+
+def _projection(names: tuple[str, ...], name: str) -> Derivation:
+    """VarCtx.projection on names, which may repeat one: the first
+    occurrence is read, so an inner binding shadows an outer one."""
+    if name not in names:
+        raise UnboundVariableError(f"unbound variable {name!r}")
+    i = names.index(name)
+    d = I
+    for _ in range(i):
+        d = comp(TL, d)
+    return d if i == len(names) - 1 else comp(HD, d)
 
 
 def pack_args(values) -> int:
@@ -219,33 +224,34 @@ def compile_formula(phi: QuasiFormula, ctx: VarCtx,
     """A 0/1-valued derivation computing the formula's truth value."""
     env = env or {}
 
-    # The fold runs on occurrences (formula, context); a quantifier hands
-    # its body the context extended by the bound variable.  Each distinct
+    # The fold runs on occurrences (formula, names in scope); a quantifier
+    # puts its variable first, shadowing an outer one.  Each distinct
     # occurrence is one tuple, so fold, which works by identity, compiles
     # a shared subformula once per context, not once per path to it.
     occs: dict[tuple, tuple] = {}
 
     def kids(o: tuple) -> list:
-        f, c = o
+        f, vs = o
         if type(f) is FBoundedEx or type(f) is FQuasiBoundedEx:
-            c = VarCtx((f.var,) + c.vars)
-        return [occs.setdefault((k, c), (k, c)) for k in formula_kids(f)]
+            vs = (f.var,) + vs
+        return [occs.setdefault((k, vs), (k, vs)) for k in formula_kids(f)]
 
     def rule(o: tuple, k: list[Derivation]) -> Derivation:
-        f, c = o
+        f, vs = o
         cls = type(f)
+        var = partial(_projection, vs)
         if cls is cl.Rel or cls is cl.OracleMem:
-            return _atom_d(f, c.projection, env)
+            return _atom_d(f, var, env)
         if cls in _CONNECTIVE_D:
             return _CONNECTIVE_D[cls](*k)
         if cls is FBoundedEx:
-            bound = _term_d(f.bound, c.projection, env)
+            bound = _term_d(f.bound, var, env)
             return lt_d(comp(mu(k[0]), P(bound, I)), bound)
         if cls is FQuasiBoundedEx:
-            witness = _term_d(cl.App(f.fname, f.arg), c.projection, env)
+            witness = _term_d(cl.App(f.fname, f.arg), var, env)
             return comp(k[0], P(witness, I))
         raise TypeError(f)
-    return fold((phi, ctx), kids, rule)
+    return fold((phi, ctx.vars), kids, rule)
 
 
 # --- Truth oracle (reference semantics for tests) ----------------------------

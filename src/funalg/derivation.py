@@ -457,12 +457,14 @@ def _per_op(ops, counts, pairs, k: int) -> list[int]:
 
 
 def _as_class(c) -> AlgebraClass:
-    if isinstance(c, str):
-        try:
-            return CLASSES[c]
-        except KeyError:
-            raise EnumerationError(f"unknown algebra class {c!r}") from None
-    return c
+    if isinstance(c, AlgebraClass):
+        return c
+    if not isinstance(c, str):
+        raise TypeError(f"expected an algebra class, got {type(c).__name__}")
+    try:
+        return CLASSES[c]
+    except KeyError:
+        raise EnumerationError(f"unknown algebra class {c!r}") from None
 
 
 def index_of(d: Derivation, c) -> int:

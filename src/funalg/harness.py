@@ -3,8 +3,8 @@
 A derivation d names a predicate in one of two input conventions:
 Zero mode decides the set { x | d(x) = 1 with oracle emptyset }, One mode
 decides { X | d(||X||) = 1 with oracle X } for finite sets X.  The harness
-runs predicates in either mode, certifies polynomial value bounds
-empirically, and measures step-count scaling over input sizes.
+runs predicates in either mode and measures step-count scaling over input
+sizes.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from .compiler import (HD, ONE, PRED, TL, VarCtx, Z_, compile_formula, dd,
                        lt_d, not_d)
 from .compiler import FBoundedEx
 from .clausal import OracleMem, Rel, Succ, TAdd, Var
-from .derivation import (ADD, Derivation, E, I, P, S, bpr, comp, mu, snr,
-                         poly_bound)
-from .evaluator import Budget, BudgetExceeded, Meter, eval_memo, eval_naive
+from .derivation import ADD, Derivation, E, I, P, S, bpr, comp, mu, snr
+from .evaluator import Budget, BudgetExceeded, Meter, eval_memo
 
 
 class PredicateError(ValueError):
@@ -52,23 +51,6 @@ def char_run(d: Derivation, mode: CharMode, inp,
     if v not in (0, 1):
         raise PredicateError(f"predicate returned {v}, not 0/1")
     return v == 1, meter
-
-
-def certify_bound(d: Derivation, xs,
-                  budget: Budget | None = None):
-    """Check eval(d, x) <= poly_bound(d)(x) on the samples.
-
-    Returns None when every sample is within the bound, else the first
-    counterexample as a (x, value, bound) triple.  Derivations using
-    operators without a polynomial bound are rejected by poly_bound.
-    """
-    b = poly_bound(d)
-    for x in xs:
-        v = eval_naive(d, x, budget=budget)
-        bx = b(x)
-        if v > bx:
-            return (x, v, bx)
-    return None
 
 
 @dataclass(frozen=True)

@@ -117,15 +117,24 @@ def lit_used_vars(lit: Literal) -> set[str]:
 
 
 def validate_pattern(p: QuasiTerm):
-    if isinstance(p, (Zero, Var)):
-        return
+    """An invalid node is reported first, then the least variable that
+    occurs twice."""
+    names = _pattern_vars(p)
+    repeated = {v for v in names if names.count(v) > 1}
+    if repeated:
+        raise RefinementError(f"repeated pattern variable {min(repeated)!r}")
+
+
+def _pattern_vars(p: QuasiTerm) -> list[str]:
+    """The variable occurrences of pattern p, left to right."""
+    if isinstance(p, Zero):
+        return []
+    if isinstance(p, Var):
+        return [p.name]
     if isinstance(p, Succ):
-        validate_pattern(p.arg)
-        return
+        return _pattern_vars(p.arg)
     if isinstance(p, TPair):
-        validate_pattern(p.left)
-        validate_pattern(p.right)
-        return
+        return _pattern_vars(p.left) + _pattern_vars(p.right)
     raise RefinementError(f"invalid pattern {term_str(p)}")
 
 
@@ -153,6 +162,7 @@ def clause_all_vars(c: Clause) -> set[str]:
 
 def flatten_pattern(c: Clause, argvar: str) -> Clause:
     """Move a head pattern into antecedent literals over a plain variable."""
+    validate_pattern(c.pattern)
     if isinstance(c.pattern, Var):
         if c.pattern.name == argvar:
             return c

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import funalg
-from funalg.clausal import (CLSyntaxError, ClausalDef, ClausalEvalError,
-                            MeasureViolation, RefinementError,
-                            RestrictionError, check_recursive_restrictions,
+from funalg.clausal import (CLSyntaxError, Clause, ClausalDef,
+                            ClausalEvalError, MeasureViolation,
+                            RefinementError, RestrictionError, Succ, TPair,
+                            Var, Zero, check_recursive_restrictions,
                             check_refinement, complete_to_strict,
                             eval_clausal, parse_cl, print_cl)
 from funalg.codec import list_encode, pair
@@ -228,6 +229,41 @@ def f {
 """)[1]
     with pytest.raises(RestrictionError):
         check_recursive_restrictions(d)
+
+
+@pytest.mark.parametrize("body,message", [
+    ("x = 0 -> f(x) = g(x); x = S(u) -> f(x) = g(f(u));",
+     "clause of f calls functions but its argument is not split as (v, p)"),
+    ("f(0) = 0; v = 0 -> f((v, p)) = g((v, S(p)));"
+     " v = S(w) -> f((v, p)) = f((w, p));",
+     "call g((v, S(p))) does not ship the parameter 'p' unchanged; "
+     "recursive call f((w, p)) needs a dynamic measure check"),
+])
+def test_restriction_message_names_each_call_by_its_argument(body, message):
+    d = parse_cl(f"def g {{ g(x) = x; }} def f {{ {body} }}")[1]
+    with pytest.raises(RestrictionError) as e:
+        check_recursive_restrictions(d)
+    assert str(e.value) == message
+
+
+_A, _B = Var("a"), Var("b")
+
+
+@pytest.mark.parametrize("text,pattern", [
+    ("(a, a)", TPair(_A, _A)),
+    ("((a, b), S(a))", TPair(TPair(_A, _B), Succ(_A))),
+    ("(S(a), (0, S(S(a))))", TPair(Succ(_A), TPair(Zero(), Succ(Succ(_A))))),
+])
+def test_a_repeated_pattern_variable_is_rejected(text, pattern):
+    with pytest.raises(RefinementError, match="repeated pattern variable 'a'"):
+        parse_cl(f"def f {{ f(0) = 0; f({text}) = a; }}")
+    # the same definition built without the parser; a tail binding that
+    # overwrote the head's once gave f(<1, 2>) = 2
+    d = ClausalDef("f", (Clause(Zero(), (), Zero()), Clause(pattern, (), _A)))
+    for run in (check_refinement, complete_to_strict, funalg.compile_explicit,
+                lambda d: eval_clausal([d], "f", pair(1, 2))):
+        with pytest.raises(RefinementError, match="variable 'a'"):
+            run(d)
 
 
 def test_binder_complement_split():

@@ -1,16 +1,12 @@
-"""Pairing, sequence, set, and tree encodings."""
-
-import tracemalloc
+"""Pairing, tuple, list, sequence and finite-set encodings."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from funalg import codec
-from funalg.codec import (FinSet, NotAPairError, ack_decode, ack_encode,
-                          ack_member, head, is_tree, list_concat,
+from funalg.codec import (FinSet, NotAPairError, head, list_concat,
                           list_decode, list_encode, list_len, pair,
-                          seq_concat, seq_decode, seq_encode, seq_len,
-                          seq_prefix, seq_prefix_proper, tail, tuple_encode,
+                          seq_decode, seq_encode, seq_len, tail, tuple_encode,
                           unpair)
 
 
@@ -99,69 +95,9 @@ def test_seq_roundtrip(bits):
     assert seq_decode(seq_encode(bits)) == bits
 
 
-@given(st.lists(st.integers(min_value=0, max_value=1), max_size=15),
-       st.lists(st.integers(min_value=0, max_value=1), max_size=15))
-def test_seq_concat(a, b):
-    assert seq_concat(seq_encode(a), seq_encode(b)) == seq_encode(a + b)
-
-
-def test_seq_concat_worked_example():
-    assert seq_concat(2, 3) == 5
-
-
-def test_seq_prefix():
-    a = seq_encode([0, 1])
-    b = seq_encode([0, 1, 1])
-    assert seq_prefix(a, b)
-    assert seq_prefix_proper(a, b)
-    assert seq_prefix(a, a)
-    assert not seq_prefix_proper(a, a)
-    assert not seq_prefix(b, a)
-
-
-def test_ack_roundtrip():
-    import itertools
-    for n in range(6):
-        for els in itertools.combinations(range(12), n):
-            s = FinSet(els)
-            assert ack_decode(ack_encode(s)) == s
-
-
-def test_ack_membership_is_bit():
-    s = FinSet((0, 2, 5))
-    code = ack_encode(s)
-    for x in range(8):
-        assert ((code >> x) & 1 == 1) == (x in s)
-
-
-def test_ack_encode_at_its_width_limit():
-    code = ack_encode(FinSet((0, 9, 2**24 - 1)))
-    assert code == 1 | 1 << 9 | 1 << (2**24 - 1)
-    assert ack_decode(code) == FinSet((0, 9, 2**24 - 1))
-
-
-@pytest.mark.parametrize("top", [2**24, 2**40, 10**30])
-def test_ack_encode_rejects_a_wide_code_before_building_it(top):
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=f"element {top} "):
-            ack_encode(FinSet((3, top)))
-        allocated = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert allocated < 10**5
-
-
 def test_finset_size():
     assert FinSet(()).size() == 0
     assert FinSet((0, 2)).size() == 3  # one more than the largest element
-
-
-def test_tree_predicate():
-    assert is_tree(frozenset({1, 2, 5}))
-    assert not is_tree(frozenset({5}))
-    assert is_tree(frozenset({1}))
-    assert is_tree(frozenset())
 
 
 @given(st.lists(st.integers(0, 60)), st.integers(-3, 70))
@@ -191,14 +127,6 @@ OUT_OF_DOMAIN = [
     (seq_encode, ([0, 2],), ValueError, "bits, got 2"),
     (seq_decode, (-1,), ValueError, "natural number, got -1"),
     (seq_len, (-5,), ValueError, "natural number, got -5"),
-    (seq_concat, (-1, -1), ValueError, "natural number, got -1"),
-    (seq_concat, (0, -2), ValueError, "natural number, got -2"),
-    (seq_prefix, (-1, -1), ValueError, "natural number, got -1"),
-    (seq_prefix_proper, (4, -7), ValueError, "natural number, got -7"),
-    (ack_member, (3, -2), ValueError, "natural number, got -2"),
-    (ack_decode, (-1,), ValueError, "natural number, got -1"),
-    (ack_encode, (FinSet((10**30,)),), ValueError, f"element {10**30} "),
-    (is_tree, ({-1},), ValueError, "natural number, got -1"),
     (FinSet, ((1.5,),), TypeError, "expected an int element, got float"),
     (FinSet, ((-2, 1),), ValueError, "natural number, got -2"),
 ]

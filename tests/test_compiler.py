@@ -272,6 +272,27 @@ def test_negated_atoms_compile_as_they_evaluate():
                     is not eval_formula_direct(atom, a, oracle))
 
 
+_X, _Y = Var("x"), Var("y")
+
+
+@pytest.mark.parametrize("f", [
+    # the inner x shadows the context's x in the body, not in the bound
+    FBoundedEx("x", Succ(_X), Rel(_X, "=", _X)),
+    FBoundedEx("x", Succ(_X), Rel(TAdd(_X, _X), "=", _Y)),
+    FBoundedEx("y", _X, FBoundedEx("x", Succ(_Y), Rel(_X, "<", _Y))),
+    FQuasiBoundedEx("x", "f", _X, FAnd(Rel(_X, "=", Succ(_Y)),
+                                       FBoundedEx("y", _X, Rel(_Y, "=", _X)))),
+])
+def test_a_quantifier_may_rebind_a_context_variable(f):
+    fns = {"f": lambda v: v + 1}
+    d = compile_formula(f, VarCtx.of("x", "y"), {"f": comp(S, I)})
+    for xv, yv in itertools.product(range(16), range(4)):
+        got = eval_naive(d, pack_args([xv, yv]))
+        assert got == eval_formula_direct(f, {"x": xv, "y": yv}, fns=fns)
+    with pytest.raises(ValueError, match="duplicate variables in context"):
+        VarCtx.of("x", "y", "x")
+
+
 @pytest.mark.parametrize("make", [
     lambda l, rel, r: FRel(l, rel, r),
     lambda l, rel, r: Rel(l, rel, r),

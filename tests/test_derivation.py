@@ -119,6 +119,19 @@ def test_enumeration_accepts_class_names():
         derivation_at(0, "NOPE")
 
 
+@pytest.mark.parametrize("call", [
+    lambda c: index_of(I, c),
+    lambda c: derivation_at(0, c),
+    lambda c: enumerate_derivations(c, 2),
+], ids=["index_of", "derivation_at", "enumerate_derivations"])
+@pytest.mark.parametrize("c", [5, None, DA.allowed],
+                         ids=["int", "None", "ops"])
+def test_enumeration_rejects_a_class_of_the_wrong_type(call, c):
+    with pytest.raises(TypeError,
+                       match=f"algebra class, got {type(c).__name__}"):
+        call(c)
+
+
 def test_poly_bound_examples():
     assert poly_bound(I)(7) == 7
     assert poly_bound(comp(S, S))(5) == 7
@@ -135,8 +148,8 @@ def test_poly_bound_rejects_unbounded():
 def test_poly_bound_monotone_and_sound_spot():
     from funalg.evaluator import eval_naive
     rng = random.Random(3)
-    for _ in range(60):
-        d = _random_derivation(rng, TA, rng.randint(0, 3))
+    for d in [I, P(I, I)] + [_random_derivation(rng, TA, rng.randint(0, 3))
+                             for _ in range(60)]:
         b = poly_bound(d)
         for x in (0, 1, 5, 17, 100):
             assert eval_naive(d, x) <= b(x)

@@ -1,12 +1,12 @@
-"""Characterization-mode runs, bound certification, and scaling reports."""
+"""Characterization-mode runs and scaling reports."""
 
 import pytest
 
 from funalg.codec import FinSet
-from funalg.derivation import E, I, P, UnboundedOperatorError
+from funalg.derivation import I
 from funalg.evaluator import Budget
 from funalg.harness import (CharMode, PredicateError, ScalingReport,
-                            certify_bound, char_run, constant_predicate,
+                            char_run, constant_predicate,
                             doubling_clamp_predicate,
                             exhaustive_search_predicate,
                             membership_predicate, parity_predicate,
@@ -57,13 +57,6 @@ def test_mode_consistency_spot_checks():
         got_one = char_run(mem, CharMode.ONE, X)[0]
         got_zero = char_run(nonzero, CharMode.ZERO, X.size())[0]
         assert got_one == got_zero
-
-
-def test_certify_bound():
-    assert certify_bound(I, range(0, 1001)) is None
-    assert certify_bound(P(I, I), range(0, 101)) is None
-    with pytest.raises(UnboundedOperatorError):
-        certify_bound(E, [0])
 
 
 def test_scaling_study_deterministic():

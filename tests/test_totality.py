@@ -91,13 +91,6 @@ INT_FUNCTIONS = {
                         == codec.list_decode(x) + codec.list_decode(y)),
     codec.seq_decode: (1, False, lambda v, t: codec.seq_encode(v) == t),
     codec.seq_len: (0, False, lambda v, t: v == len(_bits(t) or ())),
-    codec.seq_concat: (0, False, lambda v, s, t: v == (
-        codec.seq_encode(_bits(s) + _bits(t)) if s and t else 0)),
-    codec.seq_prefix: (0, False, lambda v, s, t: v is (
-        bool(s and t) and _bits(t)[:len(_bits(s))] == _bits(s))),
-    codec.seq_prefix_proper: (0, False, lambda v, s, t: v is (
-        codec.seq_prefix(s, t) and len(_bits(s)) < len(_bits(t)))),
-    codec.ack_decode: (0, False, lambda v, y: codec.ack_encode(v) == y),
 }
 
 
@@ -109,17 +102,6 @@ def test_int_codec_functions_are_total(f, data):
     args = [data.draw(ANY) for _ in range(f.__code__.co_argcount)]
     _check(_expected(args, least), _outcome(f, *args),
            lambda v: ok(v, *args), loose)
-
-
-@given(ANY, ANY)
-def test_ack_member_checks_its_code_and_answers_for_any_element(x, y):
-    out = _outcome(codec.ack_member, x, y)
-    if _expected([y]) is not None:
-        _check(_expected([y]), out)
-    elif isinstance(x, int):
-        assert out == ("ok", x >= 0 and x in codec.ack_decode(y))
-    else:
-        assert out[0] is TypeError or out == ("ok", False)
 
 
 @given(st.lists(ANY, max_size=5))
@@ -156,29 +138,15 @@ def test_finite_sets_hold_naturals_only(xs):
     _check(err, _outcome(FinSet, tuple(xs)), lambda s: s.elements == tuple(xs))
     _check(_expected(xs), _outcome(FinSet.of, *xs),
            lambda s: s.elements == tuple(sorted(set(xs))))
-    _check(_expected(xs), _outcome(codec.is_tree, xs),
-           lambda v: v is (0 not in xs and all(
-               t >> k in xs for t in xs for k in range(1, t.bit_length()))))
 
 
 @given(st.lists(SMALL, max_size=6).map(lambda xs: FinSet.of(*xs)), ANY)
 def test_sets_answer_membership_for_any_element(s, x):
-    assert codec.ack_decode(codec.ack_encode(s)) == s
     kind, v = _outcome(s.__contains__, x)
     if isinstance(x, int):  # a negative element is simply not in a set
         assert (kind, v) == ("ok", x in s.elements)
     else:
         assert kind is TypeError or v in (True, False)
-
-
-@given(st.lists(NATURALS, max_size=5).map(lambda xs: FinSet.of(*xs)))
-def test_ack_encode_is_total(s):
-    top = max(s, default=0)
-    out = _outcome(codec.ack_encode, s)
-    if top < 2**24:
-        assert out[0] == "ok" and codec.ack_decode(out[1]) == s
-    else:  # a huge element's code would pass the width limit
-        assert out[0] is ValueError and str(top) in str(out[1]), out
 
 
 @pytest.mark.parametrize("cls", CLASSES)
