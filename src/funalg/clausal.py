@@ -955,12 +955,12 @@ def check_recursive_restrictions(d: ClausalDef) -> RestrictionReport:
     sd = complete_to_strict(d)
     argvar = sd.clauses[0].pattern.name
     notes = []
+    failures = []  # the notes that break parameterization
     dynamic = False
     pair_descent = True
     calls_helpers = any(
         isinstance(l, AppEq) and l.fname != d.name
         for c in sd.clauses for l in c.literals)
-    param_ok = True
     for c in sd.clauses:
         below = set()      # variables provably strictly below the argument
         paired = set()     # ... and reached through at least one pair split
@@ -986,9 +986,8 @@ def check_recursive_restrictions(d: ClausalDef) -> RestrictionReport:
                               None)
             apps = [l for l in c.literals if isinstance(l, AppEq)]
             if apps and first_pair is None:
-                param_ok = False
-                notes.append(f"clause of {d.name} calls functions but its "
-                             "argument is not split as (v, p)")
+                failures.append(f"clause of {d.name} calls functions but "
+                                "its argument is not split as (v, p)")
                 continue
             for l in apps:
                 # the parameter must be the rightmost leaf of the call's
@@ -997,14 +996,13 @@ def check_recursive_restrictions(d: ClausalDef) -> RestrictionReport:
                 while isinstance(t, TPair):
                     t = t.right
                 if not (isinstance(t, Var) and t.name == first_pair.w2):
-                    param_ok = False
-                    notes.append(
+                    failures.append(
                         f"call {l.fname}({term_str(l.arg)}) does not ship "
                         f"the parameter {first_pair.w2!r} unchanged")
-    if calls_helpers and not param_ok:
-        raise RestrictionError("; ".join(dict.fromkeys(notes)))
-    return RestrictionReport(True, dynamic, calls_helpers and param_ok,
-                             tuple(notes), pair_descent)
+    if failures:
+        raise RestrictionError("; ".join(dict.fromkeys(failures)))
+    return RestrictionReport(True, dynamic, calls_helpers, tuple(notes),
+                             pair_descent)
 
 
 # --- Direct interpretation ---------------------------------------------------

@@ -4,8 +4,9 @@ reduce_recursive_to_pr translates an arbitrary recursive clausal
 definition (identity measure) into primitive recursion over an explicit
 tagged dispatcher.  With one self-call per clause it walks the chain of
 descent arguments by PR and folds the results back, with no stack; with
-more, it iterates a stack-stepper function by PR and reads the value off
-the final stack.
+more, it iterates a stack stepper by PR, J^k moves for k = 0, 1, ... in
+a mu scan that stops at the first terminal stack, and reads the value
+off that stack.
 
 reduce_bounded_nested_to_snr translates a bounded nested definition into
 a single application of special nested recursion.  Its machine state
@@ -39,9 +40,9 @@ class BoundViolation(ValueError):
 @dataclass(frozen=True)
 class ReductionArtifacts:
     h_def: ClausalDef         # the explicit tagged dispatcher
-    f1_def: ClausalDef | None  # the stack stepper; None when J = 1
+    f1_def: ClausalDef | None  # the stack stepper's spec; None when J = 1
     J: int                    # max recursive calls per clause
-    mu_desc: str              # the depth scan (J = 1) or iteration count
+    mu_desc: str              # the depth scan (J = 1) or terminal scan
     result: Derivation
 
 
@@ -176,8 +177,10 @@ def _build_app1(name: str, J: int) -> ClausalDef:
 
 
 def _build_f1(name: str, hname: str, app1name: str) -> ClausalDef:
-    """The stack stepper: pushes a pending recursive argument, pops a
-    computed value into the caller's list, or idles on a finished stack."""
+    """The stack stepper, as a clausal definition: pushes a pending
+    recursive argument, pops a computed value into the caller's list, or
+    idles on a finished stack.  It is printed as the specification of
+    _stepper, which the reduction runs instead."""
     x, c, s1, r, a, z, t1, t2, w, dv, s2 = (
         "x", "c", "s1", "r", "a", "z", "t1", "t2", "w", "d", "s2")
     top = TPair(Var(x), Var(c))
@@ -200,6 +203,26 @@ def _build_f1(name: str, hname: str, app1name: str) -> ClausalDef:
                      Var(s2))),
     ]
     return ClausalDef(name, tuple(clauses))
+
+
+def _stepper(R: Derivation, app1_d: Derivation) -> Derivation:
+    """The stack stepper that _build_f1 specifies, built by hand so that
+    it calls h once per move.
+
+    On a stack s with top frame HD s, R = h(HD s) is one node, so each
+    branch of the strict dispatch reads it as a memo hit.  The chain is:
+    HD s = 0 gives s; a pending call (HD R = 0) pushes ((TL R, 0), s); a
+    finished frame with nothing below (TL s = 0) or below a 0 frame
+    (w = HD TL s = 0) gives s; otherwise the value TL R pops into the
+    caller's list, ((HD w, app1((TL w, TL R))), TL TL s).  This matches
+    f1 wherever h answers a pair for a nonzero frame, as a dispatcher of
+    a strict definition does.
+    """
+    w = comp(HD, TL)
+    push = P(P(comp(TL, R), Z_), I)
+    pop = P(P(comp(HD, w), comp(app1_d, P(comp(TL, w), comp(TL, R)))),
+            comp(TL, TL))
+    return dd(HD, I, dd(comp(HD, R), push, dd(TL, I, dd(w, I, pop))))
 
 
 def _chain_walk(h_d: Derivation) -> Derivation:
@@ -249,12 +272,21 @@ def reduce_recursive_to_pr(d: ClausalDef,
     memoized evaluation finds A(n-1-j, x) computed by the depth scan
     already.
 
-    With J >= 2 the result iterates the stack stepper f1 enough times on
-    the initial stack ((x,0),0) and reads the value off the final stack.
-    Each push pairs the new frame with the whole stack code, so the
-    stack's width about doubles per frame: a deep recursion runs out of
-    bits, and evaluation raises BudgetExceeded("bits") under a bit
-    budget, never a wrong value.  That is the documented limit of J >= 2.
+    With J >= 2 the result iterates a stack stepper on the initial stack
+    ((x,0),0) and reads the value off the first terminal stack, the
+    root's frame alone with h's tag 1.  f1_def specifies the stepper as a
+    clausal definition, which would check h once per clause; the
+    stepper itself is built by hand (_stepper) and calls h once per move.
+    A mu scan over k runs J^k moves, k = 0, 1, ..., and stops at the first
+    k whose stack is terminal, bounded by the fixed count J^(x+2) (or
+    J^(D(x)+2)) that always suffices.  So the moves run number fewer than
+    J times those that do work, and memoized evaluation re-walks the
+    earlier rounds as memo hits at one step a move: the cost is
+    geometric in the rounds.  Each push pairs the new frame with the
+    whole stack code, so the stack's width about doubles per frame: a
+    deep recursion runs out of bits, and evaluation raises
+    BudgetExceeded("bits") under a bit budget, never a wrong value.  That
+    is the documented limit of J >= 2.
     """
     env = dict(env or {})
     if d.kind != "recursive":
@@ -268,29 +300,34 @@ def reduce_recursive_to_pr(d: ClausalDef,
         return ReductionArtifacts(h_def, None, J, mu_desc, _chain_walk(h_d))
     app1_def = _build_app1(f"{d.name}_app1", J)
     f1_def = _build_f1(f"{d.name}_f1", h_def.name, app1_def.name)
-    app1_d = compile_explicit(app1_def, env)
-    f1_d = compile_explicit(f1_def,
-                            {**env, h_def.name: h_d, app1_def.name: app1_d})
+    R = comp(h_d, HD)
+    step = _stepper(R, compile_explicit(app1_def, env))
 
-    # Iteration count: the machine performs at most one push per expansion
-    # and one pop per computed value, so a recursion tree of depth n
-    # (calls along a path) and branching J needs fewer than 2*J^n
-    # stepper applications.  With the identity measure n <= x + 1, so
-    # J^(x+2) applications suffice; with pair descent n <= D(x) (see
-    # pair_depth_d), so J^(D(x)+2) suffice.  The stepper fixes terminal
-    # stacks, so overshooting is harmless.
-    jexp = pr(const(J * J), mul_d(const(J), comp(HD, TL)))
+    # run(<k, x>) = step^(J^k)(((x, 0), 0)).  The machine performs at most
+    # one push per expansion and one pop per computed value, so a
+    # recursion tree of depth n (calls along a path) and branching J
+    # reaches its terminal stack in fewer than 2*J^n moves.  With the
+    # identity measure n <= x + 1, so K = x + 2 rounds suffice; with pair
+    # descent n <= D(x) (see pair_depth_d), so K = D(x) + 2 suffice.  The
+    # scan takes the least k < K with a terminal stack after J^k moves,
+    # else K; the stepper fixes terminal stacks, so any k past the first
+    # terminal stack reads the same value.
+    jk = pr(ONE, mul_d(const(J), comp(HD, TL)))  # J^k on <k, x>
+    iterate = pr(I, comp(step, comp(HD, TL)))
+    run = comp(iterate, P(jk, comp(P(P(I, Z_), Z_), TL)))
+    # 1 on a terminal stack, the root's frame alone with h's tag 1; one
+    # run node under the test, so the result's run is the scan's memo hit
+    ends = dd(TL, comp(HD, R), Z_)
     if pair_descent:
-        mu_d = comp(jexp, P(pair_depth_d(), Z_))
-        mu_desc = (f"{J}^(D(x)+2), "
-                   "D(x) = 3 + (the least k with x < 2^(2^k))")
+        K = comp(S, comp(S, pair_depth_d()))
+        bound = "D(x)+2"
+        where = ", D(x) = 3 + (the least k with x < 2^(2^k))"
     else:
-        mu_d = comp(jexp, P(I, Z_))
-        mu_desc = f"{J}^(x+2)"
-    iterate = pr(I, comp(f1_d, comp(HD, TL)))
-    init = P(P(I, Z_), Z_)
-    final_stack = comp(iterate, P(mu_d, init))
-    result = comp(TL, comp(h_d, comp(HD, final_stack)))
+        K, bound, where = comp(S, comp(S, I)), "x+2", ""
+    n = comp(mu(comp(ends, run)), P(K, I))
+    mu_desc = (f"{J}^n moves, n = the least k < {bound} whose {J}^k moves "
+               f"reach a terminal stack, else {bound}{where}")
+    result = comp(comp(TL, comp(R, run)), P(n, I))
     return ReductionArtifacts(h_def, f1_def, J, mu_desc, result)
 
 

@@ -236,14 +236,23 @@ def f {
      "clause of f calls functions but its argument is not split as (v, p)"),
     ("f(0) = 0; v = 0 -> f((v, p)) = g((v, S(p)));"
      " v = S(w) -> f((v, p)) = f((w, p));",
-     "call g((v, S(p))) does not ship the parameter 'p' unchanged; "
-     "recursive call f((w, p)) needs a dynamic measure check"),
+     "call g((v, S(p))) does not ship the parameter 'p' unchanged"),
 ])
 def test_restriction_message_names_each_call_by_its_argument(body, message):
     d = parse_cl(f"def g {{ g(x) = x; }} def f {{ {body} }}")[1]
     with pytest.raises(RestrictionError) as e:
         check_recursive_restrictions(d)
     assert str(e.value) == message
+
+
+def test_a_dynamic_measure_note_is_no_restriction_failure():
+    d = parse_cl("def g { g(x) = x; } def f { f(0) = 0;"
+                 " v = 0 -> f((v, p)) = g((v, p));"
+                 " v = S(w) -> f((v, p)) = f((w, p)); }")[1]
+    rep = check_recursive_restrictions(d)
+    assert rep.parameterized and rep.dynamic_measure
+    assert rep.notes == (
+        "recursive call f((w, p)) needs a dynamic measure check",)
 
 
 _A, _B = Var("a"), Var("b")

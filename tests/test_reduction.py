@@ -15,8 +15,9 @@ from funalg.derivation import (CLASSES, PolyBound, TA, comp, d_print,
                                validate)
 from funalg.evaluator import (Budget, BudgetExceeded, Meter, eval_memo,
                               eval_naive)
-from funalg.reduction import (BoundViolation, ReductionError, _snr_state,
-                              build_dispatcher, pair_depth_d,
+from funalg.reduction import (BoundViolation, ReductionError, _build_app1,
+                              _snr_state, _stepper, build_dispatcher,
+                              pair_depth_d,
                               reduce_bounded_nested_to_snr,
                               reduce_recursive_to_pr, sub_d)
 
@@ -282,7 +283,8 @@ def test_pair_descent_reductions_on_list_codes(xs, name):
 def test_pair_descent_with_two_calls_per_clause():
     d = next(d for d in _HAND if d.name == "leaves")
     art = reduce_recursive_to_pr(d, {})
-    assert art.J == 2 and art.mu_desc.startswith("2^(D(x)+2)")
+    assert art.J == 2 and art.mu_desc.startswith(
+        "2^n moves, n = the least k < D(x)+2 ")
     assert validate(art.result, CLASSES["PRA"])
     for x in [*range(150), 1000, 4000, pair(pair(9, 9), pair(2, 7))]:
         assert (eval_memo(art.result, x, budget=BIG)
@@ -292,12 +294,13 @@ def test_pair_descent_with_two_calls_per_clause():
 # sha256 of d_print of the PR reductions, recorded when PRED and sub_d
 # became closed forms read off the pairing: nested's dispatcher splits a
 # successor by PRED, and the chain walks of cat, addp and prdemo fold
-# back by sub_d
+# back by sub_d.  nested's was recorded again when its stack machine
+# took a hand-built stepper and a scan for the first terminal stack.
 _RESULT_DIGESTS = {
     "cat":
         "11475d6764b329cd7a6172512abbef7a0065e21cf3a7520cbf0abb0dfc1dd190",
     "nested":
-        "70028eeb7bfa7b679986f38952e2562f21af1251b81ce70d5f74637baf436d35",
+        "a3094191a2d677bbcf3a88670cbe96b543cf4d6c329c1e1e4d306822b2a0b00b",
     "addp":
         "fa1f5678800688870f04e89fd8bc10cb93413947eb7b98d8fe9b6cb48075e779",
     "prdemo":
@@ -386,6 +389,90 @@ def test_two_call_stack_machine_runs_out_of_bits_not_values():
     with pytest.raises(BudgetExceeded) as e:
         eval_memo(art.result, _full_pair_tree(6), budget=_CASE_BUDGET)
     assert e.value.kind == "bits"
+
+
+def _stepper_and_spec(d):
+    """The hand-built stepper of d's PR reduction and its specification
+    f1, compiled as a clausal definition."""
+    art = reduce_recursive_to_pr(d, {})
+    h_d = compile_explicit(art.h_def, {})
+    app1_def = _build_app1(f"{d.name}_app1", art.J)
+    app1_d = compile_explicit(app1_def, {})
+    spec = compile_explicit(art.f1_def, {art.h_def.name: h_d,
+                                         app1_def.name: app1_d})
+    return _stepper(comp(h_d, HD), app1_d), spec, h_d
+
+
+_STEPPERS = {name: _stepper_and_spec(
+    next(d for d in corpus_defs() + _HAND if d.name == name))
+    for name in ("nested", "leaves")}
+
+
+@pytest.mark.parametrize("name,xs", [
+    ("nested", range(9)),
+    ("leaves", [_full_pair_tree(k) for k in range(5)])])
+def test_stepper_matches_its_specification_on_visited_stacks(name, xs):
+    d = next(d for d in corpus_defs() + _HAND if d.name == name)
+    step, spec, h_d = _STEPPERS[name]
+    for x in xs:
+        s, moves = pair(pair(x, 0), 0), 0
+        while True:
+            t = eval_memo(step, s, budget=BIG)
+            assert t == eval_memo(spec, s, budget=BIG), (x, s)
+            if t == s:
+                break
+            s, moves = t, moves + 1
+            assert moves <= 100, x  # 4x for nested, 2^(k+2) - 4 for leaves
+        # the terminal stack holds the value
+        assert (eval_memo(comp(TL, comp(h_d, HD)), s)
+                == eval_clausal([d], name, x)), x
+
+
+@given(st.one_of(
+    st.integers(0, 10**12),
+    # stacks of frames (x, c), c a list of at most J values
+    st.lists(st.tuples(st.integers(0, 40),
+                       st.lists(st.integers(0, 9), max_size=2)),
+             max_size=4).map(lambda fs: list_encode(
+                 [pair(x, list_encode(c)) for x, c in fs]))),
+    st.sampled_from(["nested", "leaves"]))
+@settings(max_examples=60, deadline=None)
+def test_stepper_matches_its_specification_on_any_stack(s, name):
+    step, spec, _ = _STEPPERS[name]
+    assert eval_memo(step, s, budget=BIG) == eval_memo(spec, s, budget=BIG)
+
+
+_THREE_CALLS = parse_cl("""
+def m3 { m3(0) = 0; m3(S(u)) = m3(m3(m3(u))); }
+def t3 { t3(0) = 0; t3((a, (b, c))) = S(t3(a) + t3(b) * t3(c)); }
+""")
+
+
+@pytest.mark.parametrize("name,xs", [
+    ("m3", range(8)),
+    ("t3", [*range(40), pair(pair(1, pair(2, 3)),
+                             pair(pair(4, pair(1, 1)), 7))])])
+def test_three_calls_per_clause_reduce_to_pr_exactly(name, xs):
+    d = next(d for d in _THREE_CALLS if d.name == name)
+    art = reduce_recursive_to_pr(d, {})
+    assert art.J == 3 and validate(art.result, CLASSES["PRA"])
+    for x in xs:
+        want = eval_clausal([d], name, x)
+        assert eval_memo(art.result, x, budget=BIG) == want, x
+        assert eval_naive(art.result, x, budget=BIG) == want, x
+
+
+def test_stack_machine_stops_at_its_first_terminal_stack():
+    # the scan doubles the number of moves until the stack is terminal, so
+    # memoized steps follow the 4x moves that do work; the fixed
+    # count of 4 * 2^x moves took 4,756 steps at 4 and 18,198 at 8
+    art = reduce_recursive_to_pr(corpus_def("nested"), {})
+    steps = {}
+    for x in (4, 8):
+        m = Meter()
+        assert eval_memo(art.result, x, budget=_CASE_BUDGET, meter=m) == 0
+        steps[x] = m.steps
+    assert steps[8] < 2 * steps[4]
 
 
 def test_dispatcher_of_a_deep_result_term():
