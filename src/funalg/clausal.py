@@ -13,7 +13,7 @@ with eval_term_direct, the one quasi-term interpreter, valuing terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 from .codec import head, nat, pair, tail
@@ -1016,10 +1016,19 @@ def _fn(fns, name: str):
         raise UnboundVariableError(f"unbound function {name!r}") from None
 
 
-def eval_term_direct(t: QuasiTerm, assign: dict[str, int], fns=None) -> int:
+def eval_term_direct(t: QuasiTerm, assign: dict[str, int], fns=None,
+                     max_bits: int | None = None,
+                     meter: Meter | None = None) -> int:
     """The value of t under assign, fns giving each function's Python
     callable; a variable or function missing from them raises
-    UnboundVariableError."""
+    UnboundVariableError.
+
+    With max_bits, the width of every value the term takes, each node's
+    and so each operand's before a sum, product or pair reads it, counts
+    toward meter.peak_bits (a fresh Meter if none), and a new peak above
+    max_bits raises BudgetExceeded("bits", meter).  A product is at most
+    as wide as its operands together, so no operation computes a value
+    wider than twice the widest one checked."""
     fns = fns or {}
 
     def rule(n: QuasiTerm, k: list[int]) -> int:
@@ -1043,7 +1052,19 @@ def eval_term_direct(t: QuasiTerm, assign: dict[str, int], fns=None) -> int:
         if cls is App:
             return _fn(fns, n.fname)(k[0])
         raise TypeError(n)
-    return fold(t, term_kids, rule)
+    if max_bits is None:
+        return fold(t, term_kids, rule)
+    if meter is None:
+        meter = Meter()
+
+    def checked(n: QuasiTerm, k: list[int]) -> int:
+        v = rule(n, k)
+        if v.bit_length() > meter.peak_bits:
+            meter.peak_bits = v.bit_length()
+            if meter.peak_bits > max_bits:
+                raise BudgetExceeded("bits", meter)
+        return v
+    return fold(t, term_kids, checked)
 
 
 def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
@@ -1061,7 +1082,10 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
     Evaluation is one loop over an explicit stack of suspended calls, so
     the call depth is bounded by the budget, not the host's call stack.
     The meter: a step per call and per literal tried; max_depth is the
-    deepest call, the root at depth 0; peak_bits the widest argument."""
+    deepest call, the root at depth 0; peak_bits the widest value: every
+    call argument and every value a term takes, each checked against
+    max_bits (see eval_term_direct), so no operation computes a value
+    wider than about twice max_bits."""
     nat(x)
     if budget is None:
         budget = Budget()
@@ -1073,7 +1097,7 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
     max_steps, max_bits = budget.max_steps, budget.max_bits
     # the refinement walk has checked that every variable a strict term
     # reads is bound, so ev never raises UnboundVariableError
-    ev = eval_term_direct
+    ev = partial(eval_term_direct, max_bits=max_bits, meter=meter)
 
     # The current call is f at x, at depth: its clause c, drawn from the
     # iterator cs over f's clauses, runs its literal iterator lits with

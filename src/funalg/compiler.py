@@ -5,17 +5,18 @@ All constructions use only the base operators (so the output stays in DA
 whenever the environment does): the constant-zero combinator Z, the
 projections H and T recovered through the case operator D, the
 predecessor read off the pairing by H, and a 0/1-valued formula
-calculus built from D-dispatch.  Terms, literals and formulas are
-interned nodes; a formula's atoms are the clausal literals Rel and
+calculus built from D-dispatch.  An explicit definition compiles as its
+refinement tree, one D-dispatch per split.  Terms, literals and formulas
+are interned nodes; a formula's atoms are the clausal literals Rel and
 OracleMem, negated or not, so one helper compiles both a formula's atoms
-and an explicit definition's guards.  Every walker over them, the direct
-interpreters included, is a derivation.fold rule or a loop over an
-explicit stack, so none recurses."""
+and the tests of an explicit definition's relation and oracle splits.
+Every walker over them, the direct interpreters included, is a
+derivation.fold rule or a loop over an explicit stack, so none recurses."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from typing import Callable, Iterator
 
 from . import clausal as cl
@@ -322,46 +323,62 @@ def compile_explicit(d: cl.ClausalDef,
                      env: dict[str, Derivation] | None = None) -> Derivation:
     """Compile an explicit clausal definition to a derivation.
 
-    Locals are eliminated by substitution: pattern splits become H/T
-    projections guarded by zero tests, successor splits use the
-    predecessor, and the guarded results are folded back to front with
-    D-dispatch.  The antecedents of the strict form are exhaustive and
-    disjoint, so exactly one guard evaluates to 1.
+    The strict clauses are the root-to-leaf paths of the definition's
+    refinement tree, so the tree is rebuilt from them, and each split
+    becomes one D-dispatch: a zero/successor or zero/pair split on v
+    tests 0 < v, a relation or oracle split the positive literal.
+    Locals are eliminated by substitution along the path: the non-zero
+    side of a split reads v's predecessor or its H/T projections, and an
+    application literal binds the compiled call.  A leaf is its clause's
+    compiled result.
     """
     env = env or {}
     sd = cl.complete_to_strict(d)
     if sd.kind != "explicit":
         raise NotExplicitError(f"{d.name} is recursive")
+
+    # A tree node is (the strict clauses below it, the length of the path
+    # of literals they share, the bindings of that path).  Siblings share
+    # the path, then part on complementary literals; kids hands each side
+    # down with its bindings, and the fold builds the dispatch bottom up.
+    # The refinement walk has checked that the path binds every variable
+    # a literal or result reads.
+    def kids(node: tuple) -> tuple:
+        group, n, bind = node
+        if n == len(group[0].literals):
+            return ()
+        lit = group[0].literals[n]
+        cls = type(lit)
+        if cls is cl.AppEq:
+            app = _term_d(cl.App(lit.fname, lit.arg), bind.__getitem__, env)
+            return ((group, n + 1, {**bind, lit.out: app}),)
+        if cls is cl.Rel or cls is cl.OracleMem:
+            neg = tuple(c for c in group if c.literals[n].negated)
+            pos = tuple(c for c in group if not c.literals[n].negated)
+            return (neg, n + 1, bind), (pos, n + 1, bind)
+        zero = tuple(c for c in group if type(c.literals[n]) is cl.VarZero)
+        nonz = tuple(c for c in group if type(c.literals[n]) is not cl.VarZero)
+        lit = nonz[0].literals[n]
+        t = bind[lit.v]
+        if type(lit) is cl.VarSucc:
+            split = {lit.w: comp(PRED, t)}
+        else:
+            split = {lit.w1: comp(HD, t), lit.w2: comp(TL, t)}
+        return (zero, n + 1, bind), (nonz, n + 1, {**bind, **split})
+
+    def rule(node: tuple, k: list[Derivation]) -> Derivation:
+        group, n, bind = node
+        if not k:
+            return _term_d(group[0].result, bind.__getitem__, env)
+        lit = group[0].literals[n]
+        cls = type(lit)
+        if cls is cl.AppEq:
+            return k[0]
+        if cls is cl.Rel or cls is cl.OracleMem:
+            test = _atom_d(cls(*lit._fields()[:-1]), bind.__getitem__, env)
+        else:
+            test = lt_d(Z_, bind[lit.v])
+        return dd(test, *k)
+
     argvar = sd.clauses[0].pattern.name
-    compiled = []
-    for c in sd.clauses:
-        bind: dict[str, Derivation] = {argvar: I}
-
-        def var(name: str) -> Derivation:
-            if name not in bind:
-                raise UnboundVariableError(
-                    f"unbound variable {name!r} in {d.name}")
-            return bind[name]
-
-        guards: list[Derivation] = []
-        for lit in c.literals:
-            if isinstance(lit, cl.VarZero):
-                guards.append(not_d(lt_d(Z_, bind[lit.v])))
-            elif isinstance(lit, cl.VarSucc):
-                guards.append(lt_d(Z_, bind[lit.v]))
-                bind[lit.w] = comp(PRED, bind[lit.v])
-            elif isinstance(lit, cl.VarPair):
-                guards.append(lt_d(Z_, bind[lit.v]))
-                bind[lit.w1] = comp(HD, bind[lit.v])
-                bind[lit.w2] = comp(TL, bind[lit.v])
-            elif isinstance(lit, cl.AppEq):
-                bind[lit.out] = _term_d(cl.App(lit.fname, lit.arg), var, env)
-            else:  # a relation or an oracle query
-                guards.append(_atom_d(lit, var, env))
-        guard = reduce(and_d, guards) if guards else ONE
-        compiled.append((guard, _term_d(c.result, var, env)))
-
-    acc = Z_
-    for guard, result in reversed(compiled):
-        acc = dd(guard, acc, result)
-    return acc
+    return fold((sd.clauses, 0, {argvar: I}), kids, rule)

@@ -9,7 +9,9 @@ without its App branch, since strict-form terms hold no applications.
 
 eval_clausal is the interpreter as it was before its calls became frames
 on an explicit stack: one Python call per clausal call, so it raises
-RecursionError on recursions about a thousand calls deep.
+RecursionError on recursions about a thousand calls deep.  Its meter
+follows the interpreter's as it is now: peak_bits counts every value a
+term takes as well as every call argument.
 
 RecursiveParser is the CL parser as it was before terms were parsed on an
 explicit stack: one Python call per nesting level of a term or of `!`.
@@ -232,21 +234,25 @@ def unnest_clause(c: Clause) -> Clause:
     return Clause(c.pattern, tuple(out), result)
 
 
-def ev_term(t: QuasiTerm, b: dict[str, int]) -> int:
-    """The interpreter's value of an application-free term."""
+def ev_term(t: QuasiTerm, b: dict[str, int], seen=lambda v: None) -> int:
+    """The interpreter's value of an application-free term; seen(v) is
+    called on each value, operands before the value they make."""
     if isinstance(t, Zero):
-        return 0
-    if isinstance(t, Var):
+        v = 0
+    elif isinstance(t, Var):
         if t.name not in b:
             raise cl.ClausalEvalError(f"unbound variable {t.name!r}")
-        return b[t.name]
-    if isinstance(t, Succ):
-        return ev_term(t.arg, b) + 1
-    if isinstance(t, TPair):
-        return pair(ev_term(t.left, b), ev_term(t.right, b))
-    if isinstance(t, TAdd):
-        return ev_term(t.left, b) + ev_term(t.right, b)
-    return ev_term(t.left, b) * ev_term(t.right, b)
+        v = b[t.name]
+    elif isinstance(t, Succ):
+        v = ev_term(t.arg, b, seen) + 1
+    elif isinstance(t, TPair):
+        v = pair(ev_term(t.left, b, seen), ev_term(t.right, b, seen))
+    elif isinstance(t, TAdd):
+        v = ev_term(t.left, b, seen) + ev_term(t.right, b, seen)
+    else:
+        v = ev_term(t.left, b, seen) * ev_term(t.right, b, seen)
+    seen(v)
+    return v
 
 
 def term_d(t: QuasiTerm, var, env):
@@ -296,14 +302,20 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
         if meter.steps > budget.max_steps:
             raise BudgetExceeded("steps", meter)
 
+    def width(v: int):
+        if v.bit_length() > meter.peak_bits:
+            meter.peak_bits = v.bit_length()
+            if v.bit_length() > budget.max_bits:
+                raise BudgetExceeded("bits", meter)
+
+    def ev(t: QuasiTerm, b: dict[str, int]) -> int:
+        return ev_term(t, b, width)
+
     def call(f: str, x: int, depth: int) -> int:
         tick()
         if depth > meter.max_depth:
             meter.max_depth = depth
-        if x.bit_length() > meter.peak_bits:
-            meter.peak_bits = x.bit_length()
-            if x.bit_length() > budget.max_bits:
-                raise BudgetExceeded("bits", meter)
+        width(x)
         d = env.get(f)
         if d is None:
             raise cl.ClausalEvalError(f"undefined function {f!r}")
@@ -324,20 +336,20 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
                         break
                     b[lit.w1], b[lit.w2] = head(b[lit.v]), tail(b[lit.v])
                 elif isinstance(lit, AppEq):
-                    v = ev_term(lit.arg, b)
+                    v = ev(lit.arg, b)
                     if lit.fname == f and v >= x:
                         raise cl.MeasureViolation(
                             f"{f}({v}) called from {f}({x})")
                     b[lit.out] = call(lit.fname, v, depth + 1)
                 elif isinstance(lit, Rel):
-                    l = ev_term(lit.left, b)
-                    r = ev_term(lit.right, b)
+                    l = ev(lit.left, b)
+                    r = ev(lit.right, b)
                     if (l == r if lit.rel == "=" else l < r) == lit.negated:
                         break
-                elif (ev_term(lit.term, b) in oracle) == lit.negated:
+                elif (ev(lit.term, b) in oracle) == lit.negated:
                     break
             else:
-                return ev_term(c.result, b)
+                return ev(c.result, b)
         raise cl.ClausalEvalError(
             f"no applicable clause in {f} at {x} (internal error)")
 

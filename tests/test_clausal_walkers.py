@@ -5,6 +5,7 @@ definition."""
 
 import copy
 import pickle
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +22,9 @@ from funalg.compiler import (UnboundVariableError, VarCtx, compile_explicit,
                              compile_term, eval_term_direct)
 from funalg.corpus import corpus_defs
 from funalg.derivation import d_print
-from funalg.evaluator import Budget, BudgetExceeded, Meter, eval_naive
+from funalg.evaluator import (Budget, BudgetExceeded, Meter, eval_memo,
+                              eval_naive)
+from funalg.reduction import build_dispatcher
 
 # z1 and q1 are the first fresh names the normalization hands out
 NAMES = ("x", "y", "z1", "q1")
@@ -369,6 +372,63 @@ def test_refinement_failure_raises_on_every_call():
             eval_clausal([d], "f", 1)
 
 
+# The helpers that refinement_defs' application literals call, and the
+# inputs the compiled dispatch is checked on: every x below 40 and pair
+# codes, whose splits take both sides at two levels.
+_HELPERS = parse_cl("""
+def f { x = 0 -> f(x) = S(0); x = S(u) -> f(x) = u * u; }
+def g { g(x) = (x, S(x)); }
+""")
+_GRID = [*range(40), pair(0, 5), pair(3, 0), pair(2, 7), pair(pair(1, 2), 3),
+         pair(4, pair(0, 6))]
+_ORACLE = FinSet((2, 3, 7))
+
+
+def _helper_env() -> dict:
+    env = {}
+    for d in _HELPERS:
+        env[d.name] = compile_explicit(d, env)
+    return env
+
+
+def _dispatch_matches_interpreter(code, defs, name):
+    for x in _GRID:
+        want = eval_clausal(defs, name, x, oracle=_ORACLE)
+        assert eval_naive(code, x, oracle=_ORACLE) == want, x
+        assert eval_memo(code, x, oracle=_ORACLE) == want, x
+
+
+@given(st.one_of(refinement_defs(),
+                 st.lists(clauses(), min_size=1, max_size=4).map(
+                     lambda cs: ClausalDef("f", tuple(cs)))))
+@settings(max_examples=150, deadline=None)
+def test_compiled_refinement_tree_matches_interpreter(d):
+    # compiled as h, so that its applications of f and g call the helpers
+    h, env = ClausalDef("h", d.clauses), _helper_env()
+    try:
+        complete_to_strict(h)
+    except RefinementError as e:
+        with pytest.raises(RefinementError) as got:
+            compile_explicit(h, env)
+        assert str(got.value) == str(e)
+        return
+    if h.kind == "explicit":
+        _dispatch_matches_interpreter(compile_explicit(h, env),
+                                      _HELPERS + [h], "h")
+
+
+def test_compiled_dispatchers_match_interpreter():
+    defs = corpus_defs()
+    env = {}
+    for d in defs:
+        if d.kind == "explicit":
+            env[d.name] = compile_explicit(d, env)
+            continue
+        h_def, _ = build_dispatcher(d)
+        _dispatch_matches_interpreter(compile_explicit(h_def, env),
+                                      defs + [h_def], h_def.name)
+
+
 @pytest.mark.parametrize("name,x,error,message", [
     ("pred", -1, ValueError, "natural number, got -1"),
     ("double", -3, ValueError, "natural number, got -3"),
@@ -441,6 +501,45 @@ def test_eval_clausal_deep_recursion(name, x, want):
     assert m.max_depth >= 2000
     with pytest.raises(BudgetExceeded):
         eval_clausal(corpus_defs(), name, x, budget=Budget(5000, 10**6))
+
+
+# A value doubling in width per level, once per call and with two calls
+_WIDENING = parse_cl("""
+def w1 { w1(0) = S(S(0)); w1(S(u)) = (0 + u + u, w1(u)); }
+def w2 { w2(0) = S(S(0)); w2(S(u)) = (w2(u), w2(u)); }
+""")
+
+
+@pytest.mark.parametrize("name", ["w1", "w2"])
+@pytest.mark.parametrize("x", [33, 40])
+def test_eval_clausal_bounds_the_values_it_computes(name, x):
+    # w1 returned a 4,040,039-bit value at 22, reporting peak_bits 5, and
+    # did not finish at 33.  0.05 s or less here on a 2-core machine.
+    m = Meter()
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="bits"):
+        eval_clausal(_WIDENING, name, x, budget=Budget(10**5, 4096), meter=m)
+    assert time.perf_counter() - t0 < 1.0
+    assert 4096 < m.peak_bits <= 2 * 4096 + 2
+
+
+@given(terms(apps=False, names=("u", "r")), st.integers(0, 40),
+       st.sampled_from([8, 64, 512]))
+@settings(max_examples=200, deadline=None)
+# unbounded, the width doubles per level: 9,742 bits at 12
+@example(TPair(Var("r"), Var("r")), 12, 8)
+def test_eval_clausal_values_stay_within_max_bits(t, x, max_bits):
+    # f(0) = 2; f(S(u)) = t, where r = f(u)
+    d = ClausalDef("f", (
+        Clause(Zero(), (), Succ(Succ(Zero()))),
+        Clause(Succ(Var("u")), (AppEq("f", Var("u"), "r"),), t)))
+    m = Meter()
+    try:
+        v = eval_clausal([d], "f", x, budget=Budget(10**5, max_bits), meter=m)
+    except BudgetExceeded as e:
+        assert e.kind == "bits" and m.peak_bits > max_bits
+    else:
+        assert v.bit_length() <= m.peak_bits <= max_bits
 
 
 # --- the parser's explicit bracket stack ------------------------------------

@@ -6,7 +6,10 @@ literal order included), refinement traces, compiled explicit
 definitions, and the dispatcher of each PR reduction and its stack
 stepper, which only a reduction with two or more self-calls per clause
 has.  The compiled digests of pred and split3, whose successor splits use
-PRED, were recorded again when PRED became a closed form."""
+PRED, were recorded again when PRED became a closed form.  Every compiled
+digest was recorded again when compile_explicit began to emit one
+D-dispatch per split of the refinement tree, in place of a guard per
+clause; the strict, trace, h_def and f1_def digests did not move."""
 
 import hashlib
 import json

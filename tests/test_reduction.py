@@ -295,16 +295,19 @@ def test_pair_descent_with_two_calls_per_clause():
 # became closed forms read off the pairing: nested's dispatcher splits a
 # successor by PRED, and the chain walks of cat, addp and prdemo fold
 # back by sub_d.  nested's was recorded again when its stack machine
-# took a hand-built stepper and a scan for the first terminal stack.
+# took a hand-built stepper and a scan for the first terminal stack.  All
+# four were recorded again when compile_explicit began to emit one
+# D-dispatch per split of the refinement tree: each reduction holds its
+# compiled dispatcher h, and prdemo the compiled id it calls as well.
 _RESULT_DIGESTS = {
     "cat":
-        "11475d6764b329cd7a6172512abbef7a0065e21cf3a7520cbf0abb0dfc1dd190",
+        "065bb30e8ac8998c2a250f562c7fd5a34d4406a3aed33e4b3621f238ab163317",
     "nested":
-        "a3094191a2d677bbcf3a88670cbe96b543cf4d6c329c1e1e4d306822b2a0b00b",
+        "d3ff8734dd9632c3895f02ab8914c21267798ede3b6bc907a7a0e1a0bf87cc77",
     "addp":
-        "fa1f5678800688870f04e89fd8bc10cb93413947eb7b98d8fe9b6cb48075e779",
+        "90faded2354bfddb6055135f68d527e23018e8832ea5dcd7fe1f7e3f42674469",
     "prdemo":
-        "a32f972452e715d345466537eee29aef07ff401995627da1bd394d36f611fde9",
+        "b4987c5ef40f2479d8489c4ddc10d17b369467a411e0ee3a3bd2c3a961051920",
 }
 
 
