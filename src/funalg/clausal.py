@@ -1056,13 +1056,18 @@ def eval_term_direct(t: QuasiTerm, assign: dict[str, int], fns=None,
         return fold(t, term_kids, rule)
     if meter is None:
         meter = Meter()
+    # a wider value is a new peak or, if a meter passed in is already
+    # past the budget, over it
+    lim = min(meter.peak_bits, max_bits)
 
     def checked(n: QuasiTerm, k: list[int]) -> int:
+        nonlocal lim
         v = rule(n, k)
-        if v.bit_length() > meter.peak_bits:
-            meter.peak_bits = v.bit_length()
-            if meter.peak_bits > max_bits:
+        if v.bit_length() > lim:
+            meter.peak_bits = max(meter.peak_bits, v.bit_length())
+            if v.bit_length() > max_bits:
                 raise BudgetExceeded("bits", meter)
+            lim = meter.peak_bits
         return v
     return fold(t, term_kids, checked)
 
@@ -1114,8 +1119,8 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
                 raise BudgetExceeded("steps", meter)
             if depth > meter.max_depth:
                 meter.max_depth = depth
-            if x.bit_length() > meter.peak_bits:
-                meter.peak_bits = x.bit_length()
+            if x.bit_length() > min(meter.peak_bits, max_bits):
+                meter.peak_bits = max(meter.peak_bits, x.bit_length())
                 if x.bit_length() > max_bits:
                     raise BudgetExceeded("bits", meter)
             fd = env.get(f)

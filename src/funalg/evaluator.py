@@ -25,8 +25,10 @@ The meter, which is the cost model of every reduction criterion:
   iteration w; the root call is not logged.
 
 A step is checked against the budget as it is charged and a width as it
-is seen.  E and smash check the width of their value before computing it.
-On return or BudgetExceeded the meter holds the counts so far.
+is seen: a width above max_bits raises, even when the meter passed in
+already holds a wider peak.  E and smash check the width of their value
+before computing it.  On return or BudgetExceeded the meter holds the
+counts so far.
 
 Memoized evaluation keeps, for this call only, one {argument: value}
 table per compound node entered and a table of every pair the loop
@@ -48,12 +50,29 @@ those of running every call.  The records are dropped, all at once, when
 there are _RECORDS of them or they could hold 2 * _RECORD_BITS bits of
 numbers, so a naive run's memory is its frame stack, O(depth), plus a
 constant.
+
+Hot roots run compiled.  Once the unlogged memoized runs of a root in
+this process have charged _COMPILE_STEPS steps on the loop, its next such
+run plans and compiles it (funalg.specialize), once, and every later one
+runs its plan: Python specialised to that DAG that does the loop's memo
+lookups and stores, step charges, width checks and depth updates.  So a
+compiled run returns the loop's value and leaves the loop's meter, all
+four fields.  A compiled run that meets a budget event is abandoned
+without touching the meter, and the loop re-runs the call from the
+caller's meter, so BudgetExceeded comes at the loop's step with the
+loop's meter; an exception from outside the evaluation, such as a signal
+handler's, leaves a compiled run's meter as it was passed.  Naive runs,
+logged runs (so the log is the loop's), runs of a root that is cold or
+whose plan would pass specialize.PLAN_NODES nodes, and a run that finds
+its plan busy in another thread stay on the loop.  Plans are held
+weakly, keyed on the root, and die with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from weakref import WeakKeyDictionary
 
 from .codec import nat
 from .derivation import Derivation, Op
@@ -103,6 +122,23 @@ _ROOT = -1  # the pseudo-frame that calls the root node
 _ARM_STEPS = 256
 _RECORDS = 1 << 16
 _RECORD_BITS = 1 << 25
+# A root's unlogged memoized runs go through its compiled plan once the
+# runs on the loop have charged _COMPILE_STEPS steps.  _HOT maps a root to
+# [those steps], its specialize.Plan, or () when its plan would be too
+# large.
+_COMPILE_STEPS = 1 << 15
+_HOT: WeakKeyDictionary = WeakKeyDictionary()
+_specialize = None
+
+
+def _make_plan(d: Derivation):
+    """d's specialize.Plan, or None.  The compiler is imported when the
+    first root gets hot, so a process that never compiles does not load
+    it."""
+    global _specialize
+    if _specialize is None:
+        from . import specialize as _specialize
+    return _specialize.make_plan(d)
 
 
 def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
@@ -127,6 +163,21 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
         meter = Meter()
     max_steps, max_bits = budget.max_steps, budget.max_bits
     log = expansion_log
+    # the compiled tier: a hot root's unlogged memoized runs; cold is the
+    # cell of steps that runs on the loop charge while the root is cold
+    cold = None
+    if memo and log is None and d.children:
+        tier = _HOT.get(d)
+        if tier is None:
+            tier = _HOT[d] = [0]
+        if tier.__class__ is list and tier[0] >= _COMPILE_STEPS:
+            tier = _HOT[d] = _make_plan(d) or ()
+        if tier.__class__ is list:
+            cold = tier
+        elif tier:
+            val = tier.run(x, oracle, max_steps, max_bits, meter)
+            if val is not None:
+                return val
     # With memo: each compound node's {argument: value} table, made on the
     # node's first entry, and z -> (head, tail) for every pair z the loop
     # builds, which each unpair below tries before isqrt.
@@ -145,7 +196,8 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
     if not memo and log is None:
         stop = min(max_steps, steps + _ARM_STEPS)
     hits, maxd = meter.memo_hits, meter.max_depth
-    lim = 1 << peak  # a value is wider than peak iff it is >= lim
+    # a value is wider than peak, or than the budget, iff it is >= lim
+    lim = 1 << min(peak, max_bits)
     # Saved frames: (node, code, arg, pc, tab, v, p, w), where tab is the
     # node's memo table, or a naive frame's (records of the node, steps
     # before the call, max depth outside it), or None.  The current frame
@@ -295,7 +347,7 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
 
             if cn is None:  # return val to the saved frame
                 if val >= lim:
-                    peak = val.bit_length()
+                    peak = max(peak, val.bit_length())
                     lim = 1 << peak
                     if peak > max_bits:
                         raise BudgetExceeded("bits", meter)
@@ -355,7 +407,7 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                 stop = max_steps
                 records = {}
             if ca >= lim:
-                peak = ca.bit_length()
+                peak = max(peak, ca.bit_length())
                 lim = 1 << peak
                 if peak > max_bits:
                     raise BudgetExceeded("bits", meter)
@@ -411,14 +463,14 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                 val = 1 if ca in oracle else 0
             else:  # E, smash: 1 << e has e + 1 bits
                 e = ca if cc == _E else ca.bit_length() ** 2
-                if e >= peak and e >= max_bits:
-                    peak = e + 1
+                if e >= max_bits:
+                    peak = max(peak, e + 1)
                     if not dep:  # as below
                         maxd = max(maxd, 1)
                     raise BudgetExceeded("bits", meter)
                 val = 1 << e
             if val >= lim:
-                peak = val.bit_length()
+                peak = max(peak, val.bit_length())
                 lim = 1 << peak
                 if peak > max_bits:
                     # the root leaf's depth counts before its value's width
@@ -434,6 +486,8 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
             for t in (ct, tab, *[f[4] for f in stack]):
                 if t is not None and t[2] > maxd:
                     maxd = t[2]
+        if cold is not None:
+            cold[0] += steps - meter.steps
         meter.steps, meter.peak_bits = steps, peak
         meter.memo_hits, meter.max_depth = hits, maxd
 

@@ -1,0 +1,545 @@
+"""Memoized evaluation of one derivation as generated Python.
+
+A plan is a derivation's memoized evaluation specialised to its root
+(partial evaluation, Futamura 1971): straight-line Python source that
+does the memo lookups and stores, step charges, width checks and depth
+updates of funalg.evaluator's loop for that DAG, without interpreting a
+node at each call.  funalg.evaluator runs a root's memoized calls through
+its plan once the root is hot; the values and meters are the loop's,
+which the evaluator's module docstring states as the contract.
+
+The plan sorts the compound nodes below the root three ways:
+
+- owned: a P or comp node with a single in-edge that passes its parent's
+  own argument (a child of P, or the inner child of comp).  Its parent
+  runs at most once per argument, so it does too; it gets no memo table,
+  since a lookup could never hit, and its code is written into its
+  parent's;
+- inline: a small memoized P or comp node (HD, TL, ONE, ...), whose
+  lookup, body and store are written out at each of its call sites;
+- a function: the root, every mu, pr, bpr and snr node, and every other
+  memoized node.  Each becomes one generated function; an owned region
+  over FN_NODES nodes is cut into functions that keep no table.
+
+A function that calls no generator and no deeper than DIRECT_HEIGHT
+plain functions is a plain function, called directly.  Every other one is
+a generator, run by _drive on an explicit stack: it yields (function,
+argument, depth) for each call and receives the value.  So the host's
+call stack never holds more than DIRECT_HEIGHT + 2 generated frames, even
+through snr's self-calls or down a long chain of functions.
+
+Step charges that straight-line code makes together are one addition,
+made on entering the block that holds them, and a block's deepest frame
+is one depth update.  Width checks sit where a value is first made: S,
+mul, E, smash and oracle values and built pairs.  Every other value (of
+I, add, lt, D, mu, pr, bpr and snr) is no wider than a value checked
+already or the root's argument, so the peak is the one that checking
+every call's argument and value gives.  Steps are checked against the
+budget on entering a generator and in each loop iteration.  A run that
+meets a budget event raises Abort, and the evaluator re-runs the call on
+its loop from the caller's meter; so the first event, its kind and the
+meter it leaves are the loop's.
+
+Plans over PLAN_NODES nodes are not made.  Each function is compiled on
+its own, so compiling a plan never holds more than one function's syntax
+tree.  Nodes are told apart by their op codes alone, so a plan is the
+same when this module was imported apart from the nodes' own
+funalg.derivation, as after the package is imported afresh.
+"""
+
+from __future__ import annotations
+
+from math import isqrt
+from threading import Lock
+
+from .derivation import Derivation, Op, fold
+
+# An inline node's code has at most INLINE_NODES nodes, a function's at
+# most FN_NODES, a plan's at most PLAN_NODES; plain functions nest at
+# most DIRECT_HEIGHT deep.
+INLINE_NODES = 16
+FN_NODES = 64
+PLAN_NODES = 6000
+DIRECT_HEIGHT = 16
+
+_S, _ADD, _MUL, _LT, _I, _D = (op.code for op in (
+    Op.S, Op.ADD, Op.MUL, Op.LT, Op.I, Op.D))
+_P, _COMP, _MU, _PR, _BPR, _SNR = (op.code for op in (
+    Op.P, Op.COMP, Op.MU, Op.PR, Op.BPR, Op.SNR))
+_E, _SMASH, _ORACLE = Op.E.code, Op.SMASH.code, Op.ORACLE.code
+
+# How a plan treats a compound node.
+_OWNED, _INLINE, _FN, _CUT = range(4)  # _CUT: a function without a table
+
+
+class Abort(Exception):
+    """A generated run met a budget event; the loop re-runs the call."""
+
+
+# The helpers of every plan, run into its namespace: widen records a new
+# widest value, or aborts past the bits budget; unpair splits a pair that
+# no code of this run built, so the pairs table does not know it.
+_PRELUDE = compile("""
+def widen(z):
+    global peak, lim
+    b = z.bit_length()
+    if b > max_bits:
+        raise Abort
+    peak = b
+    lim = 1 << b
+
+def unpair(z):
+    s = (isqrt(8 * z - 7) - 1) >> 1
+    t = z - 1 - (s * (s + 1) >> 1)
+    return t, s - t
+""", "<funalg plan prelude>", "exec")
+
+
+def _drive(gen):
+    """Run a generated generator and the calls it yields to completion."""
+    stack = []
+    val = None
+    while True:
+        try:
+            fn, x, d = gen.send(val)
+        except StopIteration as stop:
+            val = stop.value
+            if not stack:
+                return val
+            gen = stack.pop()
+            continue
+        stack.append(gen)
+        gen = fn(x, d)
+        val = None
+
+
+class Plan:
+    """A root's generated code and the names of its memo tables.
+
+    It holds no node, so it dies with the weak table entry that keeps it.
+    """
+
+    __slots__ = ("ns", "entry", "generator", "tables", "lock", "nodes",
+                 "functions", "source_bytes", "__weakref__")
+
+    def run(self, x: int, oracle, max_steps: int, max_bits: int,
+            meter) -> int | None:
+        """The root's value at x with the meter updated as the loop would,
+        or None, with the meter untouched, after a budget event or while
+        another thread runs this plan."""
+        if not self.lock.acquire(False):
+            return None
+        ns = self.ns
+        try:
+            pairs: dict[int, tuple[int, int]] = {}
+            peak = meter.peak_bits
+            ns.update(steps=meter.steps, hits=meter.memo_hits,
+                      depth=meter.max_depth, peak=peak,
+                      lim=1 << min(peak, max_bits), max_steps=max_steps,
+                      max_bits=max_bits, oracle=oracle, pairs=pairs,
+                      pget=pairs.get)
+            for t in self.tables:
+                ns[t] = {}
+            if x >= ns["lim"]:
+                ns["widen"](x)
+            val = self.entry(x, 1)
+            if self.generator:
+                val = _drive(val)
+            if ns["steps"] > max_steps:
+                return None
+            meter.steps, meter.peak_bits = ns["steps"], ns["peak"]
+            meter.memo_hits, meter.max_depth = ns["hits"], ns["depth"]
+            return val
+        except Abort:
+            return None
+        finally:
+            for t in self.tables:
+                ns[t] = None
+            ns.update(oracle=None, pairs=None, pget=None)
+            self.lock.release()
+
+
+def make_plan(root: Derivation) -> Plan | None:
+    """Plan and compile root's memoized evaluation; None if the plan would
+    pass PLAN_NODES nodes."""
+    order: list[Derivation] = []  # distinct nodes, children first
+    fold(root, lambda n: n.children, lambda n, _: order.append(n))
+    edges: dict[Derivation, int] = {}
+    passes: dict[Derivation, bool] = {}  # its last in-edge passes the arg
+    for n in order:
+        for i, c in enumerate(n.children):
+            edges[c] = edges.get(c, 0) + 1
+            passes[c] = n.op.code == _P or (n.op.code == _COMP and i == 1)
+    kind: dict[Derivation, int] = {}
+    size: dict[Derivation, int] = {}  # nodes in its code
+    total = 0
+    for n in order:
+        if not n.children:
+            continue
+        parts = []
+        for c in n.children:
+            if not c.children or kind[c] >= _FN:
+                parts.append([1, None])
+            else:
+                parts.append([size[c], c])
+        s = sum(p[0] for p in parts) + (3 if n.op.code == _SNR else 1)
+        for p in sorted(parts, key=lambda p: -p[0]):
+            if s <= FN_NODES:
+                break
+            if p[1] is not None and kind[p[1]] == _OWNED:
+                kind[p[1]] = _CUT
+                total += p[0]
+                s -= p[0] - 1
+        size[n] = s
+        pc = n is not root and n.op.code in (_P, _COMP)
+        if pc and edges[n] == 1 and passes[n]:
+            kind[n] = _OWNED
+        elif pc and s <= INLINE_NODES:
+            kind[n] = _INLINE
+        else:
+            kind[n] = _FN
+            total += s
+        if total > PLAN_NODES:
+            return None
+    return _compile(root, order, kind, total)
+
+
+def _compile(root, order, kind, total) -> Plan:
+    # the functions each function calls through its owned and inline
+    # nodes, and which functions are generators
+    index = {n: i for i, n in enumerate(order)}
+    calls: dict[Derivation, set] = {}
+    height: dict[Derivation, int] = {}
+    generator: dict[Derivation, bool] = {}
+    for n in order:
+        if not n.children:
+            continue
+        cs = set()
+        for c in n.children:
+            if c.children:
+                if kind[c] >= _FN:
+                    cs.add(c)
+                else:
+                    cs |= calls[c]
+        if kind[n] < _FN:
+            calls[n] = cs
+            continue
+        h = 1 + max((height[c] for c in cs if not generator[c]), default=-1)
+        generator[n] = (n.op.code == _SNR or h > DIRECT_HEIGHT
+                        or any(generator[c] for c in cs))
+        height[n] = 0 if generator[n] else h
+    ns = {"Abort": Abort, "isqrt": isqrt}
+    exec(_PRELUDE, ns)
+    plan = Plan()
+    plan.tables = [f"T{index[n]}" for n in order
+                   if n.children and kind[n] in (_INLINE, _FN)]
+    plan.functions = 0
+    plan.source_bytes = 0
+    for n in order:
+        if n.children and kind[n] >= _FN:
+            src = _Emitter(index, kind, generator).function(n)
+            exec(compile(src, f"<funalg plan f{index[n]}>", "exec"), ns)
+            plan.functions += 1
+            plan.source_bytes += len(src)
+    plan.ns = ns
+    plan.entry = ns[f"f{index[root]}"]
+    plan.generator = generator[root]
+    plan.lock = Lock()
+    plan.nodes = total
+    return plan
+
+
+class _Block:
+    """An indented suite's step charges and deepest frame offset, written
+    at its start once the function is emitted."""
+
+    __slots__ = ("indent", "steps", "deepest", "outer", "check")
+
+    def __init__(self, indent, outer, check):
+        self.indent, self.outer, self.check = indent, outer, check
+        self.steps, self.deepest = 0, -1
+
+
+class _Emitter:
+    """The source of one generated function.
+
+    Code is emitted for calls: (node, x, xp, k) calls node at the value
+    named x, whose (head, tail) names are xp when this code built it as a
+    pair, in a frame k deeper than the function's own frame, at depth d.
+    A call gives the name of its value and its (head, tail) names or
+    None.
+    """
+
+    def __init__(self, index, kind, generator):
+        self.index, self.kind, self.generator = index, kind, generator
+        self.out: list = []  # source lines and _Block placeholders
+        self.indent = 1
+        self.block: _Block | None = None
+        self.names = 0
+        self.yields = False
+
+    def function(self, node: Derivation) -> str:
+        i = self.index[node]
+        self.out.append(f"def f{i}(a, d):")
+        self.line("global steps, hits, depth")
+        self.open(None, check=self.generator[node])
+        stack = [self.compound(node, "a", None, 0, None)]
+        res = None
+        while stack:
+            try:
+                n, x, xp, k = stack[-1].send(res)
+            except StopIteration as stop:
+                stack.pop()
+                res = stop.value
+                continue
+            res = self.call(n, x, xp, k)
+            if not isinstance(res, tuple):
+                stack.append(res)
+                res = None
+        self.line(f"return {res[0]}")
+        if self.generator[node] and not self.yields:
+            self.line("yield  # unreachable: makes f a generator")
+        return self.source()
+
+    def source(self) -> str:
+        lines = []
+        for item in self.out:
+            if not isinstance(item, _Block):
+                lines.append(item)
+                continue
+            pad = "    " * item.indent
+            if item.steps:
+                lines.append(f"{pad}steps += {item.steps}")
+            if item.check:
+                lines.append(f"{pad}if steps > max_steps:")
+                lines.append(f"{pad}    raise Abort")
+            b, covered = item.outer, -1
+            while b is not None:
+                covered = max(covered, b.deepest)
+                b = b.outer
+            if item.deepest > covered:
+                at = f"d + {item.deepest}" if item.deepest else "d"
+                lines.append(f"{pad}if {at} > depth:")
+                lines.append(f"{pad}    depth = {at}")
+        return "\n".join(lines) + "\n"
+
+    # --- text -------------------------------------------------------------
+
+    def name(self) -> str:
+        self.names += 1
+        return f"v{self.names}"
+
+    def line(self, text: str) -> None:
+        self.out.append("    " * self.indent + text)
+
+    def open(self, head: str | None, check: bool = False) -> None:
+        """Start a suite under head (none for the function's own body)
+        with a block of charges."""
+        if head is not None:
+            self.line(head)
+            self.indent += 1
+        self.block = _Block(self.indent, self.block, check)
+        self.out.append(self.block)
+
+    def close(self, otherwise: str | None = None) -> None:
+        """End the block's suite, then give `otherwise` an else suite."""
+        self.indent -= 1
+        self.block = self.block.outer
+        if otherwise is not None:
+            self.line("else:")
+            self.line(f"    {otherwise}")
+
+    def charge(self, k: int) -> None:
+        """One step in the current block, at frame offset k."""
+        b = self.block
+        b.steps += 1
+        if k > b.deepest:
+            b.deepest = k
+
+    def check(self, z: str) -> None:
+        self.line(f"if {z} >= lim:")
+        self.line(f"    widen({z})")
+
+    def pair(self, a: str, b: str, check: bool) -> str:
+        """Build <a, b>; check its width unless a wider value is checked."""
+        z = self.name()
+        self.line(f"{z} = ((s := {a} + {b}) * (s + 1) >> 1) + {a} + 1")
+        self.line(f"pairs[{z}] = {a}, {b}")
+        if check:
+            self.check(z)
+        return z
+
+    def unpair(self, z: str, zp) -> tuple[str, str]:
+        """The head and tail of the value z > 0."""
+        if zp is not None:
+            return zp
+        t, b = self.name(), self.name()
+        self.line(f"{t}, {b} = pget({z}) or unpair({z})")
+        return t, b
+
+    def split(self, x: str, xp):
+        """v, p of x = <v, p>, in an `if x:` suite unless x is a pair
+        this code built, so not 0; end it with unsplit."""
+        if xp is None:
+            self.open(f"if {x}:")
+        return self.unpair(x, xp)
+
+    def unsplit(self, xp, r: str) -> None:
+        if xp is None:
+            self.close(f"{r} = 0")
+
+    # --- calls ------------------------------------------------------------
+
+    def call(self, node: Derivation, x: str, xp, k: int):
+        """Emit the call, or give the generator that emits it."""
+        code = node.op.code
+        if code < _P:
+            return self.leaf(code, x, xp, k)
+        kind = self.kind[node]
+        if kind == _OWNED:
+            return self.compound(node, x, xp, k, None)
+        if kind == _INLINE:
+            return self.compound(node, x, xp, k, f"T{self.index[node]}")
+        # a function: its own code charges the call
+        i, r = self.index[node], self.name()
+        run = (f"yield f{i}, {x}, d + {k}" if self.generator[node]
+               else f"f{i}({x}, d + {k})")
+        self.yields |= self.generator[node]
+        if kind == _CUT:
+            self.line(f"{r} = {run}")
+            return r, None
+        self.line(f"{r} = T{i}.get({x})")
+        self.open(f"if {r} is None:")
+        self.line(f"{r} = {run}")
+        self.line(f"T{i}[{x}] = {r}")
+        self.close("hits += 1")
+        return r, None
+
+    def leaf(self, code: int, x: str, xp, k: int):
+        self.charge(k)
+        if code == _I:
+            return x, xp
+        r = self.name()
+        if code == _S:
+            self.line(f"{r} = {x} + 1")
+            self.check(r)
+        elif code == _E or code == _SMASH:
+            e = x if code == _E else f"{x}.bit_length() ** 2"
+            self.line(f"{r} = {e}")
+            self.line(f"if {r} >= max_bits:")
+            self.line("    raise Abort")
+            self.line(f"{r} = 1 << {r}")
+            self.check(r)
+        elif code == _ORACLE:
+            self.line(f"{r} = 1 if {x} in oracle else 0")
+            self.check(r)
+        else:  # add, mul, lt, D: the projections of x
+            if xp is None:
+                self.line(f"if {x}:")
+                self.indent += 1
+            t, b = self.unpair(x, xp)
+            if code == _ADD:
+                self.line(f"{r} = {t} + {b}")
+            elif code == _MUL:
+                self.line(f"{r} = {t} * {b}")
+                self.check(r)
+            elif code == _LT:
+                self.line(f"{r} = 1 if {t} < {b} else 0")
+            else:  # D: <t, <y, z>> gives y if t = 0, else z
+                self.line(f"if {b}:")
+                y, z = self.name(), self.name()
+                self.line(f"    {y}, {z} = pget({b}) or unpair({b})")
+                self.line(f"    {r} = {z} if {t} else {y}")
+                self.line("else:")
+                self.line(f"    {r} = 0")
+            if xp is None:
+                self.indent -= 1
+                self.line("else:")
+                self.line(f"    {r} = 0")
+        return r, None
+
+    def compound(self, node: Derivation, x: str, xp, k: int,
+                 table: str | None):
+        """A generator: emit a compound call's body, with its memo lookup
+        and store if it has a table; it yields the calls it makes."""
+        if table is not None:
+            m = self.name()
+            self.line(f"{m} = {table}.get({x})")
+            self.open(f"if {m} is None:")
+        self.charge(k)
+        code = node.op.code
+        g, h = (node.children + (None,))[:2]
+        rp = None
+        if code == _P:
+            a, _ = yield g, x, xp, k + 1
+            b, _ = yield h, x, xp, k + 1
+            r, rp = self.pair(a, b, True), (a, b)
+        elif code == _COMP:
+            y, yp = yield h, x, xp, k + 1
+            r, rp = yield g, y, yp, k + 1
+        elif code == _MU:
+            # the least w < v with g(<w, p>) = 1, else v
+            r, w = self.name(), self.name()
+            v, p = self.split(x, xp)
+            self.line(f"{r} = {v}")
+            self.line(f"{w} = 0")
+            self.open(f"while {w} < {v}:", check=True)
+            c = self.pair(w, p, True)
+            u, _ = yield g, c, (w, p), k + 1
+            self.line(f"if {u} == 1:")
+            self.line(f"    {r} = {w}")
+            self.line("    break")
+            self.line(f"{w} += 1")
+            self.close()
+            self.unsplit(xp, r)
+        elif code == _PR or code == _BPR:
+            # f(0, p) = g(p), f(w + 1, p) = h(<w, f(w, p), p>); bpr clamps
+            r, w = self.name(), self.name()
+            v, p = self.split(x, xp)
+            u, _ = yield g, p, None, k + 1
+            self.line(f"{r} = {u}")
+            clamp = f"if {r} > {p}: {r} = 0"
+            if code == _BPR:
+                self.line(clamp)
+            self.line(f"{w} = 0")
+            self.open(f"while {w} < {v}:", check=True)
+            self.block.steps += 1  # the iteration's own step
+            t = self.pair(r, p, False)
+            c = self.pair(w, t, True)
+            u, _ = yield h, c, (w, t), k + 1
+            self.line(f"{r} = {u}")
+            if code == _BPR:
+                self.line(clamp)
+            self.line(f"{w} += 1")
+            self.close()
+            self.unsplit(xp, r)
+        else:  # snr, always a function's own node
+            r = self.name()
+            v, p = self.split(x, xp)
+            u, up = yield g, x, xp, k + 1
+            self.open(f"if {u}:")
+            t, b = self.unpair(u, up)
+            self.open(f"if {t} == 0 and {b} < {v}:")
+            y = self.pair(b, p, False)
+            u, _ = yield node, y, (b, p), k + 1
+            q = self.pair(u, p, False)
+            c = self.pair(v, q, True)
+            u, _ = yield h, c, (v, q), k + 1
+            self.open(f"if {u} < {v}:")
+            y = self.pair(u, p, False)
+            u, _ = yield node, y, (u, p), k + 1
+            self.line(f"{r} = {u}")
+            self.close(f"{r} = 0")
+            self.close()
+            self.line(f"elif {t} == 1 and {b} <= {p}:")
+            self.line(f"    {r} = {b}")
+            self.line("else:")
+            self.line(f"    {r} = 0")
+            self.close(f"{r} = 0")
+            self.unsplit(xp, r)
+        if table is None:
+            return r, rp
+        self.line(f"{m} = {r}")
+        self.line(f"{table}[{x}] = {m}")
+        self.close("hits += 1")
+        return m, None

@@ -11,7 +11,8 @@ eval_clausal is the interpreter as it was before its calls became frames
 on an explicit stack: one Python call per clausal call, so it raises
 RecursionError on recursions about a thousand calls deep.  Its meter
 follows the interpreter's as it is now: peak_bits counts every value a
-term takes as well as every call argument.
+term takes as well as every call argument, and a value wider than the
+budget raises even when the meter passed in is already past it.
 
 RecursiveParser is the CL parser as it was before terms were parsed on an
 explicit stack: one Python call per nesting level of a term or of `!`.
@@ -303,8 +304,8 @@ def eval_clausal(defs, fname: str, x: int, oracle=frozenset(),
             raise BudgetExceeded("steps", meter)
 
     def width(v: int):
-        if v.bit_length() > meter.peak_bits:
-            meter.peak_bits = v.bit_length()
+        if v.bit_length() > min(meter.peak_bits, budget.max_bits):
+            meter.peak_bits = max(meter.peak_bits, v.bit_length())
             if v.bit_length() > budget.max_bits:
                 raise BudgetExceeded("bits", meter)
 

@@ -6,7 +6,8 @@ generators (one per operator node being evaluated).  Tests compare its
 values, meters, budget errors and expansion logs with the package's
 evaluator; see test_evaluator.py.  It takes no negative arguments and
 computes E and smash before checking their width, so callers keep bit
-budgets small.
+budgets small.  A value wider than the bits budget raises even when the
+meter passed in is already past it.
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
 
     def note_bits(v: int):
         b = v.bit_length()
-        if b > meter.peak_bits:
-            meter.peak_bits = b
+        if b > min(meter.peak_bits, budget.max_bits):
+            meter.peak_bits = max(meter.peak_bits, b)
             if b > budget.max_bits:
                 raise BudgetExceeded("bits", meter)
 
@@ -164,8 +165,7 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
         meter.steps += 1
         if meter.steps > budget.max_steps:
             raise BudgetExceeded("steps", meter)
-        if arg.bit_length() > meter.peak_bits:
-            note_bits(arg)
+        note_bits(arg)
         return _eval_node(node, arg, oracle)
 
     if not d.children:
@@ -213,11 +213,9 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
             meter.steps += 1
             if meter.steps > max_steps:
                 raise BudgetExceeded("steps", meter)
-            if arg.bit_length() > meter.peak_bits:
-                note_bits(arg)
+            note_bits(arg)
             v = leaf[node.op](arg, oracle)
-            if v.bit_length() > meter.peak_bits:
-                note_bits(v)
+            note_bits(v)
             if len(stack) >= meter.max_depth:
                 meter.max_depth = len(stack) + 1
             send_val = v

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_evaluator
 from funalg import evaluator
-from funalg.clausal import parse_cl
+from funalg.clausal import eval_clausal, eval_term_direct, parse_cl
 from funalg.codec import FinSet, list_encode, pair
-from funalg.compiler import HD, ONE, TL
+from funalg.compiler import HD, ONE, TL, compile_explicit
 from funalg.corpus import CORPUS_TEXT
 from funalg.derivation import (ADD, ARITY, CLASSES, D, Derivation, E, I, LT,
                                Op, P, PolyBound, S, SMASH, bpr, comp, d_parse,
@@ -166,6 +166,33 @@ def test_bits_budget_raises():
     with pytest.raises(BudgetExceeded) as e:
         eval_naive(comp(E, E), 30, budget=Budget(10**6, 5000))
     assert e.value.kind == "bits"
+
+
+_SQ = parse_cl("def sq { sq(x) = x * x; }")
+
+
+@pytest.mark.parametrize("run", [
+    lambda b, m: eval_clausal(_SQ, "sq", 1000, budget=b, meter=m),
+    lambda b, m: eval_naive(compile_explicit(_SQ[0]), 1000, budget=b,
+                            meter=m),
+    lambda b, m: eval_memo(compile_explicit(_SQ[0]), 1000, budget=b,
+                           meter=m),
+    lambda b, m: eval_term_direct(_SQ[0].clauses[0].result, {"x": 1000},
+                                  max_bits=b.max_bits, meter=m),
+], ids=["eval_clausal", "eval_naive", "eval_memo", "eval_term_direct"])
+def test_bits_budget_binds_a_meter_already_past_it(run):
+    # sq(1000) = 1,000,000 takes 20 bits, 1000 itself 10; a meter that
+    # came in at 64 bits turned the budget off
+    for bits, first_over in ((8, 10), (16, 20)):
+        for meter in (Meter(), Meter(peak_bits=64)):
+            with pytest.raises(BudgetExceeded) as e:
+                run(Budget(10**5, bits), meter)
+            assert e.value.kind == "bits" and e.value.meter is meter
+            assert meter.peak_bits == max(first_over, meter.peak_bits)
+    # values within the budget still pass, and the meter keeps its peak
+    meter = Meter(peak_bits=64)
+    assert run(Budget(10**5, 24), meter) == 10**6
+    assert meter.peak_bits == 64
 
 
 def test_meter_tracks_depth_and_bits():
