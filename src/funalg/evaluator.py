@@ -51,21 +51,24 @@ there are _RECORDS of them or they could hold 2 * _RECORD_BITS bits of
 numbers, so a naive run's memory is its frame stack, O(depth), plus a
 constant.
 
-Hot roots run compiled.  Once the unlogged memoized runs of a root in
-this process have charged _COMPILE_STEPS steps on the loop, its next such
+Hot roots run compiled.  Once one unlogged memoized run of a root in
+this process has charged _COMPILE_STEPS steps on the loop, its next such
 run plans and compiles it (funalg.specialize), once, and every later one
-runs its plan: Python specialised to that DAG that does the loop's memo
-lookups and stores, step charges, width checks and depth updates.  So a
-compiled run returns the loop's value and leaves the loop's meter, all
-four fields.  A compiled run that meets a budget event is abandoned
-without touching the meter, and the loop re-runs the call from the
-caller's meter, so BudgetExceeded comes at the loop's step with the
-loop's meter; an exception from outside the evaluation, such as a signal
-handler's, leaves a compiled run's meter as it was passed.  Naive runs,
-logged runs (so the log is the loop's), runs of a root that is cold or
-whose plan would pass specialize.PLAN_NODES nodes, and a run that finds
-its plan busy in another thread stay on the loop.  Plans are held
-weakly, keyed on the root, and die with it.
+runs its plan.  The choice rests on the longest run, not on how many
+runs came before, so a process that repeats a set of runs compiles in
+the first set whatever it will ever compile.  A plan is Python
+specialised to that DAG that does the loop's memo lookups and stores,
+step charges, width checks and depth updates.  So a compiled run returns
+the loop's value and leaves the loop's meter, all four fields.  A
+compiled run that meets a budget event is abandoned without touching the
+meter, and the loop re-runs the call from the caller's meter, so
+BudgetExceeded comes at the loop's step with the loop's meter; an
+exception from outside the evaluation, such as a signal handler's,
+leaves a compiled run's meter as it was passed.  Naive runs, logged runs
+(so the log is the loop's), runs of a root that is cold or whose plan
+would pass specialize.PLAN_NODES nodes, and a run that finds its plan
+busy in another thread stay on the loop.  Plans are held weakly, keyed
+on the root, and die with it.
 """
 
 from __future__ import annotations
@@ -122,11 +125,11 @@ _ROOT = -1  # the pseudo-frame that calls the root node
 _ARM_STEPS = 256
 _RECORDS = 1 << 16
 _RECORD_BITS = 1 << 25
-# A root's unlogged memoized runs go through its compiled plan once the
-# runs on the loop have charged _COMPILE_STEPS steps.  _HOT maps a root to
-# [those steps], its specialize.Plan, or () when its plan would be too
-# large.
-_COMPILE_STEPS = 1 << 15
+# A root's unlogged memoized runs go through its compiled plan once one
+# run on the loop has charged _COMPILE_STEPS steps.  _HOT maps a root to
+# [the most steps one such run charged], its specialize.Plan, or () when
+# its plan would be too large.
+_COMPILE_STEPS = 1 << 9
 _HOT: WeakKeyDictionary = WeakKeyDictionary()
 _specialize = None
 
@@ -164,7 +167,8 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
     max_steps, max_bits = budget.max_steps, budget.max_bits
     log = expansion_log
     # the compiled tier: a hot root's unlogged memoized runs; cold is the
-    # cell of steps that runs on the loop charge while the root is cold
+    # cell of the most steps a run on the loop charged while the root is
+    # cold
     cold = None
     if memo and log is None and d.children:
         tier = _HOT.get(d)
@@ -486,8 +490,8 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
             for t in (ct, tab, *[f[4] for f in stack]):
                 if t is not None and t[2] > maxd:
                     maxd = t[2]
-        if cold is not None:
-            cold[0] += steps - meter.steps
+        if cold is not None and steps - meter.steps > cold[0]:
+            cold[0] = steps - meter.steps
         meter.steps, meter.peak_bits = steps, peak
         meter.memo_hits, meter.max_depth = hits, maxd
 

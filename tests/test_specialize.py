@@ -32,6 +32,8 @@ from test_evaluator import (  # noqa: F401  (collected again here)
     test_step_budget_raises)
 
 pytestmark = pytest.mark.usefixtures("every_root_compiled")
+# the compile threshold outside this module's fixture
+_THRESHOLD = evaluator._COMPILE_STEPS
 
 
 def _on_the_loop(d, x, meter=None, **kw):
@@ -55,35 +57,38 @@ def _compiled(d, x, meter=None, **kw):
         assert evaluator._HOT[d].__class__ is specialize.Plan
 
 
-def test_a_root_compiles_once_its_runs_have_charged_the_threshold(
-        monkeypatch):
-    monkeypatch.setattr(evaluator, "_COMPILE_STEPS", 1 << 15)
+def test_a_root_compiles_after_one_run_charges_the_threshold(monkeypatch):
+    monkeypatch.setattr(evaluator, "_COMPILE_STEPS", _THRESHOLD)
     monkeypatch.setattr(evaluator, "_HOT", WeakKeyDictionary())
     made = []
     monkeypatch.setattr(evaluator, "_make_plan",
                         lambda d: made.append(d) or specialize.make_plan(d))
     d = reduce_recursive_to_pr(corpus_def("L")).result
-    x = pair(3, 5000)
-    want = _on_the_loop(d, x)
-    for runs in range(1, 100):
-        assert eval_memo(d, x) == want[0]
-        if made:
+    # runs at growing arguments stay on the loop up to and including the
+    # first that charges the threshold, though the first three together
+    # charge more than it
+    for p in (0, 0, 0, 1, 2):
+        x = pair(3, p)
+        want = _on_the_loop(d, x)
+        assert eval_memo(d, x) == want[0] and not made
+        if want[1].steps >= _THRESHOLD:
             break
-    # the last run compiled: the runs before it charged 2^15 steps, and
-    # all but one of those less
-    assert (runs - 2) * want[1].steps < 1 << 15 <= (runs - 1) * want[1].steps
+    assert p == 2 and 3 * 299 > _THRESHOLD
+    assert evaluator._HOT[d] == [want[1].steps]
     assert _compiled(d, x) == want and made == [d]
 
 
 def test_a_cold_root_is_never_compiled(monkeypatch):
-    monkeypatch.setattr(evaluator, "_COMPILE_STEPS", 1 << 15)
+    monkeypatch.setattr(evaluator, "_COMPILE_STEPS", _THRESHOLD)
     monkeypatch.setattr(evaluator, "_HOT", WeakKeyDictionary())
     monkeypatch.setattr(evaluator, "_make_plan", None)  # calling it fails
     d = comp(S, P(I, comp(MUL, P(I, I))))
     m = Meter()
     for x in range(3000):
         eval_memo(d, x, meter=m)
-    assert evaluator._HOT[d] == [m.steps] and m.steps < 1 << 15
+    # each run charges 9 steps, all of them together far more than the
+    # threshold
+    assert evaluator._HOT[d] == [9] and m.steps == 27_000 > _THRESHOLD
 
 
 def test_naive_and_logged_runs_stay_on_the_loop():
