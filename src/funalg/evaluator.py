@@ -51,24 +51,36 @@ there are _RECORDS of them or they could hold 2 * _RECORD_BITS bits of
 numbers, so a naive run's memory is its frame stack, O(depth), plus a
 constant.
 
-Hot roots run compiled.  Once one unlogged memoized run of a root in
-this process has charged _COMPILE_STEPS steps on the loop, its next such
-run plans and compiles it (funalg.specialize), once, and every later one
-runs its plan.  The choice rests on the longest run, not on how many
-runs came before, so a process that repeats a set of runs compiles in
-the first set whatever it will ever compile.  A plan is Python
-specialised to that DAG that does the loop's memo lookups and stores,
-step charges, width checks and depth updates.  So a compiled run returns
-the loop's value and leaves the loop's meter, all four fields.  A
-compiled run that meets a budget event is abandoned without touching the
-meter, and the loop re-runs the call from the caller's meter, so
-BudgetExceeded comes at the loop's step with the loop's meter; an
-exception from outside the evaluation, such as a signal handler's,
-leaves a compiled run's meter as it was passed.  Naive runs, logged runs
-(so the log is the loop's), runs of a root that is cold or whose plan
-would pass specialize.PLAN_NODES nodes, and a run that finds its plan
-busy in another thread stay on the loop.  Plans are held weakly, keyed
-on the root, and die with it.
+Hot roots run compiled.  Once one unlogged run of a root in one mode,
+naive or memoized, has charged _COMPILE_STEPS steps on the loop in this
+process, its next such run plans and compiles it for that mode
+(funalg.specialize), once, and every later one runs its plan.  The
+choice rests on the longest run, not on how many runs came before, so a
+process that repeats a set of runs compiles, in the second set at the
+latest, whatever it will ever compile, and a process that runs a root
+once never compiles it.  The trigger is 2^7 steps.  On the naive roots
+of the compile_grid benchmark (2-core VM, Python 3.11) a compile costs
+about 44 us per plan node, and a plan runs the roots whose longest run
+reaches the trigger 2.7 to 4.9 times faster than the loop, about 0.25 us
+less a step.  So a root repays its compile once its compiled runs have
+charged about 200 steps per plan node: for a root of 50 to 120 nodes,
+some 80 to 190 more runs as long as the trigger, which a process that
+repeats its runs, as a study or a benchmark does, soon makes.  A plan is
+Python specialised to that DAG that does the loop's step charges, width
+checks and depth updates, and memoized its memo lookups and stores,
+naive its records and replays.  So a compiled run returns the loop's
+value and leaves the loop's meter, all four fields.  A naive plan drops
+its records at the loop's _RECORDS and _RECORD_BITS and keeps no pairs
+table, so its memory too is O(depth) plus a constant.  A compiled run
+that meets a budget event, a replay past the step budget included, is
+abandoned without touching the meter, and the loop re-runs the call from
+the caller's meter, so BudgetExceeded comes at the loop's step with the
+loop's meter; an exception from outside the evaluation, such as a signal
+handler's, leaves a compiled run's meter as it was passed.  Logged runs
+(so the log is the loop's), runs of a root that is cold in their mode or
+whose plan would pass specialize.PLAN_NODES nodes, and a run that finds
+its plan busy in another thread stay on the loop.  Plans are held
+weakly, keyed on the root, and die with it.
 """
 
 from __future__ import annotations
@@ -125,23 +137,25 @@ _ROOT = -1  # the pseudo-frame that calls the root node
 _ARM_STEPS = 256
 _RECORDS = 1 << 16
 _RECORD_BITS = 1 << 25
-# A root's unlogged memoized runs go through its compiled plan once one
-# run on the loop has charged _COMPILE_STEPS steps.  _HOT maps a root to
-# [the most steps one such run charged], its specialize.Plan, or () when
-# its plan would be too large.
-_COMPILE_STEPS = 1 << 9
+# A root's unlogged runs in one mode go through its compiled plan for that
+# mode once one such run on the loop has charged _COMPILE_STEPS steps.
+# _HOT maps a root to its [naive, memoized] cells; a cell holds [the most
+# steps one such run charged], the mode's specialize.Plan, or () when the
+# plan would be too large.  The module docstring gives the trigger's
+# break-even.
+_COMPILE_STEPS = 1 << 7
 _HOT: WeakKeyDictionary = WeakKeyDictionary()
 _specialize = None
 
 
-def _make_plan(d: Derivation):
-    """d's specialize.Plan, or None.  The compiler is imported when the
-    first root gets hot, so a process that never compiles does not load
-    it."""
+def _make_plan(d: Derivation, memo: bool):
+    """d's specialize.Plan for the mode, or None.  The compiler is imported
+    when the first root gets hot, so a process that never compiles does not
+    load it."""
     global _specialize
     if _specialize is None:
         from . import specialize as _specialize
-    return _specialize.make_plan(d)
+    return _specialize.make_plan(d, memo)
 
 
 def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
@@ -166,20 +180,23 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
         meter = Meter()
     max_steps, max_bits = budget.max_steps, budget.max_bits
     log = expansion_log
-    # the compiled tier: a hot root's unlogged memoized runs; cold is the
-    # cell of the most steps a run on the loop charged while the root is
-    # cold
+    # the compiled tier: a hot root's unlogged runs; cold is the cell of
+    # the most steps a run in this mode on the loop charged while the root
+    # is cold in it
     cold = None
-    if memo and log is None and d.children:
-        tier = _HOT.get(d)
-        if tier is None:
-            tier = _HOT[d] = [0]
+    if log is None and d.children:
+        cells = _HOT.get(d)
+        if cells is None:
+            cells = _HOT[d] = [[0], [0]]
+        mode = 1 if memo else 0
+        tier = cells[mode]
         if tier.__class__ is list and tier[0] >= _COMPILE_STEPS:
-            tier = _HOT[d] = _make_plan(d) or ()
+            tier = cells[mode] = _make_plan(d, memo) or ()
         if tier.__class__ is list:
             cold = tier
         elif tier:
-            val = tier.run(x, oracle, max_steps, max_bits, meter)
+            val = tier.run(x, oracle, max_steps, max_bits, meter,
+                           _RECORDS, _RECORD_BITS)
             if val is not None:
                 return val
     # With memo: each compound node's {argument: value} table, made on the

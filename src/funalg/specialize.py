@@ -1,12 +1,14 @@
-"""Memoized evaluation of one derivation as generated Python.
+"""Naive or memoized evaluation of one derivation as generated Python.
 
-A plan is a derivation's memoized evaluation specialised to its root
-(partial evaluation, Futamura 1971): straight-line Python source that
-does the memo lookups and stores, step charges, width checks and depth
-updates of funalg.evaluator's loop for that DAG, without interpreting a
-node at each call.  funalg.evaluator runs a root's memoized calls through
-its plan once the root is hot; the values and meters are the loop's,
-which the evaluator's module docstring states as the contract.
+A plan is a derivation's evaluation in one mode, naive or memoized,
+specialised to its root (partial evaluation, Futamura 1971):
+straight-line Python source that does the step charges, width checks and
+depth updates of funalg.evaluator's loop for that DAG, and its memo
+lookups and stores or its naive records and replays, without
+interpreting a node at each call.  funalg.evaluator runs a root's
+unlogged runs in a mode through its plan for that mode once the root is
+hot in it; the values and meters are the loop's, which the evaluator's
+module docstring states as the contract.
 
 The plan sorts the compound nodes below the root three ways:
 
@@ -15,11 +17,24 @@ The plan sorts the compound nodes below the root three ways:
   runs at most once per argument, so it does too; it gets no memo table,
   since a lookup could never hit, and its code is written into its
   parent's;
-- inline: a small memoized P or comp node (HD, TL, ONE, ...), whose
-  lookup, body and store are written out at each of its call sites;
+- inline: a small shared P or comp node (HD, TL, ONE, ...), whose body
+  is written out at each of its call sites, with its memo lookup and
+  store in a memoized plan;
 - a function: the root, every mu, pr, bpr and snr node, and every other
-  memoized node.  Each becomes one generated function; an owned region
-  over FN_NODES nodes is cut into functions that keep no table.
+  compound node.  Each becomes one generated function with a table; an
+  owned region over FN_NODES nodes is cut into functions that keep no
+  table.
+
+The modes differ only where a function is called.  A memoized plan's
+table maps an argument to its value, and a hit counts in memo_hits; the
+plan also keeps a table of every pair its code builds, so unpairing one
+again is a lookup.  A naive plan's table holds the loop's replay record
+of a call, (value, steps, height of its deepest frame above the caller):
+a hit adds the steps, aborts if they pass the step budget, and raises
+depth to the caller's depth plus the height.  Its inline nodes recompute,
+it keeps no pairs table, and it drops its records, all at once, at the
+loop's limits, which Plan.run is given; so its memory is O(depth) plus a
+constant.
 
 A function that calls no generator and no deeper than DIRECT_HEIGHT
 plain functions is a plain function, called directly.  Every other one is
@@ -78,7 +93,8 @@ class Abort(Exception):
 
 # The helpers of every plan, run into its namespace: widen records a new
 # widest value, or aborts past the bits budget; unpair splits a pair that
-# no code of this run built, so the pairs table does not know it.
+# the pairs table, if any, does not know; drop empties a naive run's
+# record tables.
 _PRELUDE = compile("""
 def widen(z):
     global peak, lim
@@ -92,6 +108,12 @@ def unpair(z):
     s = (isqrt(8 * z - 7) - 1) >> 1
     t = z - 1 - (s * (s + 1) >> 1)
     return t, s - t
+
+def drop():
+    global held
+    held = 0
+    for t in tables:
+        t.clear()
 """, "<funalg plan prelude>", "exec")
 
 
@@ -114,32 +136,38 @@ def _drive(gen):
 
 
 class Plan:
-    """A root's generated code and the names of its memo tables.
+    """A root's generated code, memoized or naive, and the names of its
+    memo or record tables.
 
     It holds no node, so it dies with the weak table entry that keeps it.
     """
 
-    __slots__ = ("ns", "entry", "generator", "tables", "lock", "nodes",
-                 "functions", "source_bytes", "__weakref__")
+    __slots__ = ("ns", "entry", "generator", "memo", "tables", "lock",
+                 "nodes", "functions", "source_bytes", "__weakref__")
 
-    def run(self, x: int, oracle, max_steps: int, max_bits: int,
-            meter) -> int | None:
+    def run(self, x: int, oracle, max_steps: int, max_bits: int, meter,
+            records: int, record_bits: int) -> int | None:
         """The root's value at x with the meter updated as the loop would,
         or None, with the meter untouched, after a budget event or while
-        another thread runs this plan."""
+        another thread runs this plan.  A naive run drops its records when
+        they number `records` or their number times peak_bits passes
+        `record_bits`."""
         if not self.lock.acquire(False):
             return None
         ns = self.ns
         try:
-            pairs: dict[int, tuple[int, int]] = {}
             peak = meter.peak_bits
             ns.update(steps=meter.steps, hits=meter.memo_hits,
                       depth=meter.max_depth, peak=peak,
                       lim=1 << min(peak, max_bits), max_steps=max_steps,
-                      max_bits=max_bits, oracle=oracle, pairs=pairs,
-                      pget=pairs.get)
-            for t in self.tables:
-                ns[t] = {}
+                      max_bits=max_bits, oracle=oracle)
+            tables = ns["tables"] = [{} for _ in self.tables]
+            ns.update(zip(self.tables, tables))
+            if self.memo:
+                pairs: dict[int, tuple[int, int]] = {}
+                ns.update(pairs=pairs, pget=pairs.get)
+            else:
+                ns.update(held=0, records=records, record_bits=record_bits)
             if x >= ns["lim"]:
                 ns["widen"](x)
             val = self.entry(x, 1)
@@ -155,13 +183,13 @@ class Plan:
         finally:
             for t in self.tables:
                 ns[t] = None
-            ns.update(oracle=None, pairs=None, pget=None)
+            ns.update(oracle=None, pairs=None, pget=None, tables=None)
             self.lock.release()
 
 
-def make_plan(root: Derivation) -> Plan | None:
-    """Plan and compile root's memoized evaluation; None if the plan would
-    pass PLAN_NODES nodes."""
+def make_plan(root: Derivation, memo: bool = True) -> Plan | None:
+    """Plan and compile root's memoized or naive evaluation; None if the
+    plan would pass PLAN_NODES nodes."""
     order: list[Derivation] = []  # distinct nodes, children first
     fold(root, lambda n: n.children, lambda n, _: order.append(n))
     edges: dict[Derivation, int] = {}
@@ -201,10 +229,10 @@ def make_plan(root: Derivation) -> Plan | None:
             total += s
         if total > PLAN_NODES:
             return None
-    return _compile(root, order, kind, total)
+    return _compile(root, order, kind, total, memo)
 
 
-def _compile(root, order, kind, total) -> Plan:
+def _compile(root, order, kind, total, memo) -> Plan:
     # the functions each function calls through its owned and inline
     # nodes, and which functions are generators
     index = {n: i for i, n in enumerate(order)}
@@ -231,13 +259,14 @@ def _compile(root, order, kind, total) -> Plan:
     ns = {"Abort": Abort, "isqrt": isqrt}
     exec(_PRELUDE, ns)
     plan = Plan()
-    plan.tables = [f"T{index[n]}" for n in order
-                   if n.children and kind[n] in (_INLINE, _FN)]
+    plan.memo = memo
+    plan.tables = [f"T{index[n]}" for n in order if n.children and (
+        kind[n] == _FN or memo and kind[n] == _INLINE)]
     plan.functions = 0
     plan.source_bytes = 0
     for n in order:
         if n.children and kind[n] >= _FN:
-            src = _Emitter(index, kind, generator).function(n)
+            src = _Emitter(index, kind, generator, memo).function(n)
             exec(compile(src, f"<funalg plan f{index[n]}>", "exec"), ns)
             plan.functions += 1
             plan.source_bytes += len(src)
@@ -270,8 +299,9 @@ class _Emitter:
     None.
     """
 
-    def __init__(self, index, kind, generator):
+    def __init__(self, index, kind, generator, memo):
         self.index, self.kind, self.generator = index, kind, generator
+        self.memo = memo
         self.out: list = []  # source lines and _Block placeholders
         self.indent = 1
         self.block: _Block | None = None
@@ -281,7 +311,8 @@ class _Emitter:
     def function(self, node: Derivation) -> str:
         i = self.index[node]
         self.out.append(f"def f{i}(a, d):")
-        self.line("global steps, hits, depth")
+        self.line("global steps, hits, depth" if self.memo
+                  else "global steps, depth, held")
         self.open(None, check=self.generator[node])
         stack = [self.compound(node, "a", None, 0, None)]
         res = None
@@ -364,7 +395,8 @@ class _Emitter:
         """Build <a, b>; check its width unless a wider value is checked."""
         z = self.name()
         self.line(f"{z} = ((s := {a} + {b}) * (s + 1) >> 1) + {a} + 1")
-        self.line(f"pairs[{z}] = {a}, {b}")
+        if self.memo:
+            self.line(f"pairs[{z}] = {a}, {b}")
         if check:
             self.check(z)
         return z
@@ -374,8 +406,12 @@ class _Emitter:
         if zp is not None:
             return zp
         t, b = self.name(), self.name()
-        self.line(f"{t}, {b} = pget({z}) or unpair({z})")
+        self.line(f"{t}, {b} = {self.lookup(z)}")
         return t, b
+
+    def lookup(self, z: str) -> str:
+        """An expression for the (head, tail) of the value z > 0."""
+        return f"pget({z}) or unpair({z})" if self.memo else f"unpair({z})"
 
     def split(self, x: str, xp):
         """v, p of x = <v, p>, in an `if x:` suite unless x is a pair
@@ -399,7 +435,8 @@ class _Emitter:
         if kind == _OWNED:
             return self.compound(node, x, xp, k, None)
         if kind == _INLINE:
-            return self.compound(node, x, xp, k, f"T{self.index[node]}")
+            table = f"T{self.index[node]}" if self.memo else None
+            return self.compound(node, x, xp, k, table)
         # a function: its own code charges the call
         i, r = self.index[node], self.name()
         run = (f"yield f{i}, {x}, d + {k}" if self.generator[node]
@@ -410,9 +447,32 @@ class _Emitter:
             return r, None
         self.line(f"{r} = T{i}.get({x})")
         self.open(f"if {r} is None:")
+        if self.memo:
+            self.line(f"{r} = {run}")
+            self.line(f"T{i}[{x}] = {r}")
+            self.close("hits += 1")
+            return r, None
+        # naive: run the call with depth counting inside it alone, and
+        # record (value, steps, height above the caller); or replay it
+        m, s = self.name(), self.name()
+        caller = f"d + {k - 1}" if k > 1 else "d"
+        self.line(f"{m}, {s}, depth = depth, steps, 0")
         self.line(f"{r} = {run}")
-        self.line(f"T{i}[{x}] = {r}")
-        self.close("hits += 1")
+        self.line(f"T{i}[{x}] = {r}, steps - {s}, depth - ({caller})")
+        self.line(f"if {m} > depth:")
+        self.line(f"    depth = {m}")
+        self.line("held += 1")
+        self.line("if held >= records or held * peak > record_bits:")
+        self.line("    drop()")
+        self.close()
+        self.line("else:")
+        self.line(f"    {r}, {s}, {m} = {r}")
+        self.line(f"    steps += {s}")
+        self.line("    if steps > max_steps:")
+        self.line("        raise Abort")
+        self.line(f"    {m} += {caller}")
+        self.line(f"    if {m} > depth:")
+        self.line(f"        depth = {m}")
         return r, None
 
     def leaf(self, code: int, x: str, xp, k: int):
@@ -448,7 +508,7 @@ class _Emitter:
             else:  # D: <t, <y, z>> gives y if t = 0, else z
                 self.line(f"if {b}:")
                 y, z = self.name(), self.name()
-                self.line(f"    {y}, {z} = pget({b}) or unpair({b})")
+                self.line(f"    {y}, {z} = {self.lookup(b)}")
                 self.line(f"    {r} = {z} if {t} else {y}")
                 self.line("else:")
                 self.line(f"    {r} = 0")

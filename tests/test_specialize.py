@@ -1,9 +1,10 @@
-"""The compiled tier of memoized evaluation (funalg.specialize).
+"""The compiled tier of naive and memoized evaluation (funalg.specialize).
 
 The comparisons of test_evaluator.py with the generator-per-node oracle
-run here a second time, with every memoized root compiled on its first
-run: random DAGs over every class, reductions, wide PR stacks, and step
-and bit budgets, with meters passed in.
+run here a second time, with every root compiled on its first unlogged
+run in each mode: random DAGs over every class, reductions, wide PR
+stacks, naive replays and their record bound, and step and bit budgets,
+with meters passed in.
 """
 
 import gc
@@ -18,64 +19,91 @@ import pytest
 from funalg import evaluator, specialize
 from funalg.codec import pair
 from funalg.corpus import corpus_def
-from funalg.derivation import I, MUL, P, S, comp, mu
-from funalg.evaluator import Budget, BudgetExceeded, Meter, eval_memo
+from funalg.compiler import HD, TL
+from funalg.derivation import I, MUL, P, S, comp, mu, pr
+from funalg.evaluator import (Budget, BudgetExceeded, Meter, eval_memo,
+                              evaluate)
+from funalg.harness import exhaustive_search_predicate
 from funalg.reduction import reduce_recursive_to_pr
 from test_evaluator import (  # noqa: F401  (collected again here)
     test_bits_budget_binds_a_meter_already_past_it,
+    test_long_naive_runs_match_generator_evaluator,
     test_matches_generator_evaluator,
     test_matches_generator_evaluator_at_width_limit,
     test_matches_generator_evaluator_on_reductions,
     test_matches_generator_evaluator_on_wide_arguments,
     test_matches_generator_evaluator_on_wide_pr_stacks,
     test_memo_hits_counted, test_naive_memo_agree,
+    test_naive_records_stay_bounded,
+    test_replay_deeper_than_its_record_raises_max_depth,
+    test_replay_matches_generator_evaluator_past_the_record_cap,
+    test_replay_matches_generator_evaluator_under_bit_budgets,
+    test_replay_matches_generator_evaluator_under_step_budgets,
+    test_replay_matches_generator_evaluator_when_records_are_dropped,
     test_step_budget_raises)
 
 pytestmark = pytest.mark.usefixtures("every_root_compiled")
 # the compile threshold outside this module's fixture
 _THRESHOLD = evaluator._COMPILE_STEPS
+# f(<v, p>) = p + v: 19 v + 2 steps memoized, 22 v - 1 naive for v > 0
+_ADD = pr(I, comp(S, comp(HD, TL)))
 
 
-def _on_the_loop(d, x, meter=None, **kw):
-    """eval_memo's value and meter on the loop alone."""
+def _on_the_loop(d, x, meter=None, memo=True, **kw):
+    """evaluate's value and meter on the loop alone."""
     saved = evaluator._COMPILE_STEPS, evaluator._HOT
     evaluator._COMPILE_STEPS = float("inf")
     evaluator._HOT = WeakKeyDictionary()
     try:
         m = Meter() if meter is None else meter
-        return eval_memo(d, x, meter=m, **kw), m
+        return evaluate(d, x, meter=m, memo=memo, **kw), m
     finally:
         evaluator._COMPILE_STEPS, evaluator._HOT = saved
 
 
-def _compiled(d, x, meter=None, **kw):
-    """eval_memo's value and meter, run through d's plan."""
+def _compiled(d, x, meter=None, memo=True, **kw):
+    """evaluate's value and meter, run through d's plan for the mode."""
     m = Meter() if meter is None else meter
     try:
-        return eval_memo(d, x, meter=m, **kw), m
+        return evaluate(d, x, meter=m, memo=memo, **kw), m
     finally:
-        assert evaluator._HOT[d].__class__ is specialize.Plan
+        plan = evaluator._HOT[d][memo]
+        assert plan.__class__ is specialize.Plan and plan.memo == memo
 
 
-def test_a_root_compiles_after_one_run_charges_the_threshold(monkeypatch):
+def _compiles_after_one_run_charges_the_threshold(monkeypatch, memo, vs):
+    """Runs of _ADD at <v, 0> for v in vs stay on the loop up to and
+    including the first that charges the threshold, though the runs
+    before it together charge more than it; the next run compiles."""
     monkeypatch.setattr(evaluator, "_COMPILE_STEPS", _THRESHOLD)
     monkeypatch.setattr(evaluator, "_HOT", WeakKeyDictionary())
     made = []
-    monkeypatch.setattr(evaluator, "_make_plan",
-                        lambda d: made.append(d) or specialize.make_plan(d))
-    d = reduce_recursive_to_pr(corpus_def("L")).result
-    # runs at growing arguments stay on the loop up to and including the
-    # first that charges the threshold, though the first three together
-    # charge more than it
-    for p in (0, 0, 0, 1, 2):
-        x = pair(3, p)
-        want = _on_the_loop(d, x)
-        assert eval_memo(d, x) == want[0] and not made
+    monkeypatch.setattr(evaluator, "_make_plan", lambda d, memo: made.append(
+        (d, memo)) or specialize.make_plan(d, memo))
+    total = 0
+    for v in vs:
+        want = _on_the_loop(_ADD, pair(v, 0), memo=memo)
+        got = evaluate(_ADD, pair(v, 0), memo=memo)
+        assert got == want[0] == v and not made
+        total += want[1].steps
         if want[1].steps >= _THRESHOLD:
             break
-    assert p == 2 and 3 * 299 > _THRESHOLD
-    assert evaluator._HOT[d] == [want[1].steps]
-    assert _compiled(d, x) == want and made == [d]
+    assert v == vs[-1] and total - want[1].steps > _THRESHOLD
+    assert evaluator._HOT[_ADD][memo] == [want[1].steps]
+    assert evaluator._HOT[_ADD][not memo] == [0]
+    assert _compiled(_ADD, pair(v, 0), memo=memo) == want
+    assert made == [(_ADD, memo)]
+
+
+def test_a_root_compiles_after_one_run_charges_the_threshold(monkeypatch):
+    _compiles_after_one_run_charges_the_threshold(monkeypatch, True,
+                                                  (3, 3, 3, 5, 6, 7))
+
+
+def test_a_naive_root_compiles_after_one_run_charges_the_threshold(
+        monkeypatch):
+    _compiles_after_one_run_charges_the_threshold(monkeypatch, False,
+                                                  (3, 3, 3, 5, 6))
 
 
 def test_a_cold_root_is_never_compiled(monkeypatch):
@@ -88,36 +116,67 @@ def test_a_cold_root_is_never_compiled(monkeypatch):
         eval_memo(d, x, meter=m)
     # each run charges 9 steps, all of them together far more than the
     # threshold
-    assert evaluator._HOT[d] == [9] and m.steps == 27_000 > _THRESHOLD
+    assert evaluator._HOT[d] == [[0], [9]]
+    assert m.steps == 27_000 > _THRESHOLD
 
 
-def test_naive_and_logged_runs_stay_on_the_loop():
+def test_logged_runs_stay_on_the_loop_in_either_mode():
     d = comp(S, P(I, I))
-    evaluator.eval_naive(d, 3)
-    evaluator.evaluate(d, 3, memo=True, expansion_log=[])
+    for memo in (False, True):
+        evaluate(d, 3, memo=memo, expansion_log=[])
     assert d not in evaluator._HOT
 
 
-def test_a_budget_event_reruns_the_call_on_the_loop():
-    d = reduce_recursive_to_pr(corpus_def("nested")).result
-    full = _on_the_loop(d, 8)[1]
-    for budget in (Budget(full.steps - 1, 10**6),
-                   Budget(10**6, full.peak_bits - 1)):
+def _budget_events_give_the_loop_outcome(d, x, memo):
+    """Step and bit budgets just under a full run's give the loop's kind
+    and meter, with meters passed in."""
+    full = _on_the_loop(d, x, memo=memo)[1]
+    for kind, budget in (("steps", Budget(full.steps - 1, 10**6)),
+                         ("bits", Budget(10**6, full.peak_bits - 1))):
         for meter0 in (Meter(), Meter(7, 3, 2, 50)):
             outcomes = []
             for run in (_on_the_loop, _compiled):
                 m = Meter(**vars(meter0))
                 with pytest.raises(BudgetExceeded) as e:
-                    run(d, 8, meter=m, budget=budget)
-                assert e.value.meter is m
-                outcomes.append((e.value.kind, m))
+                    run(d, x, meter=m, memo=memo, budget=budget)
+                assert e.value.meter is m and e.value.kind == kind
+                outcomes.append(m)
             assert outcomes[0] == outcomes[1]
+
+
+def test_a_budget_event_reruns_the_call_on_the_loop():
+    d = reduce_recursive_to_pr(corpus_def("nested")).result
+    _budget_events_give_the_loop_outcome(d, 8, True)
+
+
+def test_a_naive_budget_event_reruns_the_call_on_the_loop():
+    # L at 5 replays calls: 4,073 steps naive
+    d = reduce_recursive_to_pr(corpus_def("L")).result
+    _budget_events_give_the_loop_outcome(d, 5, False)
+
+
+def test_compiled_naive_records_stay_bounded(monkeypatch):
+    # exhaustive search at 12, 86,033 steps, makes more distinct calls of
+    # its plan's functions than the lowered cap; the run allocates about
+    # 112 KB, and 476 KB with the cap lifted
+    monkeypatch.setattr(evaluator, "_RECORDS", 1024)
+    monkeypatch.setattr(evaluator, "_RECORD_BITS", 1 << 18)
+    d = exhaustive_search_predicate()
+    want = _on_the_loop(d, 12, memo=False)
+    _compiled(d, 9, memo=False)  # the compile, outside the traced run
+    tracemalloc.start()
+    try:
+        got = _compiled(d, 12, memo=False)
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and allocated < 2**18
 
 
 def test_a_busy_plan_leaves_the_run_to_the_loop():
     d = reduce_recursive_to_pr(corpus_def("addp")).result
     want = _compiled(d, pair(9, 4))
-    plan = evaluator._HOT[d]
+    plan = evaluator._HOT[d][True]
     with plan.lock:
         assert _compiled(d, pair(9, 4)) == want
 
@@ -131,7 +190,7 @@ def test_deep_comp_chain_gives_the_loop_meter():
     want = _on_the_loop(d, 7)
     m = Meter()
     assert eval_memo(d, 7, meter=m) == want[0] == 100_007
-    assert m == want[1] and evaluator._HOT[d] == ()
+    assert m == want[1] and evaluator._HOT[d][True] == ()
 
 
 @pytest.mark.parametrize("n, kind", [(2500, "owned"), (700, "shared")])
@@ -145,14 +204,14 @@ def test_deep_chains_run_on_the_driver(n, kind):
         d = comp(S, d) if kind == "owned" else comp(d, d)
     want = _on_the_loop(d, 7)
     assert _compiled(d, 7) == want
-    assert evaluator._HOT[d].generator
+    assert evaluator._HOT[d][True].generator
     assert kind == "shared" or want[1].max_depth > sys.getrecursionlimit()
 
 
 def test_a_plan_dies_with_its_root():
     d = comp(mu(comp(S, MUL)), P(S, comp(S, P(I, I))))
     _compiled(d, 40)
-    plan = weakref.ref(evaluator._HOT[d])
+    plan = weakref.ref(evaluator._HOT[d][True])
     del d
     gc.collect()
     assert plan() is None
