@@ -631,6 +631,16 @@ def _pmul(a: PolyBound, b: PolyBound) -> PolyBound:
 
 
 def _subst(b: PolyBound, inner: PolyBound) -> PolyBound:
+    """b with inner for its variable; a leaf, or an atom's bound, whose
+    arguments are leaves, takes no walk."""
+    if b.kind == "var":
+        return inner
+    if not b.args:
+        return b
+    if not (b.args[0].args or b.args[1].args):
+        return PolyBound(b.kind, args=tuple(
+            inner if a.kind == "var" else a for a in b.args))
+
     def rule(p: PolyBound, args: list[PolyBound]) -> PolyBound:
         if p.kind == "var":
             return inner
@@ -638,23 +648,26 @@ def _subst(b: PolyBound, inner: PolyBound) -> PolyBound:
     return fold(b, lambda p: p.args, rule)
 
 
+# The bounds of the atoms that poly_bound does not bound by the argument.
+_ATOM_BOUND = {
+    Op.S: _padd(_VAR, _const(1)),
+    Op.ADD: _pmul(_const(2), _VAR),
+    Op.MUL: _pmul(_VAR, _VAR),
+    Op.LT: _const(1),
+    Op.ORACLE: _const(1),
+}
+_TWO = _const(2)
+
+
 def _bound_rule(d: Derivation, kids: list[PolyBound]) -> PolyBound:
     op = d.op
     if op in (Op.PR, Op.E, Op.SMASH):
         raise UnboundedOperatorError(f"{op.value} has no polynomial bound")
-    if op is Op.S:
-        return _padd(_VAR, _const(1))
-    if op is Op.ADD:
-        return _pmul(_const(2), _VAR)
-    if op is Op.MUL:
-        return _pmul(_VAR, _VAR)
-    if op in (Op.LT, Op.ORACLE):
-        return _const(1)
-    if op in (Op.I, Op.D, Op.MU, Op.BPR, Op.SNR):
-        return _VAR
+    if not kids:
+        return _ATOM_BOUND.get(op, _VAR)
     bg, bh = kids
     if op is Op.P:
-        s = _padd(_padd(bg, bh), _const(2))
+        s = _padd(_padd(bg, bh), _TWO)
         return _pmul(s, s)
     return _subst(bg, bh)  # comp
 

@@ -27,14 +27,29 @@ The plan sorts the compound nodes below the root three ways:
 
 The modes differ only where a function is called.  A memoized plan's
 table maps an argument to its value, and a hit counts in memo_hits; the
-plan also keeps a table of every pair its code builds, so unpairing one
-again is a lookup.  A naive plan's table holds the loop's replay record
-of a call, (value, steps, height of its deepest frame above the caller):
-a hit adds the steps, aborts if they pass the step budget, and raises
-depth to the caller's depth plus the height.  Its inline nodes recompute,
-it keeps no pairs table, and it drops its records, all at once, at the
-loop's limits, which Plan.run is given; so its memory is O(depth) plus a
-constant.
+plan also keeps a table of the pairs its code builds that other code may
+unpair, so unpairing one again is a lookup.  A naive plan's table holds
+the loop's replay record of a call, (value, steps, height of its deepest
+frame above the caller): a hit adds the steps, aborts if they pass the
+step budget, and raises depth to the caller's depth plus the height.  Its
+inline nodes recompute, it keeps no pairs table, and it drops its
+records, all at once, at the loop's limits, which Plan.run is given; so
+its memory is O(depth) plus a constant.
+
+A pair is built only where the code reads its value: as a table key, a
+function's argument or value, a memo value, an operand of arithmetic, a
+test, or a part of a pair that is built or sum-guarded (below).  A leaf
+(add, mul, lt, D) or an operator (mu, pr, bpr, snr) applied to a pair
+the code built or unpaired reads the head and tail names it has, and D
+applied to <t, <y, z>> picks y or z by name.  A memoized plan stores a
+built pair in its pairs table only where the pair leaves the code's
+names: as an argument, a value or a memo value, or inside such a pair.
+The code reuses what its path has: within a suite and the suites nested
+in it, a second build or unpair of the same names reads the first one's
+names, and in a memoized plan a second call of a node with a table at
+the same name is a memo hit that reads the first call's value.  A naive
+plan reuses pairs and unpairs only: it drops records mid-run, and its
+inline nodes recompute.
 
 A function that calls no generator and no deeper than DIRECT_HEIGHT
 plain functions is a plain function, called directly.  Every other one is
@@ -43,17 +58,24 @@ argument, depth) for each call and receives the value.  So the host's
 call stack never holds more than DIRECT_HEIGHT + 2 generated frames, even
 through snr's self-calls or down a long chain of functions.
 
-Step charges that straight-line code makes together are one addition,
-made on entering the block that holds them, and a block's deepest frame
-is one depth update.  Width checks sit where a value is first made: S,
-mul, E, smash and oracle values and built pairs.  Every other value (of
-I, add, lt, D, mu, pr, bpr and snr) is no wider than a value checked
-already or the root's argument, so the peak is the one that checking
-every call's argument and value gives.  Steps are checked against the
-budget on entering a generator and in each loop iteration.  A run that
-meets a budget event raises Abort, and the evaluator re-runs the call on
-its loop from the caller's meter; so the first event, its kind and the
-meter it leaves are the loop's.
+Step charges and memo hits that straight-line code makes together are
+one addition each, made on entering the block that holds them, and a
+block's deepest frame is one depth update.  Width checks sit where a
+value is first made: S, mul, E, smash and oracle values and
+pairs.  Every other value (of I, add, lt, D, mu, pr, bpr and snr) is no
+wider than a value checked already or the root's argument, so the peak
+is the one that checking every call's argument and value gives.  A pair
+<a, b> that no code reads is checked by its sum: <a, b> <= T(a + b + 1),
+with T(n) = n(n + 1)/2, so when a + b < slim <= isqrt(2 lim) - 2 the
+pair is below lim, where every value is no wider than the peak and
+within the bits budget; only otherwise does pairwide build it and check
+it.  lim is 2^p for p the peak or, if less, the bits budget, and slim is
+that bound up to p = 121 and within a factor 1 - 2^-60 below it beyond,
+so that a new peak costs no square root of its width.  Steps are checked
+against the budget on entering a generator and in each loop
+iteration.  A run that meets a budget event raises Abort, and the
+evaluator re-runs the call on its loop from the caller's meter; so the
+first event, its kind and the meter it leaves are the loop's.
 
 Plans over PLAN_NODES nodes are not made.  Each function is compiled on
 its own, so compiling a plan never holds more than one function's syntax
@@ -91,18 +113,31 @@ class Abort(Exception):
     """A generated run met a budget event; the loop re-runs the call."""
 
 
-# The helpers of every plan, run into its namespace: widen records a new
-# widest value, or aborts past the bits budget; unpair splits a pair that
+# The helpers of every plan, run into its namespace: setlim sets lim to
+# 2^b and slim to at most isqrt(2 lim) - 2, exact for b < 120; widen
+# records a new widest value, or aborts past the bits budget; pairwide
+# checks the width of a pair that no code reads; unpair splits a pair that
 # the pairs table, if any, does not know; drop empties a naive run's
 # record tables.
 _PRELUDE = compile("""
+def setlim(b):
+    global lim, slim
+    lim = 1 << b
+    e = max(b - 120, 0) & -2
+    slim = (isqrt(2 << (b - e)) << (e >> 1)) - 2
+
 def widen(z):
-    global peak, lim
+    global peak
     b = z.bit_length()
     if b > max_bits:
         raise Abort
     peak = b
-    lim = 1 << b
+    setlim(b)
+
+def pairwide(a, b):
+    z = ((a + b) * (a + b + 1) >> 1) + a + 1
+    if z >= lim:
+        widen(z)
 
 def unpair(z):
     s = (isqrt(8 * z - 7) - 1) >> 1
@@ -158,9 +193,9 @@ class Plan:
         try:
             peak = meter.peak_bits
             ns.update(steps=meter.steps, hits=meter.memo_hits,
-                      depth=meter.max_depth, peak=peak,
-                      lim=1 << min(peak, max_bits), max_steps=max_steps,
+                      depth=meter.max_depth, peak=peak, max_steps=max_steps,
                       max_bits=max_bits, oracle=oracle)
+            ns["setlim"](min(peak, max_bits))
             tables = ns["tables"] = [{} for _ in self.tables]
             ns.update(zip(self.tables, tables))
             if self.memo:
@@ -279,34 +314,62 @@ def _compile(root, order, kind, total, memo) -> Plan:
 
 
 class _Block:
-    """An indented suite's step charges and deepest frame offset, written
-    at its start once the function is emitted."""
+    """An indented suite's step charges, memo hits and deepest frame
+    offset, written at its start once the function is emitted."""
 
-    __slots__ = ("indent", "steps", "deepest", "outer", "check")
+    __slots__ = ("indent", "steps", "hits", "deepest", "outer", "check")
 
     def __init__(self, indent, outer, check):
         self.indent, self.outer, self.check = indent, outer, check
-        self.steps, self.deepest = 0, -1
+        self.steps, self.hits, self.deepest = 0, 0, -1
+
+
+# How a function's code needs a pair it makes: not at all, its value, or
+# its value and, in memo mode, its entry in the pairs table.
+_DEAD, _BUILT, _STORED = range(3)
+
+
+class _Pair:
+    """A pair <a, b> that a function makes, named z, written once the
+    function is emitted as its state asks: a dead pair is only its
+    width's sum guard, if it needs a width check."""
+
+    __slots__ = ("indent", "z", "a", "b", "check", "state")
+
+    def __init__(self, indent, z, a, b, check):
+        self.indent, self.z, self.a, self.b = indent, z, a, b
+        self.check, self.state = check, _DEAD
 
 
 class _Emitter:
     """The source of one generated function.
 
-    Code is emitted for calls: (node, x, xp, k) calls node at the value
-    named x, whose (head, tail) names are xp when this code built it as a
-    pair, in a frame k deeper than the function's own frame, at depth d.
-    A call gives the name of its value and its (head, tail) names or
-    None.
+    Code is emitted for calls: (node, x, k) calls node at the value named
+    x, in a frame k deeper than the function's own frame, at depth d, and
+    gives the name of its value.
+
+    known numbers the values the code has at hand: it maps a name to its
+    (head, tail) names once the code built or unpaired it, a pair (a, b)
+    of names to the name of <a, b>, and in memo mode (node, x) to the name
+    of node's value at x.  An entry holds within the suite that made it
+    and the suites nested in it, and scopes lists, per open suite, the
+    keys it added.  A name assigned again (a loop's accumulator or
+    counter, a memo lookup's result) is assigned again before any code
+    keys on it or last in the suite whose code did, so no entry outlives
+    the values of its names.
     """
 
     def __init__(self, index, kind, generator, memo):
         self.index, self.kind, self.generator = index, kind, generator
         self.memo = memo
-        self.out: list = []  # source lines and _Block placeholders
+        self.out: list = []  # source lines, _Block and _Pair placeholders
         self.indent = 1
         self.block: _Block | None = None
         self.names = 0
         self.yields = False
+        self.known: dict = {}
+        self.scopes: list[list] = []
+        self.made: dict[str, _Pair] = {}
 
     def function(self, node: Derivation) -> str:
         i = self.index[node]
@@ -314,20 +377,21 @@ class _Emitter:
         self.line("global steps, hits, depth" if self.memo
                   else "global steps, depth, held")
         self.open(None, check=self.generator[node])
-        stack = [self.compound(node, "a", None, 0, None)]
+        stack = [self.compound(node, "a", 0, None)]
         res = None
         while stack:
             try:
-                n, x, xp, k = stack[-1].send(res)
+                n, x, k = stack[-1].send(res)
             except StopIteration as stop:
                 stack.pop()
                 res = stop.value
                 continue
-            res = self.call(n, x, xp, k)
-            if not isinstance(res, tuple):
+            res = self.call(n, x, k)
+            if res.__class__ is not str:
                 stack.append(res)
                 res = None
-        self.line(f"return {res[0]}")
+        self.keep(res)
+        self.line(f"return {res}")
         if self.generator[node] and not self.yields:
             self.line("yield  # unreachable: makes f a generator")
         return self.source()
@@ -335,12 +399,29 @@ class _Emitter:
     def source(self) -> str:
         lines = []
         for item in self.out:
-            if not isinstance(item, _Block):
+            if item.__class__ is str:
                 lines.append(item)
                 continue
             pad = "    " * item.indent
+            if item.__class__ is _Pair:
+                z, a, b = item.z, item.a, item.b
+                if item.state:
+                    lines.append(
+                        f"{pad}{z} = ((s := {a} + {b}) * (s + 1) >> 1)"
+                        f" + {a} + 1")
+                    if item.state == _STORED:
+                        lines.append(f"{pad}pairs[{z}] = {a}, {b}")
+                    if item.check:
+                        lines.append(f"{pad}if {z} >= lim:")
+                        lines.append(f"{pad}    widen({z})")
+                elif item.check:
+                    lines.append(f"{pad}if {a} + {b} >= slim:")
+                    lines.append(f"{pad}    pairwide({a}, {b})")
+                continue
             if item.steps:
                 lines.append(f"{pad}steps += {item.steps}")
+            if item.hits:
+                lines.append(f"{pad}hits += {item.hits}")
             if item.check:
                 lines.append(f"{pad}if steps > max_steps:")
                 lines.append(f"{pad}    raise Abort")
@@ -371,14 +452,22 @@ class _Emitter:
             self.indent += 1
         self.block = _Block(self.indent, self.block, check)
         self.out.append(self.block)
+        self.scopes.append([])
 
     def close(self, otherwise: str | None = None) -> None:
-        """End the block's suite, then give `otherwise` an else suite."""
+        """End the block's suite, forgetting what it learnt, then give
+        `otherwise` an else suite."""
+        for key in self.scopes.pop():
+            del self.known[key]
         self.indent -= 1
         self.block = self.block.outer
         if otherwise is not None:
             self.line("else:")
             self.line(f"    {otherwise}")
+
+    def learn(self, key, value) -> None:
+        self.known[key] = value
+        self.scopes[-1].append(key)
 
     def charge(self, k: int) -> None:
         """One step in the current block, at frame offset k."""
@@ -391,67 +480,94 @@ class _Emitter:
         self.line(f"if {z} >= lim:")
         self.line(f"    widen({z})")
 
+    # --- pairs ------------------------------------------------------------
+
+    def use(self, *names: str, state: int = _BUILT) -> None:
+        """The code reads these values: build each that is a pair made
+        here, and the pairs it is made of, to at least `state`."""
+        todo = list(names)
+        while todo:
+            p = self.made.get(todo.pop())
+            if p is not None and p.state < state:
+                p.state = state
+                todo += p.a, p.b
+
+    def keep(self, *names: str) -> None:
+        """These values leave this code's names: a callee, a caller or a
+        memo table may unpair them, so a memoized plan stores them."""
+        self.use(*names, state=_STORED if self.memo else _BUILT)
+
     def pair(self, a: str, b: str, check: bool) -> str:
-        """Build <a, b>; check its width unless a wider value is checked."""
-        z = self.name()
-        self.line(f"{z} = ((s := {a} + {b}) * (s + 1) >> 1) + {a} + 1")
-        if self.memo:
-            self.line(f"pairs[{z}] = {a}, {b}")
-        if check:
-            self.check(z)
+        """<a, b>, checking its width unless a wider value is checked: by
+        the test a + b >= slim where no code reads it, since <a, b> <=
+        T(a + b + 1) is below lim when a + b < slim.  A pair the path made
+        already was checked there, or built into a wider pair checked
+        next."""
+        z = self.known.get((a, b))
+        if z is None:
+            z = self.name()
+            self.made[z] = p = _Pair(self.indent, z, a, b, check)
+            self.out.append(p)
+            if check:
+                self.use(a, b)
+            self.learn((a, b), z)
+            self.learn(z, (a, b))
         return z
 
-    def unpair(self, z: str, zp) -> tuple[str, str]:
-        """The head and tail of the value z > 0."""
-        if zp is not None:
-            return zp
+    def split(self, x: str) -> tuple[str, str, bool]:
+        """The head and tail names of x, in an `if x:` suite unless x is
+        a pair whose parts the code knows, so not 0; and whether the suite
+        was opened, for unsplit."""
+        parts = self.known.get(x)
+        if parts is not None:
+            return *parts, False
         t, b = self.name(), self.name()
-        self.line(f"{t}, {b} = {self.lookup(z)}")
-        return t, b
+        self.use(x)
+        self.open(f"if {x}:")
+        self.line(f"{t}, {b} = pget({x}) or unpair({x})" if self.memo
+                  else f"{t}, {b} = unpair({x})")
+        self.learn(x, (t, b))
+        return t, b, True
 
-    def lookup(self, z: str) -> str:
-        """An expression for the (head, tail) of the value z > 0."""
-        return f"pget({z}) or unpair({z})" if self.memo else f"unpair({z})"
-
-    def split(self, x: str, xp):
-        """v, p of x = <v, p>, in an `if x:` suite unless x is a pair
-        this code built, so not 0; end it with unsplit."""
-        if xp is None:
-            self.open(f"if {x}:")
-        return self.unpair(x, xp)
-
-    def unsplit(self, xp, r: str) -> None:
-        if xp is None:
+    def unsplit(self, opened: bool, r: str) -> None:
+        if opened:
             self.close(f"{r} = 0")
 
     # --- calls ------------------------------------------------------------
 
-    def call(self, node: Derivation, x: str, xp, k: int):
-        """Emit the call, or give the generator that emits it."""
+    def call(self, node: Derivation, x: str, k: int):
+        """Emit the call and give its value's name, or give the generator
+        that emits it."""
         code = node.op.code
         if code < _P:
-            return self.leaf(code, x, xp, k)
+            return self.leaf(code, x, k)
         kind = self.kind[node]
         if kind == _OWNED:
-            return self.compound(node, x, xp, k, None)
+            return self.compound(node, x, k, None)
+        r = self.known.get((node, x))
+        if r is not None:  # memoized, and the path ran this call already
+            self.block.hits += 1
+            return r
+        i = self.index[node]
         if kind == _INLINE:
-            table = f"T{self.index[node]}" if self.memo else None
-            return self.compound(node, x, xp, k, table)
+            return self.compound(node, x, k, f"T{i}" if self.memo else None)
         # a function: its own code charges the call
-        i, r = self.index[node], self.name()
+        r = self.name()
+        self.keep(x)
         run = (f"yield f{i}, {x}, d + {k}" if self.generator[node]
                else f"f{i}({x}, d + {k})")
         self.yields |= self.generator[node]
         if kind == _CUT:
             self.line(f"{r} = {run}")
-            return r, None
+            return r
         self.line(f"{r} = T{i}.get({x})")
         self.open(f"if {r} is None:")
         if self.memo:
             self.line(f"{r} = {run}")
             self.line(f"T{i}[{x}] = {r}")
             self.close("hits += 1")
-            return r, None
+            self.learn((node, x), r)
+            return r
         # naive: run the call with depth counting inside it alone, and
         # record (value, steps, height above the caller); or replay it
         m, s = self.name(), self.name()
@@ -473,17 +589,19 @@ class _Emitter:
         self.line(f"    {m} += {caller}")
         self.line(f"    if {m} > depth:")
         self.line(f"        depth = {m}")
-        return r, None
+        return r
 
-    def leaf(self, code: int, x: str, xp, k: int):
+    def leaf(self, code: int, x: str, k: int) -> str:
         self.charge(k)
         if code == _I:
-            return x, xp
+            return x
         r = self.name()
         if code == _S:
+            self.use(x)
             self.line(f"{r} = {x} + 1")
             self.check(r)
         elif code == _E or code == _SMASH:
+            self.use(x)
             e = x if code == _E else f"{x}.bit_length() ** 2"
             self.line(f"{r} = {e}")
             self.line(f"if {r} >= max_bits:")
@@ -491,72 +609,72 @@ class _Emitter:
             self.line(f"{r} = 1 << {r}")
             self.check(r)
         elif code == _ORACLE:
+            self.use(x)
             self.line(f"{r} = 1 if {x} in oracle else 0")
             self.check(r)
         else:  # add, mul, lt, D: the projections of x
-            if xp is None:
-                self.line(f"if {x}:")
-                self.indent += 1
-            t, b = self.unpair(x, xp)
-            if code == _ADD:
-                self.line(f"{r} = {t} + {b}")
-            elif code == _MUL:
-                self.line(f"{r} = {t} * {b}")
-                self.check(r)
-            elif code == _LT:
-                self.line(f"{r} = 1 if {t} < {b} else 0")
-            else:  # D: <t, <y, z>> gives y if t = 0, else z
-                self.line(f"if {b}:")
-                y, z = self.name(), self.name()
-                self.line(f"    {y}, {z} = {self.lookup(b)}")
-                self.line(f"    {r} = {z} if {t} else {y}")
-                self.line("else:")
-                self.line(f"    {r} = 0")
-            if xp is None:
-                self.indent -= 1
-                self.line("else:")
-                self.line(f"    {r} = 0")
-        return r, None
+            t, b, opened = self.split(x)
+            if code == _D:  # <t, <y, z>> gives y if t = 0, else z
+                y, z, inner = self.split(b)
+                self.use(t)
+                self.keep(y, z)
+                self.line(f"{r} = {z} if {t} else {y}")
+                self.unsplit(inner, r)
+            else:
+                self.use(t, b)
+                if code == _ADD:
+                    self.line(f"{r} = {t} + {b}")
+                elif code == _MUL:
+                    self.line(f"{r} = {t} * {b}")
+                    self.check(r)
+                else:
+                    self.line(f"{r} = 1 if {t} < {b} else 0")
+            self.unsplit(opened, r)
+        return r
 
-    def compound(self, node: Derivation, x: str, xp, k: int,
+    def compound(self, node: Derivation, x: str, k: int,
                  table: str | None):
         """A generator: emit a compound call's body, with its memo lookup
         and store if it has a table; it yields the calls it makes."""
         if table is not None:
             m = self.name()
+            self.use(x)
             self.line(f"{m} = {table}.get({x})")
             self.open(f"if {m} is None:")
         self.charge(k)
         code = node.op.code
         g, h = (node.children + (None,))[:2]
-        rp = None
         if code == _P:
-            a, _ = yield g, x, xp, k + 1
-            b, _ = yield h, x, xp, k + 1
-            r, rp = self.pair(a, b, True), (a, b)
+            a = yield g, x, k + 1
+            b = yield h, x, k + 1
+            r = self.pair(a, b, True)
         elif code == _COMP:
-            y, yp = yield h, x, xp, k + 1
-            r, rp = yield g, y, yp, k + 1
+            y = yield h, x, k + 1
+            r = yield g, y, k + 1
         elif code == _MU:
             # the least w < v with g(<w, p>) = 1, else v
             r, w = self.name(), self.name()
-            v, p = self.split(x, xp)
+            v, p, opened = self.split(x)
+            self.keep(v)
             self.line(f"{r} = {v}")
             self.line(f"{w} = 0")
             self.open(f"while {w} < {v}:", check=True)
             c = self.pair(w, p, True)
-            u, _ = yield g, c, (w, p), k + 1
+            u = yield g, c, k + 1
+            self.use(u)
             self.line(f"if {u} == 1:")
             self.line(f"    {r} = {w}")
             self.line("    break")
             self.line(f"{w} += 1")
             self.close()
-            self.unsplit(xp, r)
+            self.unsplit(opened, r)
         elif code == _PR or code == _BPR:
             # f(0, p) = g(p), f(w + 1, p) = h(<w, f(w, p), p>); bpr clamps
             r, w = self.name(), self.name()
-            v, p = self.split(x, xp)
-            u, _ = yield g, p, None, k + 1
+            v, p, opened = self.split(x)
+            u = yield g, p, k + 1
+            self.keep(u)
+            self.use(v, p)
             self.line(f"{r} = {u}")
             clamp = f"if {r} > {p}: {r} = 0"
             if code == _BPR:
@@ -566,40 +684,46 @@ class _Emitter:
             self.block.steps += 1  # the iteration's own step
             t = self.pair(r, p, False)
             c = self.pair(w, t, True)
-            u, _ = yield h, c, (w, t), k + 1
+            u = yield h, c, k + 1
+            self.keep(u)
             self.line(f"{r} = {u}")
             if code == _BPR:
                 self.line(clamp)
             self.line(f"{w} += 1")
             self.close()
-            self.unsplit(xp, r)
+            self.unsplit(opened, r)
         else:  # snr, always a function's own node
             r = self.name()
-            v, p = self.split(x, xp)
-            u, up = yield g, x, xp, k + 1
-            self.open(f"if {u}:")
-            t, b = self.unpair(u, up)
+            v, p, opened = self.split(x)
+            u = yield g, x, k + 1
+            t, b, tested = self.split(u)
+            self.use(t, b, v, p)
             self.open(f"if {t} == 0 and {b} < {v}:")
             y = self.pair(b, p, False)
-            u, _ = yield node, y, (b, p), k + 1
+            u = yield node, y, k + 1
             q = self.pair(u, p, False)
             c = self.pair(v, q, True)
-            u, _ = yield h, c, (v, q), k + 1
+            u = yield h, c, k + 1
+            self.use(u)
             self.open(f"if {u} < {v}:")
             y = self.pair(u, p, False)
-            u, _ = yield node, y, (u, p), k + 1
+            u = yield node, y, k + 1
+            self.keep(u)
             self.line(f"{r} = {u}")
             self.close(f"{r} = 0")
             self.close()
+            self.keep(b)
             self.line(f"elif {t} == 1 and {b} <= {p}:")
             self.line(f"    {r} = {b}")
             self.line("else:")
             self.line(f"    {r} = 0")
-            self.close(f"{r} = 0")
-            self.unsplit(xp, r)
+            self.unsplit(tested, r)
+            self.unsplit(opened, r)
         if table is None:
-            return r, rp
+            return r
+        self.keep(r)
         self.line(f"{m} = {r}")
         self.line(f"{table}[{x}] = {m}")
         self.close("hits += 1")
-        return m, None
+        self.learn((node, x), m)
+        return m

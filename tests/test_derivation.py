@@ -155,6 +155,59 @@ def test_poly_bound_monotone_and_sound_spot():
             assert eval_naive(d, x) <= b(x)
 
 
+def _poly_bound_by_full_walks(d):
+    """poly_bound's rule with every atom bound built afresh and every
+    substitution a full walk of the outer bound."""
+    var = PolyBound("var")
+
+    def add(a, b):
+        return PolyBound("add", args=(a, b))
+
+    def mul(a, b):
+        return PolyBound("mul", args=(a, b))
+
+    def subst(b, inner):
+        return fold(b, lambda p: p.args, lambda p, args: inner
+                    if p.kind == "var" else PolyBound(p.kind, p.value,
+                                                      tuple(args)))
+
+    def rule(n, kids):
+        atom = {Op.S: lambda: add(var, PolyBound("const", 1)),
+                Op.ADD: lambda: mul(PolyBound("const", 2), var),
+                Op.MUL: lambda: mul(var, var),
+                Op.LT: lambda: PolyBound("const", 1),
+                Op.ORACLE: lambda: PolyBound("const", 1)}
+        if not kids:
+            return atom.get(n.op, lambda: var)()
+        if n.op is Op.P:
+            s = add(add(*kids), PolyBound("const", 2))
+            return mul(s, s)
+        return subst(*kids)
+    return fold(d, lambda n: n.children if n.op in (Op.P, Op.COMP) else (),
+                rule)
+
+
+def test_poly_bound_gives_the_interned_bound_of_full_walks():
+    rng = random.Random(11)
+    atoms = [S, ADD, Derivation(Op.MUL), LT, ORACLE, I, Derivation(Op.D)]
+    chain = rng.choice(atoms)
+    for _ in range(300):
+        chain = comp(rng.choice(atoms), chain)
+    tower = I
+    for _ in range(6):
+        tower = P(tower, comp(tower, S))
+    env, explicit = {}, []
+    for cd in corpus_defs():
+        if cd.kind == "explicit":
+            env[cd.name] = d = compile_explicit(cd, env)
+            explicit.append(d)
+    roots = [chain, tower, comp(chain, tower), comp(tower, chain)]
+    roots += explicit + [_random_derivation(rng, TA, rng.randint(0, 4))
+                         for _ in range(80)]
+    for d in roots:
+        assert poly_bound(d) is _poly_bound_by_full_walks(d)
+
+
 @given(st.integers(min_value=0, max_value=500))
 def test_poly_bound_str_evaluates_consistently(n):
     b = poly_bound(P(comp(S, I), I))

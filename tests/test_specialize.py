@@ -7,24 +7,30 @@ stacks, naive replays and their record bound, and step and bit budgets,
 with meters passed in.
 """
 
+import ast
 import gc
 import importlib
+import re
 import sys
 import tracemalloc
 import weakref
+from functools import lru_cache
 from weakref import WeakKeyDictionary
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from funalg import evaluator, specialize
 from funalg.codec import pair
-from funalg.corpus import corpus_def
-from funalg.compiler import HD, TL
-from funalg.derivation import I, MUL, P, S, comp, mu, pr
+from funalg.corpus import corpus_def, corpus_defs
+from funalg.compiler import HD, TL, Z_, compile_explicit, dd, lt_d
+from funalg.derivation import ADD, I, MUL, P, PolyBound, S, comp, mu, pr
 from funalg.evaluator import (Budget, BudgetExceeded, Meter, eval_memo,
                               evaluate)
 from funalg.harness import exhaustive_search_predicate
-from funalg.reduction import reduce_recursive_to_pr
+from funalg.reduction import (BoundViolation, ReductionError,
+                              reduce_bounded_nested_to_snr,
+                              reduce_recursive_to_pr)
 from test_evaluator import (  # noqa: F401  (collected again here)
     test_bits_budget_binds_a_meter_already_past_it,
     test_long_naive_runs_match_generator_evaluator,
@@ -246,3 +252,162 @@ def test_compiling_the_corpus_pr_reductions_stays_small():
         tracemalloc.stop()
     assert all(p is not None for p in plans)
     assert retained < 1_000_000 and peak < 2_500_000
+
+
+# --- lazy pairs and reuse -------------------------------------------------
+
+
+def _sources(d, memo=True):
+    """The generated source of each function of d's plan for the mode."""
+    sources = []
+
+    def keep(src, name, mode):
+        sources.append(src)
+        return compile(src, name, mode)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specialize, "compile", keep, raising=False)
+        assert specialize.make_plan(d, memo) is not None
+    return sources
+
+
+@lru_cache(maxsize=None)
+def _corpus_roots():
+    """(name, root) for every corpus plan: the compiled explicit
+    definitions with a compound root and every PR and SNR reduction."""
+    defs = corpus_defs()
+    env, roots = {}, []
+    for cd in defs:
+        if cd.kind == "explicit":
+            env[cd.name] = d = compile_explicit(cd, env)
+            roots.append((cd.name, d))
+    for cd in defs:
+        if cd.kind == "explicit":
+            continue
+        roots.append((f"pr:{cd.name}",
+                      reduce_recursive_to_pr(cd, env).result))
+        try:
+            roots.append((f"snr:{cd.name}", reduce_bounded_nested_to_snr(
+                cd, PolyBound("var"), env)))
+        except (BoundViolation, ReductionError):
+            pass  # cat passes the bound n; prdemo calls a def
+    return tuple((name, d) for name, d in roots if d.children)
+
+
+def _outcome(run, d, x, memo, budget, meter0):
+    """run's value, or its BudgetExceeded kind, and the meter it leaves."""
+    m = Meter(**vars(meter0))
+    try:
+        got = run(d, x, meter=m, memo=memo, budget=budget)[0]
+    except BudgetExceeded as e:
+        assert e.meter is m
+        got = e.kind
+    return got, m
+
+
+def _same_outcome(d, x, memo, budget, meter0=None):
+    """The loop's outcome, which a compiled run gives too; where the loop
+    returns, the plan itself does, with no budget event."""
+    meter0 = meter0 or Meter()
+    want = _outcome(_on_the_loop, d, x, memo, budget, meter0)
+    assert _outcome(_compiled, d, x, memo, budget, meter0) == want
+    if want[0].__class__ is int:
+        m = Meter(**vars(meter0))
+        val = evaluator._HOT[d][memo].run(
+            x, frozenset(), budget.max_steps, budget.max_bits, m,
+            evaluator._RECORDS, evaluator._RECORD_BITS)
+        assert (val, m) == want
+    return want
+
+
+# Roots whose widest value is a pair that no generated code reads (D and
+# LT read its parts), each with that pair's value at x.
+_TAGS = {
+    "HD": (HD, lambda x: pair(0, x)),
+    "TL": (TL, lambda x: pair(1, x)),
+    "dd": (dd(I, S, comp(S, S)), lambda x: pair(x, pair(x + 1, x + 2))),
+    "lt_d": (lt_d(I, S), lambda x: pair(x, x + 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAGS))
+def test_a_dead_pair_is_width_checked_by_its_sum(name):
+    d, widest = _TAGS[name]
+    for memo in (False, True):
+        assert any("pairwide(" in src for src in _sources(d, memo))
+    for x in (0, 5, 1000, 2**64 + 3, 2**130):
+        w = widest(x).bit_length()
+        loop = _on_the_loop(d, x, memo=False)[1]
+        assert loop.peak_bits == w
+        for bits in (w - 1, w, w + 1):
+            for meter0 in (Meter(), Meter(4, max(w - 3, 0), 1, 3),
+                           Meter(4, w + 3, 1, 3)):
+                for memo in (False, True):
+                    _same_outcome(d, x, memo, Budget(10**6, bits), meter0)
+
+
+def test_pr_nested_at_its_widest_gives_the_loop_outcome():
+    # PR nested at 8 peaks at 18,692 bits
+    d = reduce_recursive_to_pr(corpus_def("nested")).result
+    w = _on_the_loop(d, 8)[1].peak_bits
+    assert w == 18_692
+    for bits in (w - 1, w, w + 1):
+        for meter0 in (Meter(), Meter(4, w - 3, 1, 3), Meter(4, w + 3, 1, 3)):
+            _same_outcome(d, 8, True, Budget(2**22, bits), meter0)
+
+
+@given(st.sampled_from(sorted(_TAGS)),
+       st.one_of(st.integers(0, 300), st.integers(0, 2**200)),
+       st.integers(-2, 2), st.integers(-3, 3), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_dead_pairs_near_the_width_limit(name, x, dbits, dpeak, memo):
+    d, widest = _TAGS[name]
+    w = widest(x).bit_length()
+    _same_outcome(d, x, memo, Budget(10**6, max(w + dbits, 0)),
+                  Meter(peak_bits=max(w + dpeak, 0)))
+
+
+@pytest.mark.parametrize("shared", [HD, Z_], ids=["inline", "function"])
+def test_a_repeated_call_on_one_path_is_a_memo_hit(shared):
+    # the second call of `shared` at the root's argument reuses the first
+    # one's value and counts a hit, as on the loop
+    d = comp(ADD, P(shared, shared))
+    for x in (0, 7, pair(3, 4)):
+        want = _same_outcome(d, x, True, Budget())
+        assert want[1].memo_hits == 1
+    lookups = re.findall(r"(T\d+)\.get\(a\)", "".join(_sources(d)))
+    assert lookups and len(lookups) == len(set(lookups))
+
+
+@pytest.mark.parametrize("memo", [False, True], ids=["naive", "memo"])
+def test_every_corpus_plan_runs_at_zero_and_at_a_pair(memo):
+    # at 0 every `if x:` suite is skipped, so a name that one of them
+    # defined and a later line read would be unbound
+    for name, d in _corpus_roots():
+        for x in (0, pair(1, 2)):
+            _same_outcome(d, x, memo, Budget(100_000, 10**6))
+
+
+_BUILD = re.compile(r"\s*(v\d+) = \(\(s := ")
+
+
+def _pair_reads(src, z):
+    """The lines of src that read z other than to build, store or width
+    check it."""
+    own = (f"{z} = ((s := ", f"pairs[{z}] = ", f"if {z} >= lim:",
+           f"widen({z})")
+    return [ln for ln in src.splitlines()
+            if re.search(rf"\b{z}\b", ln) and not ln.strip().startswith(own)]
+
+
+def test_every_built_pair_is_read_and_every_read_name_is_bound():
+    for name, d in _corpus_roots():
+        for memo in (False, True):
+            for src in _sources(d, memo):
+                for z in _BUILD.findall(src):
+                    assert _pair_reads(src, z), (name, memo, z)
+                names = [n for n in ast.walk(ast.parse(src))
+                         if isinstance(n, ast.Name)]
+                bound = {n.id for n in names if isinstance(n.ctx, ast.Store)}
+                read = {n.id for n in names if isinstance(n.ctx, ast.Load)
+                        and re.fullmatch(r"v\d+", n.id)}
+                assert read <= bound, (name, memo, read - bound)
