@@ -30,26 +30,31 @@ already holds a wider peak.  E and smash check the width of their value
 before computing it.  On return or BudgetExceeded the meter holds the
 counts so far.
 
-Memoized evaluation keeps, for this call only, one {argument: value}
-table per compound node entered and a table of every pair the loop
+Evaluation keeps, for this call only, a table of the pairs the loop
 builds (P's value and the arguments that mu, pr, bpr and snr pass on), so
 unpairing such a pair again, as HD, TL and the recursions do, is a lookup
-and not a square root.  Neither table changes a value or the meter.
+and not a square root.  Memoized evaluation also keeps one {argument:
+value} table per compound node entered.  Neither table changes a value or
+the meter.
 
-Naive evaluation charges every call in full, repeats included, but once
-a run has charged its first _ARM_STEPS steps it records each compound
-call it completes: its value, the steps it charged and the height of its
-deepest frame above its caller.  A later call at the same (node,
+Naive evaluation charges every call in full, repeats included, but a
+compound call that a run enters after its first _ARM_STEPS steps is
+recorded when it completes: its value, the steps it charged and the
+height of its deepest frame above its caller.  A later call at the same (node,
 argument) is replayed, not entered: its steps are added, max_depth rises
 to the caller's depth plus that height, and peak_bits, which already
 covers every width the recorded run saw, stays.  A call whose steps would
 pass the step budget is entered and run for real, so BudgetExceeded comes
 at the same step with the same meter; a run that keeps an expansion log
 records nothing, so the log lists every call.  Values and meters are
-those of running every call.  The records are dropped, all at once, when
-there are _RECORDS of them or they could hold 2 * _RECORD_BITS bits of
-numbers, so a naive run's memory is its frame stack, O(depth), plus a
-constant.
+those of running every call.  A naive run's step check counts the records
+and the pairs together, each an entry of at most 2 * peak_bits bits of
+numbers, and drops both, all at once, when there are _RECORDS entries or
+their number times peak_bits passes _RECORD_BITS.  A step adds at most
+four entries, so the check counts at the run's first step, again once
+steps have used a quarter of the room left, and, once peak_bits times
+_RECORDS passes _RECORD_BITS, at the step after each new peak.  So a
+naive run's memory is its frame stack, O(depth), plus a constant.
 
 Hot roots run compiled.  Once one unlogged run of a root in one mode,
 naive or memoized, has charged _COMPILE_STEPS steps on the loop in this
@@ -70,9 +75,9 @@ runs, as a study or a benchmark does, soon makes.  A plan is
 Python specialised to that DAG that does the loop's step charges, width
 checks and depth updates, and memoized its memo lookups and stores,
 naive its records and replays.  So a compiled run returns the loop's
-value and leaves the loop's meter, all four fields.  A naive plan drops
-its records at the loop's _RECORDS and _RECORD_BITS and keeps no pairs
-table, so its memory too is O(depth) plus a constant.  A compiled run
+value and leaves the loop's meter, all four fields.  A naive plan counts
+and drops its records and pairs as the loop does, at its step checks, so
+its memory too is O(depth) plus a constant.  A compiled run
 that meets a budget event, a replay past the step budget included, is
 abandoned without touching the meter, and the loop re-runs the call from
 the caller's meter, so BudgetExceeded comes at the loop's step with the
@@ -131,10 +136,10 @@ _P, _COMP, _MU, _PR, _BPR, _SNR = (op.code for op in (
     Op.P, Op.COMP, Op.MU, Op.PR, Op.BPR, Op.SNR))
 _E, _SMASH, _ORACLE = Op.E.code, Op.SMASH.code, Op.ORACLE.code
 _ROOT = -1  # the pseudo-frame that calls the root node
-# Naive evaluation records calls once a run has charged _ARM_STEPS steps,
-# and drops its records, all at once, when they number _RECORDS or their
-# number times peak_bits, which bounds each argument and each value,
-# passes _RECORD_BITS.
+# Naive evaluation records the calls a run enters after its first
+# _ARM_STEPS steps, and drops its records and pairs, all at once, when
+# they number _RECORDS or their number times peak_bits, which bounds each
+# argument, value and pair they hold, passes _RECORD_BITS.
 _ARM_STEPS = 256
 _RECORDS = 1 << 16
 _RECORD_BITS = 1 << 25
@@ -200,23 +205,23 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                            _RECORDS, _RECORD_BITS)
             if val is not None:
                 return val
-    # With memo: each compound node's {argument: value} table, made on the
-    # node's first entry, and z -> (head, tail) for every pair z the loop
-    # builds, which each unpair below tries before isqrt.
+    # z -> (head, tail) for every pair z the loop builds, which each unpair
+    # below tries before isqrt; with memo, each compound node's {argument:
+    # value} table, made on the node's first entry.
+    pairs: dict[int, tuple[int, int]] = {}
+    pget = pairs.get
     if memo:
         tables: dict[Derivation, dict[int, int]] = {}
-        pairs: dict[int, tuple[int, int]] = {}
-        pget = pairs.get
     steps, peak = meter.steps, meter.peak_bits
-    # Without memo or log: past the run's first _ARM_STEPS steps, each
-    # compound node's {argument: (value, steps, height)} records, which
-    # replay a call (see the module docstring), and their number.  A step
-    # past `stop` either exceeds the budget or arms the records.
-    records: dict[Derivation, dict[int, tuple[int, int, int]]] | None = None
-    held = 0
-    stop = max_steps
-    if not memo and log is None:
-        stop = min(max_steps, steps + _ARM_STEPS)
+    # Without memo or log: each compound node's {argument: (value, steps,
+    # height)} records, which replay a call (see the module docstring), of
+    # the calls made past `arm`, the run's first _ARM_STEPS steps.  A step
+    # past `stop` exceeds the budget or, without memo, counts the pairs and
+    # records; a new peak at which the bits cap binds sets `stop` to count
+    # them at the next step.
+    records: dict[Derivation, dict[int, tuple[int, int, int]]] = {}
+    arm = steps + _ARM_STEPS if log is None else max_steps
+    stop = max_steps if memo else steps
     hits, maxd = meter.memo_hits, meter.max_depth
     # a value is wider than peak, or than the budget, iff it is >= lim
     lim = 1 << min(peak, max_bits)
@@ -228,7 +233,7 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
     # the recursions, and pc says where it resumes.  The root pseudo-frame,
     # at depth 0, calls d at x and returns the value.
     stack: list[tuple] = []
-    node, c, a, pc, tab, dep = d, _ROOT, x, 0, None, 0
+    node, c, a, pc, tab, ct, dep = d, _ROOT, x, 0, None, None, 0
     v = p = w = val = 0
     try:
         while True:
@@ -257,8 +262,7 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                 else:
                     s = v + val
                     z = (s * (s + 1) >> 1) + v + 1  # <v, val>
-                    if memo:
-                        pairs[z] = v, val
+                    pairs[z] = v, val
                     val = z
             elif c == _MU:
                 # a = <v, p>: the least w < v with g(<w, p>) = 1, else v
@@ -273,8 +277,7 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                     cn = node.children[0]
                     s = w + p
                     ca = (s * (s + 1) >> 1) + w + 1  # <w, p>
-                    if memo:
-                        pairs[ca] = w, p
+                    pairs[ca] = w, p
                 else:
                     val = v
             elif c == _PR or c == _BPR:
@@ -307,9 +310,8 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                         t = (s * (s + 1) >> 1) + val + 1
                         s = w + t
                         ca = (s * (s + 1) >> 1) + w + 1  # <w, <val, p>>
-                        if memo:
-                            pairs[t] = val, p
-                            pairs[ca] = w, t
+                        pairs[t] = val, p
+                        pairs[ca] = w, t
             elif c == _SNR:
                 # a = <v, p>; g(a) = <0, b> with b < v answers
                 # f(<h(<v, <f(<b, p>), p>>), p>) when h's value is below v,
@@ -323,7 +325,7 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                         val = 0
                 elif pc == 1:
                     if val:
-                        if memo and (tb := pget(val)):
+                        if tb := pget(val):
                             t, b = tb
                         else:
                             s = (isqrt(8 * val - 7) - 1) >> 1
@@ -334,8 +336,7 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                             cn = node
                             s = b + p
                             ca = (s * (s + 1) >> 1) + b + 1
-                            if memo:
-                                pairs[ca] = b, p
+                            pairs[ca] = b, p
                         elif t == 1 and b <= p:
                             val = b
                         else:
@@ -347,17 +348,15 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                     t = (s * (s + 1) >> 1) + val + 1
                     s = v + t
                     ca = (s * (s + 1) >> 1) + v + 1  # <v, <val, p>>
-                    if memo:
-                        pairs[t] = val, p
-                        pairs[ca] = v, t
+                    pairs[t] = val, p
+                    pairs[ca] = v, t
                 elif pc == 3:
                     if val < v:
                         pc = 4
                         cn = node
                         s = val + p
                         ca = (s * (s + 1) >> 1) + val + 1
-                        if memo:
-                            pairs[ca] = val, p
+                        pairs[ca] = val, p
                     else:
                         val = 0
             elif pc == 0:  # the root pseudo-frame
@@ -373,6 +372,8 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                     lim = 1 << peak
                     if peak > max_bits:
                         raise BudgetExceeded("bits", meter)
+                    if peak * _RECORDS > _RECORD_BITS:
+                        stop = steps
                 if memo:  # every memoized frame has its node's table
                     tab[a] = val
                 elif tab is not None:  # record the call; maxd ran inside it
@@ -380,10 +381,6 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                     rt[a] = val, steps - s0, maxd - dep + 1
                     if m0 > maxd:
                         maxd = m0
-                    held += 1
-                    if held >= _RECORDS or held * peak > _RECORD_BITS:
-                        records.clear()
-                        held = 0
                 node, c, a, pc, tab, v, p, w = stack.pop()
                 dep -= 1
                 continue
@@ -404,7 +401,7 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                             hits += 1
                             val = hit
                             continue
-                elif records is None:
+                elif steps <= arm:
                     ct = None
                 else:
                     rt = records.get(cn)
@@ -427,19 +424,31 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                 if steps > max_steps:
                     raise BudgetExceeded("steps", meter)
                 stop = max_steps
-                records = {}
+                if not memo:
+                    # drop the pairs and the records, all at once, at the
+                    # caps; come back before 4 entries a step could reach
+                    # them
+                    n = len(pairs) + sum(map(len, records.values()))
+                    if n >= _RECORDS or n * peak > _RECORD_BITS:
+                        pairs.clear()
+                        records.clear()
+                        n = 0
+                    stop = min(max_steps, steps + 1 + (min(
+                        _RECORDS, _RECORD_BITS // (peak + 1)) - n) // 4)
             if ca >= lim:
                 peak = max(peak, ca.bit_length())
                 lim = 1 << peak
                 if peak > max_bits:
                     raise BudgetExceeded("bits", meter)
+                if peak * _RECORDS > _RECORD_BITS:
+                    stop = steps
             if cc >= _P:  # push its frame
                 stack.append((node, c, a, pc, tab, v, p, w))
                 node, c, a, pc, tab = cn, cc, ca, 0, ct
                 if cc >= _MU:  # a = <v, p>, and 0 gives v = p = 0
                     if not ca:
                         v = p = 0
-                    elif memo and (vp := pget(ca)):
+                    elif vp := pget(ca):
                         v, p = vp
                     else:
                         s = (isqrt(8 * ca - 7) - 1) >> 1
@@ -457,7 +466,7 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                 val = ca + 1
             elif cc <= _D:  # add, mul, lt, D: the projections of ca
                 if ca:
-                    if memo and (tb := pget(ca)):
+                    if tb := pget(ca):
                         t, b = tb
                     else:
                         s = (isqrt(8 * ca - 7) - 1) >> 1
@@ -470,7 +479,7 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                     elif cc == _LT:
                         val = 1 if t < b else 0
                     elif b:  # D: <t, <y, z>> gives y if t = 0, else z
-                        if memo and (yz := pget(b)):
+                        if yz := pget(b):
                             val = yz[1] if t else yz[0]
                         else:
                             s = (isqrt(8 * b - 7) - 1) >> 1
@@ -499,10 +508,12 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
                     if not dep:
                         maxd = max(maxd, 1)
                     raise BudgetExceeded("bits", meter)
+                if peak * _RECORDS > _RECORD_BITS:
+                    stop = steps
             if dep >= maxd:
                 maxd = dep + 1
     finally:
-        if records is not None:
+        if not memo and steps > arm:
             # each open naive frame, and ct until it is pushed, holds the
             # depth reached outside it; an older ct holds one counted since
             for t in (ct, tab, *[f[4] for f in stack]):

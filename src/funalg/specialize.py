@@ -25,25 +25,25 @@ The plan sorts the compound nodes below the root three ways:
   owned region over FN_NODES nodes is cut into functions that keep no
   table.
 
-The modes differ only where a function is called.  A memoized plan's
-table maps an argument to its value, and a hit counts in memo_hits; the
-plan also keeps a table of the pairs its code builds that other code may
-unpair, so unpairing one again is a lookup.  A naive plan's table holds
-the loop's replay record of a call, (value, steps, height of its deepest
+A plan keeps a table of the pairs its code builds that other code may
+unpair, so unpairing one again is a lookup.  The modes differ only where
+a function is called.  A memoized plan's table maps an argument to its
+value, and a hit counts in memo_hits.  A naive plan's table holds the
+loop's replay record of a call, (value, steps, height of its deepest
 frame above the caller): a hit adds the steps, aborts if they pass the
 step budget, and raises depth to the caller's depth plus the height.  Its
-inline nodes recompute, it keeps no pairs table, and it drops its
-records, all at once, at the loop's limits, which Plan.run is given; so
-its memory is O(depth) plus a constant.
+inline nodes recompute, and its step checks count its records and pairs
+as the loop's do, and drop them, all at once, at the loop's limits, which
+Plan.run is given; so its memory is O(depth) plus a constant.
 
 A pair is built only where the code reads its value: as a table key, a
 function's argument or value, a memo value, an operand of arithmetic, a
 test, or a part of a pair that is built or sum-guarded (below).  A leaf
 (add, mul, lt, D) or an operator (mu, pr, bpr, snr) applied to a pair
 the code built or unpaired reads the head and tail names it has, and D
-applied to <t, <y, z>> picks y or z by name.  A memoized plan stores a
-built pair in its pairs table only where the pair leaves the code's
-names: as an argument, a value or a memo value, or inside such a pair.
+applied to <t, <y, z>> picks y or z by name.  A plan stores a built pair
+in its pairs table only where the pair leaves the code's names: as an
+argument, a value or a memo value, or inside such a pair.
 The code reuses what its path has: within a suite and the suites nested
 in it, a second build or unpair of the same names reads the first one's
 names, and in a memoized plan a second call of a node with a table at
@@ -72,10 +72,14 @@ within the bits budget; only otherwise does pairwide build it and check
 it.  lim is 2^p for p the peak or, if less, the bits budget, and slim is
 that bound up to p = 121 and within a factor 1 - 2^-60 below it beyond,
 so that a new peak costs no square root of its width.  Steps are checked
-against the budget on entering a generator and in each loop
-iteration.  A run that meets a budget event raises Abort, and the
-evaluator re-runs the call on its loop from the caller's meter; so the
-first event, its kind and the meter it leaves are the loop's.
+against the budget on entering a generator, or in a naive plan any
+function, and in each loop iteration; a naive plan's check past `stop` is
+tick, which also counts its records and pairs, so no more than one
+function's code runs between two counts, and a new peak at which the
+bits cap binds sets `stop` to count them at the next check.  A run that
+meets a budget event raises Abort, and the evaluator re-runs the call on
+its loop from the caller's meter; so the first event, its kind and the
+meter it leaves are the loop's.
 
 Plans over PLAN_NODES nodes are not made.  Each function is compiled on
 its own, so compiling a plan never holds more than one function's syntax
@@ -115,10 +119,11 @@ class Abort(Exception):
 
 # The helpers of every plan, run into its namespace: setlim sets lim to
 # 2^b and slim to at most isqrt(2 lim) - 2, exact for b < 120; widen
-# records a new widest value, or aborts past the bits budget; pairwide
-# checks the width of a pair that no code reads; unpair splits a pair that
-# the pairs table, if any, does not know; drop empties a naive run's
-# record tables.
+# records a new widest value, or aborts past the bits budget, and where
+# the bits cap binds has a naive run count its entries at its next step
+# check; pairwide checks the width of a pair that no code reads; unpair
+# splits a pair that the pairs table does not know; tick is a naive run's
+# step check past stop.
 _PRELUDE = compile("""
 def setlim(b):
     global lim, slim
@@ -127,12 +132,14 @@ def setlim(b):
     slim = (isqrt(2 << (b - e)) << (e >> 1)) - 2
 
 def widen(z):
-    global peak
+    global peak, stop
     b = z.bit_length()
     if b > max_bits:
         raise Abort
     peak = b
     setlim(b)
+    if b * records > record_bits:
+        stop = steps
 
 def pairwide(a, b):
     z = ((a + b) * (a + b + 1) >> 1) + a + 1
@@ -144,11 +151,18 @@ def unpair(z):
     t = z - 1 - (s * (s + 1) >> 1)
     return t, s - t
 
-def drop():
-    global held
-    held = 0
-    for t in tables:
-        t.clear()
+def tick():
+    global stop
+    if steps > max_steps:
+        raise Abort
+    n = len(pairs) + sum(map(len, tables))
+    if n >= records or n * peak > record_bits:
+        pairs.clear()
+        for t in tables:
+            t.clear()
+        n = 0
+    stop = min(max_steps,
+               steps + 1 + (min(records, record_bits // (peak + 1)) - n) // 4)
 """, "<funalg plan prelude>", "exec")
 
 
@@ -184,9 +198,9 @@ class Plan:
             records: int, record_bits: int) -> int | None:
         """The root's value at x with the meter updated as the loop would,
         or None, with the meter untouched, after a budget event or while
-        another thread runs this plan.  A naive run drops its records when
-        they number `records` or their number times peak_bits passes
-        `record_bits`."""
+        another thread runs this plan.  A naive run drops its records and
+        pairs when they number `records` or their number times peak_bits
+        passes `record_bits`."""
         if not self.lock.acquire(False):
             return None
         ns = self.ns
@@ -198,11 +212,12 @@ class Plan:
             ns["setlim"](min(peak, max_bits))
             tables = ns["tables"] = [{} for _ in self.tables]
             ns.update(zip(self.tables, tables))
-            if self.memo:
-                pairs: dict[int, tuple[int, int]] = {}
-                ns.update(pairs=pairs, pget=pairs.get)
-            else:
-                ns.update(held=0, records=records, record_bits=record_bits)
+            pairs: dict[int, tuple[int, int]] = {}
+            ns.update(pairs=pairs, pget=pairs.get, records=records,
+                      record_bits=record_bits)
+            # the first count's step, as tick would set it with none held
+            ns["stop"] = min(max_steps, meter.steps + 1 + min(
+                records, record_bits // (peak + 1)) // 4)
             if x >= ns["lim"]:
                 ns["widen"](x)
             val = self.entry(x, 1)
@@ -325,7 +340,7 @@ class _Block:
 
 
 # How a function's code needs a pair it makes: not at all, its value, or
-# its value and, in memo mode, its entry in the pairs table.
+# its value and its entry in the pairs table.
 _DEAD, _BUILT, _STORED = range(3)
 
 
@@ -375,8 +390,10 @@ class _Emitter:
         i = self.index[node]
         self.out.append(f"def f{i}(a, d):")
         self.line("global steps, hits, depth" if self.memo
-                  else "global steps, depth, held")
-        self.open(None, check=self.generator[node])
+                  else "global steps, depth")
+        # a naive plan counts its entries at every function's entry too, so
+        # no more than one function's code runs between two counts
+        self.open(None, check=self.generator[node] or not self.memo)
         stack = [self.compound(node, "a", 0, None)]
         res = None
         while stack:
@@ -422,9 +439,12 @@ class _Emitter:
                 lines.append(f"{pad}steps += {item.steps}")
             if item.hits:
                 lines.append(f"{pad}hits += {item.hits}")
-            if item.check:
+            if item.check and self.memo:
                 lines.append(f"{pad}if steps > max_steps:")
                 lines.append(f"{pad}    raise Abort")
+            elif item.check:  # a naive plan's check also counts its entries
+                lines.append(f"{pad}if steps > stop:")
+                lines.append(f"{pad}    tick()")
             b, covered = item.outer, -1
             while b is not None:
                 covered = max(covered, b.deepest)
@@ -494,8 +514,8 @@ class _Emitter:
 
     def keep(self, *names: str) -> None:
         """These values leave this code's names: a callee, a caller or a
-        memo table may unpair them, so a memoized plan stores them."""
-        self.use(*names, state=_STORED if self.memo else _BUILT)
+        table may unpair them, so the pairs table stores them."""
+        self.use(*names, state=_STORED)
 
     def pair(self, a: str, b: str, check: bool) -> str:
         """<a, b>, checking its width unless a wider value is checked: by
@@ -524,8 +544,7 @@ class _Emitter:
         t, b = self.name(), self.name()
         self.use(x)
         self.open(f"if {x}:")
-        self.line(f"{t}, {b} = pget({x}) or unpair({x})" if self.memo
-                  else f"{t}, {b} = unpair({x})")
+        self.line(f"{t}, {b} = pget({x}) or unpair({x})")
         self.learn(x, (t, b))
         return t, b, True
 
@@ -577,9 +596,6 @@ class _Emitter:
         self.line(f"T{i}[{x}] = {r}, steps - {s}, depth - ({caller})")
         self.line(f"if {m} > depth:")
         self.line(f"    depth = {m}")
-        self.line("held += 1")
-        self.line("if held >= records or held * peak > record_bits:")
-        self.line("    drop()")
         self.close()
         self.line("else:")
         self.line(f"    {r}, {s}, {m} = {r}")

@@ -17,8 +17,8 @@ from funalg.compiler import (HD, ONE, PRED, TL, UnboundVariableError, VarCtx,
                              Z_, and_d, compile_explicit, compile_formula,
                              compile_term, dd, eq_d, eval_formula_direct,
                              eval_term_direct, lt_d, not_d, or_d, pack_args)
-from funalg.compiler import (FAnd, FBoundedEx, FNot, FOr, FOracle,
-                             FQuasiBoundedEx, FRel)
+from funalg.compiler import (FAnd, FBoundedEx, FNot, FOr,
+                             FQuasiBoundedEx)
 from funalg.corpus import corpus_defs
 from funalg.derivation import (Derivation, I, Interned, P, PolyBound, S,
                                comp, d_print)
@@ -109,10 +109,10 @@ def test_direct_interpreters_reject_what_compilation_rejects(t, name):
         compile_term(t, VarCtx.of("x"), {"f": I})
     for interpret in (
             lambda: eval_term_direct(t, {"x": 1}, {"f": abs}),
-            lambda: eval_formula_direct(FRel(t, "=", Zero()), {"x": 1},
+            lambda: eval_formula_direct(Rel(t, "=", Zero()), {"x": 1},
                                         fns={"f": abs}),
             lambda: eval_formula_direct(
-                FQuasiBoundedEx("z", "f", t, FRel(Var("z"), "=", Zero())),
+                FQuasiBoundedEx("z", "f", t, Rel(Var("z"), "=", Zero())),
                 {"x": 1}, fns={"f": abs})):
         with pytest.raises(UnboundVariableError, match=f"'{name}'"):
             interpret()
@@ -152,13 +152,13 @@ def test_formula_compiler_is_boolean_and_exact():
     oracle = FinSet((1, 3, 5))
     x, y = Var("x"), Var("y")
     formulas = [
-        FRel(x, "<", y),
-        FRel(x, "=", y),
-        FOracle(x),
-        FNot(FOracle(y)),
-        FOr(FRel(x, "=", y), FOracle(x)),
-        FAnd(FRel(x, "<", y), FNot(FRel(TAdd(x, x), "=", y))),
-        FBoundedEx("z", y, FRel(TAdd(Var("z"), Var("z")), "=", x)),
+        Rel(x, "<", y),
+        Rel(x, "=", y),
+        OracleMem(x),
+        FNot(OracleMem(y)),
+        FOr(Rel(x, "=", y), OracleMem(x)),
+        FAnd(Rel(x, "<", y), FNot(Rel(TAdd(x, x), "=", y))),
+        FBoundedEx("z", y, Rel(TAdd(Var("z"), Var("z")), "=", x)),
     ]
     ctx = VarCtx.of("x", "y")
     for f in formulas:
@@ -174,7 +174,7 @@ def test_formula_compiler_is_boolean_and_exact():
 def test_quasi_bounded_exists_uses_function_value():
     dbl = comp(S, I)  # f(x) = x + 1
     f = FQuasiBoundedEx("z", "f", Var("x"),
-                        FRel(Var("z"), "=", Succ(Var("x"))))
+                        Rel(Var("z"), "=", Succ(Var("x"))))
     d = compile_formula(f, VarCtx.of("x"), {"f": dbl})
     for x in range(10):
         assert eval_naive(d, x) == 1  # z := x+1 always equals S(x)
@@ -220,17 +220,17 @@ def split3 {
 
 def test_formulas_are_interned():
     x, y = Var("x"), Var("y")
-    assert FRel(x, "<", y) is FRel(x, "<", y)
-    assert FRel(x, "<", y) is not FRel(x, "=", y)
-    body = FAnd(FOracle(Var("z")), FNot(FRel(x, "<", y)))
+    assert Rel(x, "<", y) is Rel(x, "<", y)
+    assert Rel(x, "<", y) is not Rel(x, "=", y)
+    body = FAnd(OracleMem(Var("z")), FNot(Rel(x, "<", y)))
     assert FBoundedEx("z", Succ(x), body) is FBoundedEx(
-        "z", Succ(x), FAnd(FOracle(Var("z")), FNot(FRel(x, "<", y))))
-    assert FQuasiBoundedEx("z", "f", x, FOr(FOracle(x), FOracle(y))) \
-        is FQuasiBoundedEx("z", "f", x, FOr(FOracle(x), FOracle(y)))
+        "z", Succ(x), FAnd(OracleMem(Var("z")), FNot(Rel(x, "<", y))))
+    assert FQuasiBoundedEx("z", "f", x, FOr(OracleMem(x), OracleMem(y))) \
+        is FQuasiBoundedEx("z", "f", x, FOr(OracleMem(x), OracleMem(y)))
 
 
 def test_formula_atoms_are_the_clausal_literals():
-    assert FRel is Rel and FOracle is OracleMem
+    assert compiler.FRel is Rel and compiler.FOracle is OracleMem
 
 
 @pytest.mark.parametrize("cls", [
@@ -294,7 +294,7 @@ def test_a_quantifier_may_rebind_a_context_variable(f):
 
 
 @pytest.mark.parametrize("make", [
-    lambda l, rel, r: FRel(l, rel, r),
+    lambda l, rel, r: compiler.FRel(l, rel, r),
     lambda l, rel, r: Rel(l, rel, r),
 ], ids=["FRel", "Rel"])
 @pytest.mark.parametrize("rel", ["<=", ">", "==", "", None])
@@ -307,7 +307,7 @@ DEPTH = 3000
 
 
 def _not_chain():
-    f = FRel(Var("x"), "=", Zero())
+    f = Rel(Var("x"), "=", Zero())
     for _ in range(DEPTH):
         f = FNot(f)
     return f
@@ -315,8 +315,8 @@ def _not_chain():
 
 def _mixed_spine():
     x = Var("x")
-    atoms = [FRel(x, "=", Zero()), FRel(Zero(), "<", x), FOracle(x),
-             FRel(x, "=", Succ(Zero()))]
+    atoms = [Rel(x, "=", Zero()), Rel(Zero(), "<", x), OracleMem(x),
+             Rel(x, "=", Succ(Zero()))]
     f = atoms[0]
     for i in range(DEPTH):
         f = (FAnd if i % 3 else FOr)(f, atoms[i % 4])
@@ -340,7 +340,7 @@ def test_deep_formulas_need_no_recursion(make):
 def test_shared_formula_compiles_once_per_context():
     # FAnd(f, f) 30 deep: 31 distinct formulas, 2^30 paths to the atom
     x = Var("x")
-    f = FRel(x, "<", Succ(x))
+    f = Rel(x, "<", Succ(x))
     for _ in range(30):
         f = FAnd(f, f)
     start = time.perf_counter()
@@ -348,8 +348,8 @@ def test_shared_formula_compiles_once_per_context():
     assert time.perf_counter() - start < 1
     assert eval_memo(d, 7) == 1
     # one shared formula under two contexts compiles once under each
-    g = FRel(x, "<", Succ(Succ(Zero())))
-    phi = FOr(FAnd(g, FRel(x, "=", Zero())), FBoundedEx("z", x, FAnd(g, g)))
+    g = Rel(x, "<", Succ(Succ(Zero())))
+    phi = FOr(FAnd(g, Rel(x, "=", Zero())), FBoundedEx("z", x, FAnd(g, g)))
     d = compile_formula(phi, VarCtx.of("x"))
     for xv in range(4):
         want = eval_formula_direct(phi, {"x": xv})
@@ -364,7 +364,7 @@ def _shared(f, n):
 
 def test_shared_formula_is_valued_once_per_assignment():
     x, z = Var("x"), Var("z")
-    for atom in (FRel(x, "<", Succ(x)), FRel(x, "<", Succ(Succ(Zero())))):
+    for atom in (Rel(x, "<", Succ(x)), Rel(x, "<", Succ(Succ(Zero())))):
         # 2^30 paths to the atom, 31 distinct formulas
         f = _shared(atom, 30)
         d = compile_formula(f, VarCtx.of("x"))
@@ -380,7 +380,7 @@ def test_shared_formula_is_valued_once_per_assignment():
             assert eval_naive(d, xv) == int(want), xv
     # the body's value depends on the witness, so one witness's memo
     # must not answer for the next: some z < S(x) with not z < x
-    phi = FBoundedEx("z", Succ(x), FNot(_shared(FRel(z, "<", x), 30)))
+    phi = FBoundedEx("z", Succ(x), FNot(_shared(Rel(z, "<", x), 30)))
     phi = FAnd(phi, FOr(phi, FNot(phi)))
     d = compile_formula(phi, VarCtx.of("x"))
     for xv in range(4):
@@ -389,14 +389,14 @@ def test_shared_formula_is_valued_once_per_assignment():
 
 
 def test_bounded_exists_stops_at_its_first_witness():
-    f = FBoundedEx("z", Var("x"), FRel(Var("z"), "=", Zero()))
+    f = FBoundedEx("z", Var("x"), Rel(Var("z"), "=", Zero()))
     assert eval_formula_direct(f, {"x": 10**30}) is True
 
 
 def test_disjunction_stops_at_its_first_true_operand():
     x = Var("x")
-    g = FQuasiBoundedEx("z", "nofn", x, FRel(Var("z"), "=", x))
-    true, false = FRel(x, "=", x), FRel(x, "<", x)
+    g = FQuasiBoundedEx("z", "nofn", x, Rel(Var("z"), "=", x))
+    true, false = Rel(x, "=", x), Rel(x, "<", x)
     assert eval_formula_direct(FOr(true, g), {"x": 3}) is True
     assert eval_formula_direct(FAnd(false, g), {"x": 3}) is False
     with pytest.raises(UnboundVariableError, match="'nofn'"):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from funalg import evaluator
 from funalg.clausal import eval_clausal, eval_term_direct, parse_cl
 from funalg.codec import FinSet, list_encode, pair
 from funalg.compiler import HD, ONE, TL, compile_explicit
-from funalg.corpus import CORPUS_TEXT
+from funalg.corpus import CORPUS_TEXT, corpus_def
 from funalg.derivation import (ADD, ARITY, CLASSES, D, Derivation, E, I, LT,
                                Op, P, PolyBound, S, SMASH, bpr, comp, d_parse,
                                d_print, mu, pr, snr)
@@ -444,6 +445,15 @@ def _deep_scan(k):
     return d
 
 
+def _fan_out(k):
+    """k levels of add(f(<x, x>), f(<x, x + 1>)) over S: 2^k distinct
+    calls of f at the bottom, none of them in a loop."""
+    d = S
+    for _ in range(k):
+        d = comp(ADD, P(comp(d, P(I, I)), comp(d, P(I, S))))
+    return d
+
+
 def test_replay_matches_generator_evaluator_under_step_budgets():
     d = _tower(4)
     m = Meter()
@@ -516,13 +526,21 @@ def test_long_naive_runs_match_generator_evaluator(data):
                  False, data.draw(_METERS), False)
 
 
-@pytest.mark.parametrize("d, x", [
-    (exhaustive_search_predicate(), 40),  # narrow calls, all distinct
-    (bpr(I, comp(I, I)), pair(10**4, 2**1024)),  # 4,098 bits wide
-], ids=["many calls", "wide calls"])
-def test_naive_records_stay_bounded(d, x, monkeypatch):
-    # caps lowered so the runs stay short under tracemalloc; they allocate
-    # 137 KB and 42 KB, and with the cap that binds lifted 395 KB and 630 KB
+@pytest.mark.parametrize("d, x, steps, ceiling", [
+    (exhaustive_search_predicate(), 40, 20_000, 2**18),  # narrow, distinct
+    (bpr(I, comp(I, I)), pair(10**4, 2**1024), 20_000, 2**18),  # 4,098 bits
+    # leaf bodies: the pairs table grows with no call completed between;
+    # an iteration of the wider one stores about 48 KB of pairs
+    (bpr(I, I), pair(10**4, 2**1024), 20_000, 2**18),
+    (bpr(I, I), pair(10**4, 2**65536), 1_000, 2**19),  # 262,162 bits
+    # distinct calls with no loop: a plan's functions check on entry too
+    (_fan_out(12), 3, 20_000, 2**18),
+], ids=["many calls", "wide calls", "wide leaf loop", "wider leaf loop",
+        "fan-out"])
+def test_naive_records_stay_bounded(d, x, steps, ceiling, monkeypatch):
+    # caps lowered so the runs stay short under tracemalloc; the first two
+    # allocate 137 KB and 42 KB, and with the cap that binds lifted 395 KB
+    # and 630 KB; the records and the pairs table share the caps
     monkeypatch.setattr(evaluator, "_RECORDS", 1024)
     monkeypatch.setattr(evaluator, "_RECORD_BITS", 1 << 18)
     # a first step compiles the root, if it is hot, outside the traced run
@@ -532,9 +550,30 @@ def test_naive_records_stay_bounded(d, x, monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded) as e:
-            eval_naive(d, x, budget=Budget(20_000, 10**6), meter=m)
+            eval_naive(d, x, budget=Budget(steps, 10**6), meter=m)
         allocated = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert e.value.kind == "steps" and m.steps == 20_001
-    assert allocated < 2**18
+    assert e.value.kind == "steps" and m.steps == steps + 1
+    assert allocated < ceiling
+
+
+def counting_isqrt(module, monkeypatch) -> list:
+    """Patch module's isqrt to count its calls; the list grows by one a
+    call."""
+    calls = []
+
+    def counted(z):
+        calls.append(None)
+        return isqrt(z)
+    monkeypatch.setattr(module, "isqrt", counted)
+    return calls
+
+
+def test_naive_unpairs_look_up_the_pairs_the_run_built(monkeypatch):
+    # isqrt splits the argument and the values that arithmetic made; a run
+    # without the pairs table calls it 594 times, once for every unpair
+    calls = counting_isqrt(evaluator, monkeypatch)
+    d = reduce_recursive_to_pr(corpus_def("L")).result
+    assert eval_naive(d, list_encode(range(1, 7))) == 6
+    assert len(calls) <= 60

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from funalg import evaluator, specialize
-from funalg.codec import pair
+from funalg.codec import list_encode, pair
 from funalg.corpus import corpus_def, corpus_defs
 from funalg.compiler import HD, TL, Z_, compile_explicit, dd, lt_d
 from funalg.derivation import ADD, I, MUL, P, PolyBound, S, comp, mu, pr
@@ -31,6 +31,7 @@ from funalg.harness import exhaustive_search_predicate
 from funalg.reduction import (BoundViolation, ReductionError,
                               reduce_bounded_nested_to_snr,
                               reduce_recursive_to_pr)
+from test_evaluator import counting_isqrt
 from test_evaluator import (  # noqa: F401  (collected again here)
     test_bits_budget_binds_a_meter_already_past_it,
     test_long_naive_runs_match_generator_evaluator,
@@ -177,6 +178,16 @@ def test_compiled_naive_records_stay_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert got == want and allocated < 2**18
+
+
+def test_a_naive_plan_unpairs_the_pairs_it_built_by_lookup(monkeypatch):
+    # a plan compiled afresh, with the counting isqrt; without the pairs
+    # table the run calls it 567 times
+    monkeypatch.setattr(evaluator, "_HOT", WeakKeyDictionary())
+    calls = counting_isqrt(specialize, monkeypatch)
+    d = reduce_recursive_to_pr(corpus_def("L")).result
+    assert _compiled(d, list_encode(range(1, 12)), memo=False)[0] == 11
+    assert len(calls) <= 100
 
 
 def test_a_busy_plan_leaves_the_run_to_the_loop():
