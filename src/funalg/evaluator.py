@@ -50,11 +50,12 @@ records nothing, so the log lists every call.  Values and meters are
 those of running every call.  A naive run's step check counts the records
 and the pairs together, each an entry of at most 2 * peak_bits bits of
 numbers, and drops both, all at once, when there are _RECORDS entries or
-their number times peak_bits passes _RECORD_BITS.  A step adds at most
-four entries, so the check counts at the run's first step, again once
-steps have used a quarter of the room left, and, once peak_bits times
-_RECORDS passes _RECORD_BITS, at the step after each new peak.  So a
-naive run's memory is its frame stack, O(depth), plus a constant.
+their number times peak_bits passes _RECORD_BITS; _count is that rule,
+for the loop and the plans alike.  A step adds at most four entries, so
+the check counts at the run's first step, again once steps have used a
+quarter of the room left, and, once peak_bits times _RECORDS passes
+_RECORD_BITS, at the step after each new peak.  So a naive run's memory
+is its frame stack, O(depth), plus a constant.
 
 Hot roots run compiled.  Once one unlogged run of a root in one mode,
 naive or memoized, has charged _COMPILE_STEPS steps on the loop in this
@@ -75,18 +76,19 @@ runs, as a study or a benchmark does, soon makes.  A plan is
 Python specialised to that DAG that does the loop's step charges, width
 checks and depth updates, and memoized its memo lookups and stores,
 naive its records and replays.  So a compiled run returns the loop's
-value and leaves the loop's meter, all four fields.  A naive plan counts
-and drops its records and pairs as the loop does, at its step checks, so
-its memory too is O(depth) plus a constant.  A compiled run
-that meets a budget event, a replay past the step budget included, is
-abandoned without touching the meter, and the loop re-runs the call from
-the caller's meter, so BudgetExceeded comes at the loop's step with the
-loop's meter; an exception from outside the evaluation, such as a signal
-handler's, leaves a compiled run's meter as it was passed.  Logged runs
-(so the log is the loop's), runs of a root that is cold in their mode or
-whose plan would pass specialize.PLAN_NODES nodes, and a run that finds
-its plan busy in another thread stay on the loop.  Plans are held
-weakly, keyed on the root, and die with it.
+value and leaves the loop's meter, all four fields.  A plan's pairs and
+memo or record tables are made with it and are empty between runs; a
+naive plan counts and drops them at its step checks by _count, so its
+memory too is O(depth) plus a constant.  A compiled run that meets a
+budget event, a replay past the step budget included, is abandoned
+without touching the meter, and the loop re-runs the call from the
+caller's meter, so BudgetExceeded comes at the loop's step with the
+loop's meter; an exception from outside the evaluation, such as an
+oracle's or a signal handler's, leaves a compiled run's meter as it was
+passed.  Logged runs (so the log is the loop's), runs of a root that is
+cold in their mode or whose plan would pass specialize.PLAN_NODES nodes,
+and a run that finds its plan busy in another thread stay on the loop.
+Plans are held weakly, keyed on the root, and die with it.
 """
 
 from __future__ import annotations
@@ -143,6 +145,22 @@ _ROOT = -1  # the pseudo-frame that calls the root node
 _ARM_STEPS = 256
 _RECORDS = 1 << 16
 _RECORD_BITS = 1 << 25
+
+
+def _count(steps: int, max_steps: int, peak: int, tables) -> int:
+    """A naive run's step check counts its pairs and records, the entries
+    of `tables`, and empties every table at the limits above.  The step
+    past which it counts again comes before the four entries a step may
+    add could reach them, and at most at max_steps."""
+    n = sum(map(len, tables))
+    if n >= _RECORDS or n * peak > _RECORD_BITS:
+        for t in tables:
+            t.clear()
+        n = 0
+    return min(max_steps, steps + 1 + (
+        min(_RECORDS, _RECORD_BITS // (peak + 1)) - n) // 4)
+
+
 # A root's unlogged runs in one mode go through its compiled plan for that
 # mode once one such run on the loop has charged _COMPILE_STEPS steps.
 # _HOT maps a root to its [naive, memoized] cells; a cell holds [the most
@@ -201,8 +219,7 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
         if tier.__class__ is list:
             cold = tier
         elif tier:
-            val = tier.run(x, oracle, max_steps, max_bits, meter,
-                           _RECORDS, _RECORD_BITS)
+            val = tier.run(x, oracle, max_steps, max_bits, meter)
             if val is not None:
                 return val
     # z -> (head, tail) for every pair z the loop builds, which each unpair
@@ -423,18 +440,8 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
             if steps > stop:
                 if steps > max_steps:
                     raise BudgetExceeded("steps", meter)
-                stop = max_steps
-                if not memo:
-                    # drop the pairs and the records, all at once, at the
-                    # caps; come back before 4 entries a step could reach
-                    # them
-                    n = len(pairs) + sum(map(len, records.values()))
-                    if n >= _RECORDS or n * peak > _RECORD_BITS:
-                        pairs.clear()
-                        records.clear()
-                        n = 0
-                    stop = min(max_steps, steps + 1 + (min(
-                        _RECORDS, _RECORD_BITS // (peak + 1)) - n) // 4)
+                stop = max_steps if memo else _count(
+                    steps, max_steps, peak, (pairs, *records.values()))
             if ca >= lim:
                 peak = max(peak, ca.bit_length())
                 lim = 1 << peak

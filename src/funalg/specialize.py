@@ -32,9 +32,10 @@ value, and a hit counts in memo_hits.  A naive plan's table holds the
 loop's replay record of a call, (value, steps, height of its deepest
 frame above the caller): a hit adds the steps, aborts if they pass the
 step budget, and raises depth to the caller's depth plus the height.  Its
-inline nodes recompute, and its step checks count its records and pairs
-as the loop's do, and drop them, all at once, at the loop's limits, which
-Plan.run is given; so its memory is O(depth) plus a constant.
+inline nodes recompute, and its step checks count its records and pairs,
+and drop them all at once, by the loop's own rule; so its memory is
+O(depth) plus a constant.  A plan's tables are made with it, once, and
+every run leaves them empty, however it ends.
 
 A pair is built only where the code reads its value: as a table key, a
 function's argument or value, a memo value, an operand of arithmetic, a
@@ -93,7 +94,10 @@ from __future__ import annotations
 from math import isqrt
 from threading import Lock
 
-from .derivation import Derivation, Op, fold
+from . import evaluator
+from .derivation import Derivation, fold
+from .evaluator import (_ADD, _BPR, _COMP, _D, _E, _I, _MU, _MUL, _ORACLE,
+                        _P, _PR, _S, _SMASH, _SNR)
 
 # An inline node's code has at most INLINE_NODES nodes, a function's at
 # most FN_NODES, a plan's at most PLAN_NODES; plain functions nest at
@@ -102,12 +106,6 @@ INLINE_NODES = 16
 FN_NODES = 64
 PLAN_NODES = 6000
 DIRECT_HEIGHT = 16
-
-_S, _ADD, _MUL, _LT, _I, _D = (op.code for op in (
-    Op.S, Op.ADD, Op.MUL, Op.LT, Op.I, Op.D))
-_P, _COMP, _MU, _PR, _BPR, _SNR = (op.code for op in (
-    Op.P, Op.COMP, Op.MU, Op.PR, Op.BPR, Op.SNR))
-_E, _SMASH, _ORACLE = Op.E.code, Op.SMASH.code, Op.ORACLE.code
 
 # How a plan treats a compound node.
 _OWNED, _INLINE, _FN, _CUT = range(4)  # _CUT: a function without a table
@@ -120,10 +118,11 @@ class Abort(Exception):
 # The helpers of every plan, run into its namespace: setlim sets lim to
 # 2^b and slim to at most isqrt(2 lim) - 2, exact for b < 120; widen
 # records a new widest value, or aborts past the bits budget, and where
-# the bits cap binds has a naive run count its entries at its next step
-# check; pairwide checks the width of a pair that no code reads; unpair
-# splits a pair that the pairs table does not know; tick is a naive run's
-# step check past stop.
+# the loop's bits cap on records binds has a naive run count its entries
+# at its next step check; pairwide checks the width of a pair that no code
+# reads; unpair splits a pair that the pairs table does not know; tick is
+# a naive run's step check past stop, which counts its tables by the
+# loop's rule.
 _PRELUDE = compile("""
 def setlim(b):
     global lim, slim
@@ -138,7 +137,7 @@ def widen(z):
         raise Abort
     peak = b
     setlim(b)
-    if b * records > record_bits:
+    if b * evaluator._RECORDS > evaluator._RECORD_BITS:
         stop = steps
 
 def pairwide(a, b):
@@ -155,14 +154,7 @@ def tick():
     global stop
     if steps > max_steps:
         raise Abort
-    n = len(pairs) + sum(map(len, tables))
-    if n >= records or n * peak > record_bits:
-        pairs.clear()
-        for t in tables:
-            t.clear()
-        n = 0
-    stop = min(max_steps,
-               steps + 1 + (min(records, record_bits // (peak + 1)) - n) // 4)
+    stop = evaluator._count(steps, max_steps, peak, tables)
 """, "<funalg plan prelude>", "exec")
 
 
@@ -185,8 +177,9 @@ def _drive(gen):
 
 
 class Plan:
-    """A root's generated code, memoized or naive, and the names of its
-    memo or record tables.
+    """A root's generated code, memoized or naive, and its tables: the
+    pairs table first, then its memo or record tables, bound in its
+    namespace once and empty between runs.
 
     It holds no node, so it dies with the weak table entry that keeps it.
     """
@@ -194,30 +187,22 @@ class Plan:
     __slots__ = ("ns", "entry", "generator", "memo", "tables", "lock",
                  "nodes", "functions", "source_bytes", "__weakref__")
 
-    def run(self, x: int, oracle, max_steps: int, max_bits: int, meter,
-            records: int, record_bits: int) -> int | None:
+    def run(self, x: int, oracle, max_steps: int, max_bits: int,
+            meter) -> int | None:
         """The root's value at x with the meter updated as the loop would,
         or None, with the meter untouched, after a budget event or while
-        another thread runs this plan.  A naive run drops its records and
-        pairs when they number `records` or their number times peak_bits
-        passes `record_bits`."""
+        another thread runs this plan."""
         if not self.lock.acquire(False):
             return None
         ns = self.ns
         try:
-            peak = meter.peak_bits
-            ns.update(steps=meter.steps, hits=meter.memo_hits,
+            steps, peak = meter.steps, meter.peak_bits
+            # stop: the first count's step, as a count sets it with none held
+            ns.update(steps=steps, hits=meter.memo_hits,
                       depth=meter.max_depth, peak=peak, max_steps=max_steps,
-                      max_bits=max_bits, oracle=oracle)
+                      max_bits=max_bits, oracle=oracle,
+                      stop=evaluator._count(steps, max_steps, peak, ()))
             ns["setlim"](min(peak, max_bits))
-            tables = ns["tables"] = [{} for _ in self.tables]
-            ns.update(zip(self.tables, tables))
-            pairs: dict[int, tuple[int, int]] = {}
-            ns.update(pairs=pairs, pget=pairs.get, records=records,
-                      record_bits=record_bits)
-            # the first count's step, as tick would set it with none held
-            ns["stop"] = min(max_steps, meter.steps + 1 + min(
-                records, record_bits // (peak + 1)) // 4)
             if x >= ns["lim"]:
                 ns["widen"](x)
             val = self.entry(x, 1)
@@ -232,8 +217,8 @@ class Plan:
             return None
         finally:
             for t in self.tables:
-                ns[t] = None
-            ns.update(oracle=None, pairs=None, pget=None, tables=None)
+                t.clear()
+            ns["oracle"] = None
             self.lock.release()
 
 
@@ -306,12 +291,15 @@ def _compile(root, order, kind, total, memo) -> Plan:
         generator[n] = (n.op.code == _SNR or h > DIRECT_HEIGHT
                         or any(generator[c] for c in cs))
         height[n] = 0 if generator[n] else h
-    ns = {"Abort": Abort, "isqrt": isqrt}
+    tables = {f"T{index[n]}": {} for n in order if n.children and (
+        kind[n] == _FN or memo and kind[n] == _INLINE)}
+    pairs: dict[int, tuple[int, int]] = {}
+    ns = {"Abort": Abort, "isqrt": isqrt, "evaluator": evaluator,
+          "pairs": pairs, "pget": pairs.get, **tables}
     exec(_PRELUDE, ns)
     plan = Plan()
     plan.memo = memo
-    plan.tables = [f"T{index[n]}" for n in order if n.children and (
-        kind[n] == _FN or memo and kind[n] == _INLINE)]
+    plan.tables = ns["tables"] = [pairs, *tables.values()]
     plan.functions = 0
     plan.source_bytes = 0
     for n in order:

@@ -10,21 +10,27 @@ with meters passed in.
 import ast
 import gc
 import importlib
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import weakref
 from functools import lru_cache
+from pathlib import Path
 from weakref import WeakKeyDictionary
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import _tier
+import funalg
 from funalg import evaluator, specialize
 from funalg.codec import list_encode, pair
 from funalg.corpus import corpus_def, corpus_defs
 from funalg.compiler import HD, TL, Z_, compile_explicit, dd, lt_d
-from funalg.derivation import ADD, I, MUL, P, PolyBound, S, comp, mu, pr
+from funalg.derivation import (ADD, I, MUL, ORACLE, P, PolyBound, S, comp,
+                               mu, pr)
 from funalg.evaluator import (Budget, BudgetExceeded, Meter, eval_memo,
                               evaluate)
 from funalg.harness import exhaustive_search_predicate
@@ -58,14 +64,9 @@ _ADD = pr(I, comp(S, comp(HD, TL)))
 
 def _on_the_loop(d, x, meter=None, memo=True, **kw):
     """evaluate's value and meter on the loop alone."""
-    saved = evaluator._COMPILE_STEPS, evaluator._HOT
-    evaluator._COMPILE_STEPS = float("inf")
-    evaluator._HOT = WeakKeyDictionary()
-    try:
-        m = Meter() if meter is None else meter
+    m = Meter() if meter is None else meter
+    with _tier(float("inf")):
         return evaluate(d, x, meter=m, memo=memo, **kw), m
-    finally:
-        evaluator._COMPILE_STEPS, evaluator._HOT = saved
 
 
 def _compiled(d, x, meter=None, memo=True, **kw):
@@ -188,6 +189,80 @@ def test_a_naive_plan_unpairs_the_pairs_it_built_by_lookup(monkeypatch):
     d = reduce_recursive_to_pr(corpus_def("L")).result
     assert _compiled(d, list_encode(range(1, 12)), memo=False)[0] == 11
     assert len(calls) <= 100
+
+
+class _Raised(Exception):
+    """An oracle's own failure."""
+
+
+class _Watch:
+    """An empty oracle that notes, each time it is read, how many entries
+    the tables of the plan of d in the mode hold, and raises if told to."""
+
+    def __init__(self, d, memo, raises):
+        self.d, self.memo, self.raises = d, memo, raises
+        self.held = []
+
+    def __contains__(self, z):
+        plan = evaluator._HOT[self.d][self.memo]
+        self.held.append(sum(map(len, plan.tables)))
+        if self.raises:
+            raise _Raised
+        return False
+
+
+@pytest.mark.parametrize("memo", [False, True], ids=["naive", "memo"])
+def test_no_state_outlives_a_run(memo):
+    # L's run fills the tables before the oracle is read at the root's
+    # argument; the bits budget binds on a pair L builds, past the argument
+    d = P(reduce_recursive_to_pr(corpus_def("L")).result, ORACLE)
+    x, y = list_encode(range(1, 5)), list_encode(range(1, 4))
+    full = _on_the_loop(d, x, memo=memo)[1]
+    assert full.peak_bits > x.bit_length()
+    for budget, event in ((Budget(), None),
+                          (Budget(full.steps - 1, 10**6), BudgetExceeded),
+                          (Budget(10**6, full.peak_bits - 1), BudgetExceeded),
+                          (Budget(), _Raised)):
+        watch, m = _Watch(d, memo, event is _Raised), Meter()
+        if event is None:
+            _compiled(d, x, m, memo, oracle=watch)
+            assert m == full
+        else:
+            with pytest.raises(event):
+                _compiled(d, x, m, memo, oracle=watch, budget=budget)
+        if event is _Raised:  # an outside exception leaves the meter
+            assert m == Meter()
+        if event is not BudgetExceeded:
+            assert watch.held[0] > 0
+        plan = evaluator._HOT[d][memo]
+        assert plan.tables[0] is plan.ns["pairs"]
+        assert not any(plan.tables) and plan.ns["oracle"] is None
+        assert _compiled(d, y, memo=memo) == _on_the_loop(d, y, memo=memo)
+
+
+_COLD = """
+import sys
+from funalg import I, MUL, P, S, comp, eval_memo, eval_naive, mu, pair
+d = comp(S, P(I, comp(MUL, P(I, I))))
+for x in range(300):
+    eval_memo(d, x)
+    eval_naive(d, x)
+print("funalg.specialize" in sys.modules)
+hot = mu(comp(S, S))  # a scan of v calls, none of which gives 1
+for _ in range(2):
+    eval_memo(hot, pair(100, 0))
+print("funalg.specialize" in sys.modules)
+"""
+
+
+def test_a_process_with_only_cold_roots_never_imports_the_compiler():
+    # the evaluator imports funalg.specialize at the first compile; the
+    # hot root at the end shows the probe sees that import
+    src = str(Path(funalg.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD], env={**os.environ, "PYTHONPATH": src},
+        check=True, capture_output=True, text=True, timeout=60).stdout
+    assert out == "False\nTrue\n"
 
 
 def test_a_busy_plan_leaves_the_run_to_the_loop():
@@ -324,8 +399,7 @@ def _same_outcome(d, x, memo, budget, meter0=None):
     if want[0].__class__ is int:
         m = Meter(**vars(meter0))
         val = evaluator._HOT[d][memo].run(
-            x, frozenset(), budget.max_steps, budget.max_bits, m,
-            evaluator._RECORDS, evaluator._RECORD_BITS)
+            x, frozenset(), budget.max_steps, budget.max_bits, m)
         assert (val, m) == want
     return want
 
