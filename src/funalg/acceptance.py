@@ -13,21 +13,22 @@ import random
 
 from . import codec
 from .codec import FinSet, list_encode, pair, seq_decode, seq_encode, seq_len
-from .clausal import (OracleMem, Rel, Succ, TAdd, TMul, TPair, Var, Zero,
-                      eval_clausal, print_cl, parse_cl)
-from .compiler import (VarCtx, compile_explicit, compile_formula,
+from .clausal import (App, OracleMem, Rel, Succ, TAdd, TMul, TPair, Var,
+                      Zero, eval_clausal, print_cl, parse_cl)
+from .compiler import (HD, TL, FBoundedEx, FNot, FOr, FQuasiBoundedEx,
+                       VarCtx, compile_explicit, compile_formula,
                        compile_term, eval_formula_direct, eval_term_direct,
-                       pack_args)
-from .compiler import FBoundedEx, FNot, FOr, FQuasiBoundedEx
-from .clausal import App
+                       lt_d, pack_args)
 from .corpus import corpus_def, corpus_defs
-from .derivation import (CLASSES, DA, Derivation, I, PolyBound, S, SA, TA,
-                         comp, d_parse, d_print, derivation_at, index_of,
-                         mu, poly_bound, validate)
-from .evaluator import Budget, BudgetExceeded, Meter, eval_memo, eval_naive
+from .derivation import (ARITY, CLASSES, DA, Derivation, I, Op, P, PolyBound,
+                         S, SA, TA, _ENUM_TAG_ORDER, comp, d_parse, d_print,
+                         derivation_at, index_of, mu, poly_bound, validate)
+from .evaluator import (Budget, BudgetExceeded, Meter, eval_memo, eval_naive,
+                        evaluate)
 from .harness import (CharMode, char_run, membership_predicate,
-                      parity_predicate, scaling_study)
-from .reduction import reduce_bounded_nested_to_snr, reduce_recursive_to_pr
+                      parity_predicate, scaling_study, snr_zero_predicate)
+from .reduction import (add_d, reduce_bounded_nested_to_snr,
+                        reduce_recursive_to_pr)
 
 _BIG = Budget(max_steps=10**9, max_bits=10**6)
 
@@ -135,9 +136,6 @@ def check_4_formulas():
 
 def _ceil_half_derivation():
     # ceil(n/2) as the least z < S(n) with n < S(z + z)
-    from .compiler import HD, TL, lt_d
-    from .derivation import P
-    from .reduction import add_d
     test = lt_d(TL, comp(S, add_d(HD, HD)))
     return comp(mu(test), P(comp(S, I), I))
 
@@ -228,13 +226,10 @@ def check_8_snr_reduction():
 
 
 def check_9_course_of_values():
-    from .harness import snr_zero_predicate
-    from .derivation import Op
     runs = [(snr_zero_predicate(), x) for x in range(0, 60, 7)]
     bound = PolyBound("var")
     snr_l = reduce_bounded_nested_to_snr(corpus_def("L"), bound)
     runs += [(snr_l, x) for x in range(0, 65, 9)]
-    from .evaluator import evaluate
     for d, x in runs:
         log: list = []
         evaluate(d, x, budget=_BIG, memo=True, expansion_log=log)
@@ -257,7 +252,6 @@ def _random_derivation(rng, cls, depth, evalsafe=True):
     """A random derivation of the class, its operators drawn in pre-order:
     at depth 0 a leaf, above it any operator (PR, E and smash left out
     when evalsafe), each child one level down."""
-    from .derivation import ARITY, Op, _ENUM_TAG_ORDER
     skip = (Op.PR, Op.E, Op.SMASH) if evalsafe else ()
     ops = [op for op in _ENUM_TAG_ORDER
            if op in cls.allowed and op not in skip]

@@ -334,8 +334,11 @@ def d_print(d: Derivation) -> str:
 
 
 class ParseError(ValueError):
+    """A derivation text that does not parse; offset is the index of the
+    character where the error is found."""
+
     def __init__(self, msg: str, offset: int):
-        super().__init__(f"parse error at byte {offset}: {msg}")
+        super().__init__(f"parse error at character {offset}: {msg}")
         self.offset = offset
 
 
@@ -363,7 +366,7 @@ def d_parse(text: str) -> Derivation:
     The tokens come from one C-level split (str.split and the regex's \\s
     test the same Unicode whitespace), and a compound node is looked up in
     the intern table before its constructor is called.  Token positions
-    and byte offsets are worked out only for an error.
+    and character offsets are worked out only for an error.
     """
     toks = text.replace("(", " ( ").replace(")", " ) ").split()
     out: list[Derivation] = []  # finished nodes; an open frame's kids end it

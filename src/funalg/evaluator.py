@@ -65,14 +65,16 @@ choice rests on the longest run, not on how many runs came before, so a
 process that repeats a set of runs compiles, in the second set at the
 latest, whatever it will ever compile, and a process that runs a root
 once never compiles it.  The trigger is 2^7 steps.  On a 2-core VM
-with Python 3.11 a compile costs about 36 us per plan node for the
-memoized corpus plans and 40 us for the naive ones.  On the naive roots
-of the compile_grid benchmark whose longest run reaches the trigger, a
-plan runs 2.7 to 5.5 times faster than the loop, about 0.2 us less a
-step.  So a root repays its compile once its compiled runs have charged
-about 190 steps per plan node: for a root of 50 to 120 nodes, some 75 to
-180 more runs as long as the trigger, which a process that repeats its
-runs, as a study or a benchmark does, soon makes.  A plan is
+with Python 3.11 a compile costs 31 to 44 us per plan node for the
+corpus plans in either mode; a memoized plan counts each shared node
+once, so the 31 memoized corpus plans have 3,177 plan nodes and compile
+in about 115 ms, the naive ones 5,787 nodes in about 200 ms.  On the
+naive roots of the compile_grid benchmark whose longest run reaches the
+trigger, a plan runs 2.7 to 5.5 times faster than the loop, about 0.2 us
+less a step.  So a root repays its compile once its compiled runs have
+charged about 190 steps per plan node: for a root of 50 to 120 nodes,
+some 75 to 180 more runs as long as the trigger, which a process that
+repeats its runs, as a study or a benchmark does, soon makes.  A plan is
 Python specialised to that DAG that does the loop's step charges, width
 checks and depth updates, and memoized its memo lookups and stores,
 naive its records and replays.  So a compiled run returns the loop's

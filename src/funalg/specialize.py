@@ -12,29 +12,29 @@ module docstring states as the contract.
 
 The plan sorts the compound nodes below the root three ways:
 
-- owned: a P or comp node with a single in-edge that passes its parent's
-  own argument (a child of P, or the inner child of comp).  Its parent
-  runs at most once per argument, so it does too; it gets no memo table,
-  since a lookup could never hit, and its code is written into its
-  parent's;
-- inline: a small shared P or comp node (HD, TL, ONE, ...), whose body
-  is written out at each of its call sites, with its memo lookup and
-  store in a memoized plan;
+- owned: a P or comp node whose code is written into each of its
+  callers', with no table.  Either it has a single in-edge that passes
+  its parent's own argument (a child of P, or the inner child of comp),
+  so it runs at most once per run of its parent and a memo lookup could
+  never hit; or, in a naive plan only, it is small and shared (HD, TL,
+  ONE, ...) and recomputes at each call;
 - a function: the root, every mu, pr, bpr and snr node, and every other
-  compound node.  Each becomes one generated function with a table; an
-  owned region over FN_NODES nodes is cut into functions that keep no
-  table.
+  compound node, small shared ones too in a memoized plan.  Each becomes
+  one generated function with a table;
+- cut: an owned node whose caller's code would pass FN_NODES nodes
+  becomes a function that keeps no table.
 
 A plan keeps a table of the pairs its code builds that other code may
-unpair, so unpairing one again is a lookup.  The modes differ only where
-a function is called.  A memoized plan's table maps an argument to its
-value, and a hit counts in memo_hits.  A naive plan's table holds the
-loop's replay record of a call, (value, steps, height of its deepest
-frame above the caller): a hit adds the steps, aborts if they pass the
-step budget, and raises depth to the caller's depth plus the height.  Its
-inline nodes recompute, and its step checks count its records and pairs,
-and drop them all at once, by the loop's own rule; so its memory is
-O(depth) plus a constant.  A plan's tables are made with it, once, and
+unpair, so unpairing one again is a lookup.  Beside where small shared
+nodes go, the modes differ only where a function is called.  A memoized
+plan's table maps an argument to its value, and a hit counts in
+memo_hits.  A naive plan's table holds the loop's replay record of a
+call, (value, steps, height of its deepest frame above the caller): a
+hit adds the steps, aborts if they pass the step budget, and raises
+depth to the caller's depth plus the height.  Its small shared nodes
+recompute, and its step checks count its records and pairs, and drop
+them all at once, by the loop's own rule; so its memory is O(depth) plus
+a constant.  A plan's tables are made with it, once, and
 every run leaves them empty, however it ends.
 
 A pair is built only where the code reads its value: as a table key, a
@@ -50,7 +50,7 @@ in it, a second build or unpair of the same names reads the first one's
 names, and in a memoized plan a second call of a node with a table at
 the same name is a memo hit that reads the first call's value.  A naive
 plan reuses pairs and unpairs only: it drops records mid-run, and its
-inline nodes recompute.
+small shared nodes recompute.
 
 A function that calls no generator and no deeper than DIRECT_HEIGHT
 plain functions is a plain function, called directly.  Every other one is
@@ -99,16 +99,16 @@ from .derivation import Derivation, fold
 from .evaluator import (_ADD, _BPR, _COMP, _D, _E, _I, _MU, _MUL, _ORACLE,
                         _P, _PR, _S, _SMASH, _SNR)
 
-# An inline node's code has at most INLINE_NODES nodes, a function's at
-# most FN_NODES, a plan's at most PLAN_NODES; plain functions nest at
-# most DIRECT_HEIGHT deep.
+# A naive plan writes a shared node of at most INLINE_NODES nodes into
+# its callers; a function's code has at most FN_NODES nodes, a plan's at
+# most PLAN_NODES; plain functions nest at most DIRECT_HEIGHT deep.
 INLINE_NODES = 16
 FN_NODES = 64
 PLAN_NODES = 6000
 DIRECT_HEIGHT = 16
 
 # How a plan treats a compound node.
-_OWNED, _INLINE, _FN, _CUT = range(4)  # _CUT: a function without a table
+_OWNED, _FN, _CUT = range(3)  # _CUT: a function without a table
 
 
 class Abort(Exception):
@@ -255,10 +255,9 @@ def make_plan(root: Derivation, memo: bool = True) -> Plan | None:
                 s -= p[0] - 1
         size[n] = s
         pc = n is not root and n.op.code in (_P, _COMP)
-        if pc and edges[n] == 1 and passes[n]:
+        if pc and (edges[n] == 1 and passes[n]
+                   or not memo and s <= INLINE_NODES):
             kind[n] = _OWNED
-        elif pc and s <= INLINE_NODES:
-            kind[n] = _INLINE
         else:
             kind[n] = _FN
             total += s
@@ -268,8 +267,8 @@ def make_plan(root: Derivation, memo: bool = True) -> Plan | None:
 
 
 def _compile(root, order, kind, total, memo) -> Plan:
-    # the functions each function calls through its owned and inline
-    # nodes, and which functions are generators
+    # the functions each function calls through its owned nodes, and
+    # which functions are generators
     index = {n: i for i, n in enumerate(order)}
     calls: dict[Derivation, set] = {}
     height: dict[Derivation, int] = {}
@@ -291,8 +290,8 @@ def _compile(root, order, kind, total, memo) -> Plan:
         generator[n] = (n.op.code == _SNR or h > DIRECT_HEIGHT
                         or any(generator[c] for c in cs))
         height[n] = 0 if generator[n] else h
-    tables = {f"T{index[n]}": {} for n in order if n.children and (
-        kind[n] == _FN or memo and kind[n] == _INLINE)}
+    tables = {f"T{index[n]}": {} for n in order
+              if n.children and kind[n] == _FN}
     pairs: dict[int, tuple[int, int]] = {}
     ns = {"Abort": Abort, "isqrt": isqrt, "evaluator": evaluator,
           "pairs": pairs, "pget": pairs.get, **tables}
@@ -382,7 +381,7 @@ class _Emitter:
         # a naive plan counts its entries at every function's entry too, so
         # no more than one function's code runs between two counts
         self.open(None, check=self.generator[node] or not self.memo)
-        stack = [self.compound(node, "a", 0, None)]
+        stack = [self.compound(node, "a", 0)]
         res = None
         while stack:
             try:
@@ -550,15 +549,13 @@ class _Emitter:
             return self.leaf(code, x, k)
         kind = self.kind[node]
         if kind == _OWNED:
-            return self.compound(node, x, k, None)
+            return self.compound(node, x, k)
+        # a function: its own code charges the call
         r = self.known.get((node, x))
         if r is not None:  # memoized, and the path ran this call already
             self.block.hits += 1
             return r
         i = self.index[node]
-        if kind == _INLINE:
-            return self.compound(node, x, k, f"T{i}" if self.memo else None)
-        # a function: its own code charges the call
         r = self.name()
         self.keep(x)
         run = (f"yield f{i}, {x}, d + {k}" if self.generator[node]
@@ -636,15 +633,9 @@ class _Emitter:
             self.unsplit(opened, r)
         return r
 
-    def compound(self, node: Derivation, x: str, k: int,
-                 table: str | None):
-        """A generator: emit a compound call's body, with its memo lookup
-        and store if it has a table; it yields the calls it makes."""
-        if table is not None:
-            m = self.name()
-            self.use(x)
-            self.line(f"{m} = {table}.get({x})")
-            self.open(f"if {m} is None:")
+    def compound(self, node: Derivation, x: str, k: int):
+        """A generator: emit a compound call's body, a function's own or
+        an owned node's in its caller's; it yields the calls it makes."""
         self.charge(k)
         code = node.op.code
         g, h = (node.children + (None,))[:2]
@@ -723,11 +714,4 @@ class _Emitter:
             self.line(f"    {r} = 0")
             self.unsplit(tested, r)
             self.unsplit(opened, r)
-        if table is None:
-            return r
-        self.keep(r)
-        self.line(f"{m} = {r}")
-        self.line(f"{table}[{x}] = {m}")
-        self.close("hits += 1")
-        self.learn((node, x), m)
-        return m
+        return r

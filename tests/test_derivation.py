@@ -499,9 +499,20 @@ def test_parse_error_cases_match_oracle():
     for text in ("", "  ", ")", "(", "( ", "(comp", "(comp S", "(comp S S",
                  "(comp S S S)", "(mu)", "(frob S)", "(S S)", "((", "()",
                  "q", "S S", "S )", "(comp S S) (", "(mu S",
-                 "(comp\u00a0S\x1cS)", "(mu\u2003S)x"):
+                 "(comp\u00a0S\x1cS)", "(mu\u2003S)x",
+                 "\u3000\u3000(P S)"):
         assert _parse_outcome(d_parse, text) == _parse_outcome(rec_parse,
                                                                 text), text
+
+
+def test_a_parse_error_offset_counts_characters_not_bytes():
+    # two ideographic spaces are 2 characters but 6 bytes of UTF-8
+    text = "\u3000\u3000(P S)"
+    with pytest.raises(ParseError) as e:
+        d_parse(text)
+    assert e.value.offset == 2 < text.encode().index(b"(") == 6
+    assert str(e.value) == ("parse error at character 2: "
+                            "P takes 2 children, got 1")
 
 
 def test_reductions_and_a_p_tower_parse_back_to_themselves():

@@ -30,7 +30,7 @@ from funalg.codec import list_encode, pair
 from funalg.corpus import corpus_def, corpus_defs
 from funalg.compiler import HD, TL, Z_, compile_explicit, dd, lt_d
 from funalg.derivation import (ADD, I, MUL, ORACLE, P, PolyBound, S, comp,
-                               mu, pr)
+                               fold, mu, pr)
 from funalg.evaluator import (Budget, BudgetExceeded, Meter, eval_memo,
                               evaluate)
 from funalg.harness import exhaustive_search_predicate
@@ -326,7 +326,7 @@ def test_a_fresh_import_plans_older_nodes_alike(monkeypatch):
 
 def test_compiling_the_corpus_pr_reductions_stays_small():
     # each plan is compiled one function at a time; the six retain about
-    # 490 KB and peak at about 1.5 MB
+    # 330 KB and peak at about 0.72 MB
     roots = [reduce_recursive_to_pr(corpus_def(n)).result
              for n in ("L", "last", "sumlist", "cat", "addp", "nested")]
     gc.collect()
@@ -451,7 +451,7 @@ def test_dead_pairs_near_the_width_limit(name, x, dbits, dpeak, memo):
                   Meter(peak_bits=max(w + dpeak, 0)))
 
 
-@pytest.mark.parametrize("shared", [HD, Z_], ids=["inline", "function"])
+@pytest.mark.parametrize("shared", [HD, Z_], ids=["small_comp", "mu"])
 def test_a_repeated_call_on_one_path_is_a_memo_hit(shared):
     # the second call of `shared` at the root's argument reuses the first
     # one's value and counts a hit, as on the loop
@@ -461,6 +461,27 @@ def test_a_repeated_call_on_one_path_is_a_memo_hit(shared):
         assert want[1].memo_hits == 1
     lookups = re.findall(r"(T\d+)\.get\(a\)", "".join(_sources(d)))
     assert lookups and len(lookups) == len(set(lookups))
+
+
+def test_a_small_shared_node_is_a_function_only_in_a_memoized_plan():
+    # HD is a comp node of 8 nodes that the root calls twice: a memoized
+    # plan makes it a function with a table, a naive one writes its body
+    # into the root
+    d = comp(ADD, P(HD, HD))
+    order = []
+    fold(d, lambda n: n.children, lambda n, _: order.append(n))
+    fn = f"def f{order.index(HD)}("
+    assert any(src.startswith(fn) for src in _sources(d, True))
+    assert not any(src.startswith(fn) for src in _sources(d, False))
+
+
+def test_memoized_corpus_plans_stay_small():
+    # each shared node is one function, so its memo lookup and store are
+    # written once, not at each call site: 263,566 bytes in all (646,100
+    # when small shared nodes were written out at each call site)
+    plans = [specialize.make_plan(d, True) for _, d in _corpus_roots()]
+    assert len(plans) == 31
+    assert sum(p.source_bytes for p in plans) < 350_000
 
 
 @pytest.mark.parametrize("memo", [False, True], ids=["naive", "memo"])
