@@ -57,25 +57,24 @@ quarter of the room left, and, once peak_bits times _RECORDS passes
 _RECORD_BITS, at the step after each new peak.  So a naive run's memory
 is its frame stack, O(depth), plus a constant.
 
-Hot roots run compiled.  Once one unlogged run of a root in one mode,
-naive or memoized, has charged _COMPILE_STEPS steps on the loop in this
-process, its next such run plans and compiles it for that mode
-(funalg.specialize), once, and every later one runs its plan.  The
-choice rests on the longest run, not on how many runs came before, so a
-process that repeats a set of runs compiles, in the second set at the
-latest, whatever it will ever compile, and a process that runs a root
-once never compiles it.  The trigger is 2^7 steps.  On a 2-core VM
-with Python 3.11 a compile costs 31 to 44 us per plan node for the
-corpus plans in either mode; a memoized plan counts each shared node
-once, so the 31 memoized corpus plans have 3,177 plan nodes and compile
-in about 115 ms, the naive ones 5,787 nodes in about 200 ms.  On the
-naive roots of the compile_grid benchmark whose longest run reaches the
-trigger, a plan runs 2.7 to 5.5 times faster than the loop, about 0.2 us
-less a step.  So a root repays its compile once its compiled runs have
-charged about 190 steps per plan node: for a root of 50 to 120 nodes,
-some 75 to 180 more runs as long as the trigger, which a process that
-repeats its runs, as a study or a benchmark does, soon makes.  A plan is
-Python specialised to that DAG that does the loop's step charges, width
+Hot roots run compiled.  A root's second unlogged run in one mode,
+naive or memoized, in this process plans and compiles it for that mode
+(funalg.specialize), once, and that run and every later one run its
+plan; the first stays on the loop, so a process that runs a root once,
+as a one-shot command does, never compiles it.  The choice counts runs,
+not steps: most roots a study or a benchmark repeats run for a few to a
+few hundred steps at a time, and a step trigger kept those on the loop
+however often they ran.  On a 2-core VM with Python 3.11 a compile costs
+31 to 44 us per plan node for the corpus plans in either mode; a
+memoized plan counts each shared node once, so the 31 memoized corpus
+plans have 3,177 plan nodes and compile in about 115 ms, the naive ones
+5,787 nodes in about 200 ms.  A compiled run saves some 0.2 us a step
+and about 2 us a run: memoized comp(S, P(I, I)) at 3 takes 1.7 us
+compiled and 3.8 us on the loop.  So a root repays its compile once its
+compiled runs have charged about 190 steps per plan node, or, for runs
+of a few steps, made some 20 runs per plan node, which a process that
+repeats its runs soon does.  A plan
+is Python specialised to that DAG that does the loop's step charges, width
 checks and depth updates, and memoized its memo lookups and stores,
 naive its records and replays.  So a compiled run returns the loop's
 value and leaves the loop's meter, all four fields.  A plan's pairs and
@@ -87,10 +86,10 @@ without touching the meter, and the loop re-runs the call from the
 caller's meter, so BudgetExceeded comes at the loop's step with the
 loop's meter; an exception from outside the evaluation, such as an
 oracle's or a signal handler's, leaves a compiled run's meter as it was
-passed.  Logged runs (so the log is the loop's), runs of a root that is
-cold in their mode or whose plan would pass specialize.PLAN_NODES nodes,
-and a run that finds its plan busy in another thread stay on the loop.
-Plans are held weakly, keyed on the root, and die with it.
+passed.  Logged runs (so the log is the loop's), a root's first run in
+a mode, runs of a root whose plan would pass specialize.PLAN_NODES
+nodes, and a run that finds its plan busy in another thread stay on the
+loop.  Plans are held weakly, keyed on the root, and die with it.
 """
 
 from __future__ import annotations
@@ -164,12 +163,12 @@ def _count(steps: int, max_steps: int, peak: int, tables) -> int:
 
 
 # A root's unlogged runs in one mode go through its compiled plan for that
-# mode once one such run on the loop has charged _COMPILE_STEPS steps.
-# _HOT maps a root to its [naive, memoized] cells; a cell holds [the most
-# steps one such run charged], the mode's specialize.Plan, or () when the
-# plan would be too large.  The module docstring gives the trigger's
-# break-even.
-_COMPILE_STEPS = 1 << 7
+# mode from the _COMPILE_RUN-th such run on.  _HOT maps a root to its
+# [naive, memoized] cells; a cell holds the number of such runs on the
+# loop (1 once the root has been seen, at the second-run trigger), the
+# mode's specialize.Plan, or () when the plan would be too large.  The
+# module docstring gives the trigger's break-even.
+_COMPILE_RUN = 2
 _HOT: WeakKeyDictionary = WeakKeyDictionary()
 _specialize = None
 
@@ -206,20 +205,16 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
         meter = Meter()
     max_steps, max_bits = budget.max_steps, budget.max_bits
     log = expansion_log
-    # the compiled tier: a hot root's unlogged runs; cold is the cell of
-    # the most steps a run in this mode on the loop charged while the root
-    # is cold in it
-    cold = None
-    if log is None and d.children:
+    if log is None and d.children:  # the compiled tier
         cells = _HOT.get(d)
         if cells is None:
-            cells = _HOT[d] = [[0], [0]]
+            cells = _HOT[d] = [0, 0]
         mode = 1 if memo else 0
         tier = cells[mode]
-        if tier.__class__ is list and tier[0] >= _COMPILE_STEPS:
+        if tier.__class__ is int and tier + 1 >= _COMPILE_RUN:
             tier = cells[mode] = _make_plan(d, memo) or ()
-        if tier.__class__ is list:
-            cold = tier
+        if tier.__class__ is int:
+            cells[mode] = tier + 1
         elif tier:
             val = tier.run(x, oracle, max_steps, max_bits, meter)
             if val is not None:
@@ -528,8 +523,6 @@ def evaluate(d: Derivation, x: int, oracle=None, budget: Budget | None = None,
             for t in (ct, tab, *[f[4] for f in stack]):
                 if t is not None and t[2] > maxd:
                     maxd = t[2]
-        if cold is not None and steps - meter.steps > cold[0]:
-            cold[0] = steps - meter.steps
         meter.steps, meter.peak_bits = steps, peak
         meter.memo_hits, meter.max_depth = hits, maxd
 

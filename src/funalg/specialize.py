@@ -115,20 +115,55 @@ class Abort(Exception):
     """A generated run met a budget event; the loop re-runs the call."""
 
 
-# The helpers of every plan, run into its namespace: setlim sets lim to
-# 2^b and slim to at most isqrt(2 lim) - 2, exact for b < 120; widen
-# records a new widest value, or aborts past the bits budget, and where
-# the loop's bits cap on records binds has a naive run count its entries
-# at its next step check; pairwide checks the width of a pair that no code
-# reads; unpair splits a pair that the pairs table does not know; tick is
-# a naive run's step check past stop, which counts its tables by the
-# loop's rule.
+# The helpers of every plan, run into its namespace: run is the plan's
+# entry (Plan.run); setlim sets lim to 2^b and slim to at most isqrt(2 lim)
+# - 2, exact for b < 120; widen records a new widest value, or aborts past
+# the bits budget, and where the loop's bits cap on records binds has a
+# naive run count its entries at its next step check; pairwide checks the
+# width of a pair that no code reads; unpair splits a pair that the pairs
+# table does not know; tick is a naive run's step check past stop, which
+# counts its tables by the loop's rule.
 _PRELUDE = compile("""
+def run(x, oracle_, max_steps_, max_bits_, meter):
+    global steps, hits, depth, peak, stop, max_steps, max_bits, oracle
+    if not acquire(False):
+        return None
+    try:
+        # stop = steps: a naive run's first step check counts its tables
+        steps = stop = meter.steps
+        peak, hits, depth = meter.peak_bits, meter.memo_hits, meter.max_depth
+        max_steps, max_bits, oracle = max_steps_, max_bits_, oracle_
+        b = x.bit_length()  # the root's argument, checked as widen would
+        if b > max_bits:
+            return None
+        if b > peak:
+            peak = b
+        setlim(peak if peak < max_bits else max_bits)
+        val = entry(x, 1)
+        if generator:
+            val = drive(val)
+        if steps > max_steps:
+            return None
+        meter.steps, meter.peak_bits = steps, peak
+        meter.memo_hits, meter.max_depth = hits, depth
+        return val
+    except Abort:
+        return None
+    finally:
+        for t in tables:
+            if t:
+                t.clear()
+        oracle = None
+        release()
+
 def setlim(b):
     global lim, slim
-    lim = 1 << b
-    e = max(b - 120, 0) & -2
-    slim = (isqrt(2 << (b - e)) << (e >> 1)) - 2
+    if b < 120:
+        lim, slim = lims[b]
+    else:
+        lim = 1 << b
+        e = (b - 120) & -2
+        slim = (isqrt(2 << (b - e)) << (e >> 1)) - 2
 
 def widen(z):
     global peak, stop
@@ -158,6 +193,10 @@ def tick():
 """, "<funalg plan prelude>", "exec")
 
 
+# (lim, slim) for b < 120, where slim = isqrt(2 lim) - 2 exactly
+_LIMS = tuple((1 << b, isqrt(2 << b) - 2) for b in range(120))
+
+
 def _drive(gen):
     """Run a generated generator and the calls it yields to completion."""
     stack = []
@@ -181,45 +220,16 @@ class Plan:
     pairs table first, then its memo or record tables, bound in its
     namespace once and empty between runs.
 
-    It holds no node, so it dies with the weak table entry that keeps it.
+    run(x, oracle, max_steps, max_bits, meter) gives the root's value at x
+    with the meter updated as the loop would, or None, with the meter
+    untouched, after a budget event or while another thread runs this
+    plan.  It is the namespace's own function, so a run's set-up reads
+    and writes the plan's state as globals.  It holds no node, so it dies
+    with the weak table entry that keeps it.
     """
 
-    __slots__ = ("ns", "entry", "generator", "memo", "tables", "lock",
+    __slots__ = ("ns", "run", "generator", "memo", "tables", "lock",
                  "nodes", "functions", "source_bytes", "__weakref__")
-
-    def run(self, x: int, oracle, max_steps: int, max_bits: int,
-            meter) -> int | None:
-        """The root's value at x with the meter updated as the loop would,
-        or None, with the meter untouched, after a budget event or while
-        another thread runs this plan."""
-        if not self.lock.acquire(False):
-            return None
-        ns = self.ns
-        try:
-            steps, peak = meter.steps, meter.peak_bits
-            # stop: the first count's step, as a count sets it with none held
-            ns.update(steps=steps, hits=meter.memo_hits,
-                      depth=meter.max_depth, peak=peak, max_steps=max_steps,
-                      max_bits=max_bits, oracle=oracle,
-                      stop=evaluator._count(steps, max_steps, peak, ()))
-            ns["setlim"](min(peak, max_bits))
-            if x >= ns["lim"]:
-                ns["widen"](x)
-            val = self.entry(x, 1)
-            if self.generator:
-                val = _drive(val)
-            if ns["steps"] > max_steps:
-                return None
-            meter.steps, meter.peak_bits = ns["steps"], ns["peak"]
-            meter.memo_hits, meter.max_depth = ns["hits"], ns["depth"]
-            return val
-        except Abort:
-            return None
-        finally:
-            for t in self.tables:
-                t.clear()
-            ns["oracle"] = None
-            self.lock.release()
 
 
 def make_plan(root: Derivation, memo: bool = True) -> Plan | None:
@@ -293,7 +303,10 @@ def _compile(root, order, kind, total, memo) -> Plan:
     tables = {f"T{index[n]}": {} for n in order
               if n.children and kind[n] == _FN}
     pairs: dict[int, tuple[int, int]] = {}
+    lock = Lock()
     ns = {"Abort": Abort, "isqrt": isqrt, "evaluator": evaluator,
+          "drive": _drive, "acquire": lock.acquire, "release": lock.release,
+          "generator": generator[root], "lims": _LIMS,
           "pairs": pairs, "pget": pairs.get, **tables}
     exec(_PRELUDE, ns)
     plan = Plan()
@@ -307,10 +320,9 @@ def _compile(root, order, kind, total, memo) -> Plan:
             exec(compile(src, f"<funalg plan f{index[n]}>", "exec"), ns)
             plan.functions += 1
             plan.source_bytes += len(src)
-    plan.ns = ns
-    plan.entry = ns[f"f{index[root]}"]
+    ns["entry"] = ns[f"f{index[root]}"]
+    plan.ns, plan.run, plan.lock = ns, ns["run"], lock
     plan.generator = generator[root]
-    plan.lock = Lock()
     plan.nodes = total
     return plan
 

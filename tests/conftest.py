@@ -9,15 +9,15 @@ from funalg import evaluator
 
 
 @contextmanager
-def _tier(threshold):
-    """Run with compile threshold `threshold` and a tier table of its own,
-    for naive and memoized roots alike."""
-    saved = evaluator._COMPILE_STEPS, evaluator._HOT
-    evaluator._COMPILE_STEPS, evaluator._HOT = threshold, WeakKeyDictionary()
+def _tier(run):
+    """Compile a root on its `run`-th unlogged run in a mode, with a tier
+    table of its own, for naive and memoized roots alike."""
+    saved = evaluator._COMPILE_RUN, evaluator._HOT
+    evaluator._COMPILE_RUN, evaluator._HOT = run, WeakKeyDictionary()
     try:
         yield
     finally:
-        evaluator._COMPILE_STEPS, evaluator._HOT = saved
+        evaluator._COMPILE_RUN, evaluator._HOT = saved
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,7 @@ def every_root_compiled():
     """Every unlogged run of the module, naive or memoized, goes through
     its root's compiled plan for that mode, made on the root's first run
     in it."""
-    with _tier(0):
+    with _tier(1):
         yield
 
 

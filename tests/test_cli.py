@@ -1,9 +1,13 @@
 """Command-line interface contracts."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import funalg
 from funalg.cli import main
 from funalg.corpus import CORPUS_TEXT
 
@@ -202,3 +206,30 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 2
+
+
+# Runs a command as the funalg script would, then prints its output and
+# whether the compiled tier's module was loaded.
+_ONE_SHOT = """
+import sys
+from funalg.cli import main
+main(sys.argv[1:])
+print("funalg.specialize" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--d", "(comp S (P I (comp mul (P I I))))", "--arg", "7"],
+    ["eval", "--d", "(comp S (P I (comp mul (P I I))))", "--arg", "7",
+     "--memo"],
+    ["meter", "--d", "(comp lt (P I S))", "--mode", "zero", "--sizes", "8",
+     "--trials", "1"],
+], ids=["eval", "eval-memo", "meter"])
+def test_a_one_shot_command_never_loads_the_compiler(argv):
+    # each command runs its root once, which a compile could not repay
+    src = str(Path(funalg.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _ONE_SHOT, *argv],
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+        capture_output=True, text=True, timeout=60).stdout
+    assert out.endswith("\nFalse\n") and out.count("\n") >= 2

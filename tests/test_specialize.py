@@ -32,7 +32,7 @@ from funalg.compiler import HD, TL, Z_, compile_explicit, dd, lt_d
 from funalg.derivation import (ADD, I, MUL, ORACLE, P, PolyBound, S, comp,
                                fold, mu, pr)
 from funalg.evaluator import (Budget, BudgetExceeded, Meter, eval_memo,
-                              evaluate)
+                              eval_naive, evaluate)
 from funalg.harness import exhaustive_search_predicate
 from funalg.reduction import (BoundViolation, ReductionError,
                               reduce_bounded_nested_to_snr,
@@ -56,10 +56,13 @@ from test_evaluator import (  # noqa: F401  (collected again here)
     test_step_budget_raises)
 
 pytestmark = pytest.mark.usefixtures("every_root_compiled")
-# the compile threshold outside this module's fixture
-_THRESHOLD = evaluator._COMPILE_STEPS
+# the run that compiles a root outside this module's fixture
+_COMPILE_RUN = evaluator._COMPILE_RUN
 # f(<v, p>) = p + v: 19 v + 2 steps memoized, 22 v - 1 naive for v > 0
 _ADD = pr(I, comp(S, comp(HD, TL)))
+# 9 steps a run in either mode, far under the 2^7 steps that once made a
+# root hot
+_SHORT = comp(S, P(I, comp(MUL, P(I, I))))
 
 
 def _on_the_loop(d, x, meter=None, memo=True, **kw):
@@ -79,53 +82,70 @@ def _compiled(d, x, meter=None, memo=True, **kw):
         assert plan.__class__ is specialize.Plan and plan.memo == memo
 
 
-def _compiles_after_one_run_charges_the_threshold(monkeypatch, memo, vs):
-    """Runs of _ADD at <v, 0> for v in vs stay on the loop up to and
-    including the first that charges the threshold, though the runs
-    before it together charge more than it; the next run compiles."""
-    monkeypatch.setattr(evaluator, "_COMPILE_STEPS", _THRESHOLD)
+def _second_run_tier(monkeypatch):
+    """The module's own trigger and a fresh tier table; gives the list of
+    (root, mode) that _make_plan is called with."""
+    monkeypatch.setattr(evaluator, "_COMPILE_RUN", _COMPILE_RUN)
     monkeypatch.setattr(evaluator, "_HOT", WeakKeyDictionary())
     made = []
     monkeypatch.setattr(evaluator, "_make_plan", lambda d, memo: made.append(
         (d, memo)) or specialize.make_plan(d, memo))
-    total = 0
-    for v in vs:
+    return made
+
+
+def _compiles_on_its_second_run(monkeypatch, memo):
+    """_ADD's first unlogged run in the mode stays on the loop and counts
+    in that mode's cell alone; its second compiles it, once, and that run
+    and the next give the loop's outcome."""
+    made = _second_run_tier(monkeypatch)
+    want = _on_the_loop(_ADD, pair(3, 0), memo=memo)
+    got = Meter()
+    assert (evaluate(_ADD, pair(3, 0), meter=got, memo=memo), got) == want
+    assert want[0] == 3 and not made
+    assert evaluator._HOT[_ADD] == ([0, 1] if memo else [1, 0])
+    for v in (5, 6):
         want = _on_the_loop(_ADD, pair(v, 0), memo=memo)
-        got = evaluate(_ADD, pair(v, 0), memo=memo)
-        assert got == want[0] == v and not made
-        total += want[1].steps
-        if want[1].steps >= _THRESHOLD:
-            break
-    assert v == vs[-1] and total - want[1].steps > _THRESHOLD
-    assert evaluator._HOT[_ADD][memo] == [want[1].steps]
-    assert evaluator._HOT[_ADD][not memo] == [0]
-    assert _compiled(_ADD, pair(v, 0), memo=memo) == want
-    assert made == [(_ADD, memo)]
+        assert _compiled(_ADD, pair(v, 0), memo=memo) == want
+        assert made == [(_ADD, memo)]
+    assert evaluator._HOT[_ADD][not memo] == 0
 
 
-def test_a_root_compiles_after_one_run_charges_the_threshold(monkeypatch):
-    _compiles_after_one_run_charges_the_threshold(monkeypatch, True,
-                                                  (3, 3, 3, 5, 6, 7))
+def test_a_root_compiles_on_its_second_run(monkeypatch):
+    _compiles_on_its_second_run(monkeypatch, True)
 
 
-def test_a_naive_root_compiles_after_one_run_charges_the_threshold(
-        monkeypatch):
-    _compiles_after_one_run_charges_the_threshold(monkeypatch, False,
-                                                  (3, 3, 3, 5, 6))
+def test_a_naive_root_compiles_on_its_second_run(monkeypatch):
+    _compiles_on_its_second_run(monkeypatch, False)
 
 
-def test_a_cold_root_is_never_compiled(monkeypatch):
-    monkeypatch.setattr(evaluator, "_COMPILE_STEPS", _THRESHOLD)
+def test_a_root_run_once_is_never_compiled(monkeypatch):
+    monkeypatch.setattr(evaluator, "_COMPILE_RUN", _COMPILE_RUN)
     monkeypatch.setattr(evaluator, "_HOT", WeakKeyDictionary())
     monkeypatch.setattr(evaluator, "_make_plan", None)  # calling it fails
-    d = comp(S, P(I, comp(MUL, P(I, I))))
     m = Meter()
-    for x in range(3000):
-        eval_memo(d, x, meter=m)
-    # each run charges 9 steps, all of them together far more than the
-    # threshold
-    assert evaluator._HOT[d] == [[0], [9]]
-    assert m.steps == 27_000 > _THRESHOLD
+    assert (eval_memo(_SHORT, 7, meter=m), m) == _on_the_loop(_SHORT, 7)
+    assert evaluator._HOT[_SHORT] == [0, 1]
+    eval_naive(_SHORT, 7)
+    assert evaluator._HOT[_SHORT] == [1, 1]
+
+
+@pytest.mark.parametrize("memo", [False, True], ids=["naive", "memo"])
+def test_a_root_of_short_runs_compiles_from_its_second_run(monkeypatch,
+                                                           memo):
+    # every run charges 9 steps; each compiled run, from a fresh meter or
+    # one passed in at peak 40 or 100,000, leaves the loop's meter
+    made = _second_run_tier(monkeypatch)
+    for i, x in enumerate((7, 0, 2**45 + 3, 5)):
+        for meter0 in (Meter(), Meter(7, 40, 2, 50), Meter(7, 100_000, 2, 5)):
+            want = _on_the_loop(_SHORT, x, Meter(**vars(meter0)), memo)
+            assert want[1].steps - meter0.steps == 9
+            if i == 0 and meter0 == Meter():  # the first run, on the loop
+                m = Meter()
+                assert (evaluate(_SHORT, x, meter=m, memo=memo), m) == want
+                assert not made
+                continue
+            assert _compiled(_SHORT, x, Meter(**vars(meter0)), memo) == want
+    assert made == [(_SHORT, memo)]
 
 
 def test_logged_runs_stay_on_the_loop_in_either_mode():
@@ -242,22 +262,21 @@ def test_no_state_outlives_a_run(memo):
 
 _COLD = """
 import sys
-from funalg import I, MUL, P, S, comp, eval_memo, eval_naive, mu, pair
+from funalg import I, MUL, P, S, comp, eval_memo, eval_naive
 d = comp(S, P(I, comp(MUL, P(I, I))))
-for x in range(300):
+for x in range(300):  # 300 distinct roots, each run once in each mode
+    d = comp(S, d)
     eval_memo(d, x)
     eval_naive(d, x)
 print("funalg.specialize" in sys.modules)
-hot = mu(comp(S, S))  # a scan of v calls, none of which gives 1
-for _ in range(2):
-    eval_memo(hot, pair(100, 0))
+eval_memo(d, 0)  # the last root's second memoized run
 print("funalg.specialize" in sys.modules)
 """
 
 
 def test_a_process_with_only_cold_roots_never_imports_the_compiler():
     # the evaluator imports funalg.specialize at the first compile; the
-    # hot root at the end shows the probe sees that import
+    # root run twice at the end shows the probe sees that import
     src = str(Path(funalg.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", _COLD], env={**os.environ, "PYTHONPATH": src},
