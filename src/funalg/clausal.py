@@ -149,12 +149,11 @@ class Rel(Interned):
 
     def __new__(cls, left: QuasiTerm, rel: str, right: QuasiTerm,
                 negated: bool = False):
-        return super().__new__(cls, left, rel, right, _negation(negated))
-
-    def _check(self):
-        if self.rel not in ("=", "<"):
+        negated = _negation(negated)
+        if rel not in ("=", "<"):
             raise ValueError(
-                f"unknown relation {self.rel!r}: expected '=' or '<'")
+                f"unknown relation {rel!r}: expected '=' or '<'")
+        return super().__new__(cls, left, rel, right, negated)
 
 
 class OracleMem(Interned):

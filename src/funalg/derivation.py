@@ -9,7 +9,7 @@ from functools import partial
 from itertools import islice
 from operator import length_hint
 from threading import Lock
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 from weakref import ref
 
 
@@ -60,13 +60,16 @@ def _drop(table: dict, key: tuple, r: ref) -> None:
 class Interned:
     """Base of hash-consed nodes (Filliatre & Conchon, 2006): a constructor
     call looks its field values, named in the subclass's __slots__, up in
-    a table of weak references and builds a node, running _check, only on
-    a miss; a node's reference drops its entry when the node dies.  So a
-    structurally equal node is the same object, `==` is `is`, `hash` is
-    O(1), and copy, deepcopy and pickle return the interned node.  A
-    node's children, _kids, are its fields that are nodes, or the nodes in
-    a tuple field where a subclass says so; repr and pickle walk them on
-    the DAG without recursion, however deep the node.
+    a table of weak references and, only on a miss, builds a node and runs
+    its construction hook, _build; a node's reference drops its entry when
+    the node dies.  So a structurally equal node is the same object, `==`
+    is `is`, `hash` is O(1), and copy, deepcopy and pickle return the
+    interned node.  As _build runs once per distinct node, a subclass may
+    store there facts synthesized from its children, which later reads
+    take in O(1).  A node's children, _kids, are its fields that are
+    nodes, or the nodes in a tuple field where a subclass says so; repr
+    and pickle walk them on the DAG without recursion, however deep the
+    node.
     """
 
     __slots__ = ("__weakref__",)
@@ -81,14 +84,15 @@ class Interned:
         node = None if r is None else r()
         if node is None:
             node = object.__new__(cls)
-            for name, v in zip(cls.__slots__, values, strict=True):
-                object.__setattr__(node, name, v)
-            node._check()
+            node._build(values)
             table[values] = ref(node, partial(_drop, table, values))
         return node
 
-    def _check(self):
-        """Raise if the fields make no node."""
+    def _build(self, values: tuple) -> None:
+        """Set a new node's fields to values, or raise if they make no
+        node; nothing is interned if it raises."""
+        for name, v in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, v)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__)
@@ -130,7 +134,8 @@ class Interned:
                       for f, v in zip(n.__slots__, n._fields()))
             return f"{type(n).__name__}({', '.join(fields)})"
         return _repr(self, type(self).__name__,
-                     lambda n: fold(n, lambda m: m._kids(), spell))
+                     lambda n: fold(n, lambda m: m._kids(), spell),
+                     _tree_nodes(self))
 
 
 def _swap(v, kind: type, f: Callable):
@@ -155,52 +160,87 @@ def _unpickle(rows: list[tuple[type, tuple]]) -> Interned:
 _REPR_TREE_NODES = 1000
 
 
-def _repr(node: Interned, head: str, text: Callable[[Any], str]) -> str:
-    dag = 0
+def _tree_nodes(node: Interned) -> int:
+    """The number of nodes of the tree the DAG below node expands to."""
+    return fold(node, lambda n: n._kids(), lambda _, sizes: 1 + sum(sizes))
 
-    def size(_, sizes: list[int]) -> int:
-        nonlocal dag
-        dag += 1
-        return 1 + sum(sizes)
-    tree = fold(node, lambda n: n._kids(), size)
+
+def _repr(node: Interned, head: str, text: Callable[[Any], str],
+          tree: int) -> str:
+    """text(node) if the node's tree has at most _REPR_TREE_NODES nodes;
+    else a summary, whose count of distinct nodes takes a walk."""
     if tree <= _REPR_TREE_NODES:
         return text(node)
+    dag = 0
+
+    def count(*_) -> None:
+        nonlocal dag
+        dag += 1
+    fold(node, lambda n: n._kids(), count)
     return f"<{head}: {dag} distinct nodes, {tree} tree nodes>"
 
 
+# The operator set of each derivation, as one frozenset per distinct set,
+# found by the node's op and its children's sets: the key _build makes.
+_OP_SETS: dict[frozenset[Op], frozenset[Op]] = {}
+_OPS_BY_KEY: dict[tuple, frozenset[Op]] = {}
+
+
+def _ops(key: tuple) -> frozenset[Op]:
+    """The operator set of a node with op key[0] and children's sets
+    key[1:], interned, on a miss in _OPS_BY_KEY."""
+    ops = frozenset(key[:1]).union(*key[1:])
+    ops = _OPS_BY_KEY[key] = _OP_SETS.setdefault(ops, ops)
+    return ops
+
+
 class Derivation(Interned):
-    __slots__ = ("op", "children")
+    """A derivation: an operator and a tuple of children.  A node also
+    holds two facts built from its children's when it is first made:
+    size, the number of nodes of the tree the DAG below it expands to,
+    and ops, its operator set, a frozenset shared by the nodes with equal
+    sets.  So node_count and validate take O(1), however deep or shared
+    the DAG.  The fields are op and children; pickle, copy and equality
+    see those alone."""
+
+    __slots__ = ("op", "children", "size", "ops")
 
     def __new__(cls, op: Op, children: tuple["Derivation", ...] = ()):
         return super().__new__(cls, op, children)
 
-    def _check(self):
-        if len(self.children) != ARITY[self.op]:
-            raise ValueError(
-                f"{self.op.value} takes {ARITY[self.op]} children, "
-                f"got {len(self.children)}"
-            )
+    def _build(self, values: tuple) -> None:
+        op, children = values
+        n = len(children)
+        if n != ARITY[op]:
+            raise ValueError(f"{op.value} takes {ARITY[op]} children, "
+                             f"got {n}")
+        if n == 2:
+            g, h = children
+            size, key = 1 + g.size + h.size, (op, g.ops, h.ops)
+        elif n:
+            size, key = 1 + children[0].size, (op, children[0].ops)
+        else:
+            size, key = 1, (op,)
+        ops = _OPS_BY_KEY.get(key) or _ops(key)
+        set_ = object.__setattr__
+        set_(self, "op", op)
+        set_(self, "children", children)
+        set_(self, "size", size)
+        set_(self, "ops", ops)
+
+    def _fields(self) -> tuple:
+        return self.op, self.children
 
     def node_count(self) -> int:
         """The number of nodes of the tree this DAG expands to."""
-        return fold(self, lambda d: d.children, lambda d, n: 1 + sum(n))
-
-    def nodes(self) -> Iterator["Derivation"]:
-        """Each distinct node reachable from this one, once."""
-        seen, stack = set(), [self]
-        while stack:
-            d = stack.pop()
-            if d not in seen:
-                seen.add(d)
-                yield d
-                stack.extend(d.children)
+        return self.size
 
     def _kids(self) -> tuple["Derivation", ...]:
         return self.children
 
     def __repr__(self):
         return _repr(self, f"Derivation {self.op.value}",
-                     lambda d: f"Derivation({d_print(d)!r})")
+                     lambda d: f"Derivation({d_print(d)!r})", self.size)
 
 
 def fold(root, kids: Callable[[Any], tuple], f: Callable[[Any, list], Any]):
@@ -310,7 +350,7 @@ CLASSES = {c.name: c for c in (DA, SA, TA, DEA, DSA, SSA, PRA)}
 
 def validate(d: Derivation, c: AlgebraClass) -> bool:
     """True iff every operator of d is admitted by the class."""
-    return all(n.op in c.allowed for n in d.nodes())
+    return d.ops <= c.allowed
 
 
 # --- S-expression format ---------------------------------------------------
@@ -475,27 +515,26 @@ def index_of(d: Derivation, c) -> int:
     c = _as_class(c)
     if not validate(d, c):
         raise EnumerationError(f"derivation not in class {c.name}")
-    if (n := d.node_count()) > _ENUM_NODES:
+    if (n := d.size) > _ENUM_NODES:
         raise EnumerationError(f"derivation has {n} tree nodes, over "
                                f"{_ENUM_NODES}")
     ops, counts, pairs = _table(c, n)
 
-    def rule(d: Derivation, kids: list[tuple[int, int]]) -> tuple[int, int]:
-        # (size, index among the derivations of that size)
-        k = 1 + sum(size for size, _ in kids)
+    def rule(d: Derivation, kids: list[int]) -> int:
+        # d's index among the derivations of its size
+        k = d.size
         r = sum(_per_op(ops, counts, pairs, k)[:ops.index(d.op)])
         if len(kids) == 2:  # the pairs before d's, by size and index of g
-            (kg, rg), (kh, _) = kids
+            kg, kh = (x.size for x in d.children)
             # the blocks of g sizes below kg, summed from the shorter end
             if 2 * kg <= k:
                 r += sum(counts[i] * counts[k - 1 - i] for i in range(1, kg))
             else:
                 r += pairs[k] - sum(counts[i] * counts[k - 1 - i]
                                     for i in range(kg, k - 1))
-            r += rg * counts[kh]
-        return k, r + (kids[-1][1] if kids else 0)
-    k, r = fold(d, lambda n: n.children, rule)
-    return sum(counts[:k]) + r
+            r += kids[0] * counts[kh]
+        return r + (kids[-1] if kids else 0)
+    return sum(counts[:n]) + fold(d, lambda m: m.children, rule)
 
 
 def derivation_at(i: int, c) -> Derivation:
@@ -615,7 +654,7 @@ class PolyBound(Interned):
 
     def __repr__(self):
         return _repr(self, f"PolyBound {self.kind}",
-                     lambda b: f"PolyBound({str(b)!r})")
+                     lambda b: f"PolyBound({str(b)!r})", _tree_nodes(self))
 
 
 def _const(k: int) -> PolyBound:

@@ -455,13 +455,17 @@ def _random_dag(rng, cls, steps):
     return pool[-1]
 
 
+# every class, plus all operators at once
+_EVERY_CLASS = [*CLASSES.values(), AlgebraClass("all", frozenset(Op))]
+
+
 def _samples():
-    # every class, plus all operators at once, where several operators
-    # without a bound compete to be reported first
+    # every class, where several operators without a bound compete to be
+    # reported first in the class of all operators
     yield from (P(E, pr(S, S)), comp(SMASH, E),
                 P(comp(I, SMASH), P(pr(S, S), E)))
     rng = random.Random(11)
-    for cls in [*CLASSES.values(), AlgebraClass("all", frozenset(Op))]:
+    for cls in _EVERY_CLASS:
         for _ in range(40):
             yield _random_derivation(rng, cls, rng.randint(0, 5))
             yield _random_dag(rng, cls, rng.randint(1, 9))
@@ -515,7 +519,7 @@ def test_a_parse_error_offset_counts_characters_not_bytes():
                             "P takes 2 children, got 1")
 
 
-def test_reductions_and_a_p_tower_parse_back_to_themselves():
+def _corpus_reductions() -> list[Derivation]:
     env = {}
     for d in corpus_defs():
         if d.kind == "explicit":
@@ -525,6 +529,11 @@ def test_reductions_and_a_p_tower_parse_back_to_themselves():
     # the corpus defs bounded by x whose interpretation needs no helper
     built += [reduce_bounded_nested_to_snr(corpus_def(name), PolyBound("var"))
               for name in ("L", "last", "sumlist", "addp", "nested")]
+    return built
+
+
+def test_reductions_and_a_p_tower_parse_back_to_themselves():
+    built = _corpus_reductions()
     built.append(_tower(I, 16))
     assert built[-1].node_count() == 2**17 - 1
     for d in built:
@@ -666,7 +675,6 @@ def test_fold_visits_each_distinct_node_once_children_first():
     # the tree has 2^41 - 1 nodes; the DAG has 41
     assert fold(t, lambda d: d.children, rule) == 2 ** 41 - 1
     assert len(seen) == 41
-    assert len(list(t.nodes())) == 41
     assert validate(t, DA)
 
 
@@ -923,3 +931,92 @@ def test_enumeration_of_a_custom_class_follows_its_operators():
     fake = AlgebraClass("DA", mine.allowed)
     assert enumerate_derivations(fake, 200) == ds
     assert index_of(comp(S, I), fake) == 3
+
+
+# --- The facts a derivation stores at construction -------------------------
+
+def _walked_facts(d: Derivation) -> tuple[int, list[bool]]:
+    """d's tree-node count and its membership of each of _EVERY_CLASS, by
+    folds over the DAG: the reference for node_count and validate."""
+    size = fold(d, lambda n: n.children, lambda n, kids: 1 + sum(kids))
+    return size, [fold(d, lambda n: n.children,
+                       lambda n, kids: n.op in c.allowed and all(kids))
+                  for c in _EVERY_CLASS]
+
+
+def _stored_facts(d: Derivation) -> tuple[int, list[bool]]:
+    return d.node_count(), [validate(d, c) for c in _EVERY_CLASS]
+
+
+def _fact_samples() -> list[Derivation]:
+    rng = random.Random(7)
+    out = []
+    for cls in _EVERY_CLASS:
+        for _ in range(12):
+            out.append(_random_derivation(rng, cls, rng.randint(0, 6)))
+            out.append(_random_dag(rng, cls, rng.randint(1, 40)))
+            out.append(_shared_dag(rng, cls, rng.randint(1, 400)))
+    out += _corpus_reductions()
+    out += [_tower(leaf, h) for leaf in (I, ORACLE, E) for h in (1, 9, 14)]
+    return out
+
+
+def test_stored_facts_match_the_walks_across_round_trips():
+    samples = _fact_samples()
+    want = [_walked_facts(d) for d in samples]
+    for d, w in zip(samples, want):
+        assert _stored_facts(d) == w
+        assert _stored_facts(copy.deepcopy(d)) == w
+    texts = [d_print(d) for d in samples]
+    pickles = [pickle.dumps(d) for d in samples]
+    # (sample, class, index) wherever the sample is enumerated
+    indices = []
+    for k, (d, (size, member)) in enumerate(zip(samples, want)):
+        for c, inside in zip(_EVERY_CLASS, member):
+            if inside and size <= _ENUM_NODES:
+                indices.append((k, c, index_of(d, c)))
+            else:
+                with pytest.raises(EnumerationError):
+                    index_of(d, c)
+    assert len(indices) > len(samples)
+    # rebuild each from its text, its pickle and its index, with the
+    # nodes that no module holds dropped, so their facts are made anew
+    del samples, d
+    gc.collect()
+    for text, w in zip(texts, want):
+        assert _stored_facts(d_parse(text)) == w
+    gc.collect()
+    for data, w in zip(pickles, want):
+        assert _stored_facts(pickle.loads(data)) == w
+    gc.collect()
+    for k, c, i in indices:
+        assert _stored_facts(derivation_at(i, c)) == want[k]
+
+
+def test_equal_operator_sets_are_one_object():
+    sets = {}
+    for d in _fact_samples():
+        assert sets.setdefault(d.ops, d.ops) is d.ops
+        assert d.ops == fold(d, lambda n: n.children,
+                             lambda n, kids: frozenset({n.op}).union(*kids))
+    assert comp(S, P(I, I)).ops is P(S, comp(I, S)).ops
+
+
+def test_node_count_validate_and_the_enumeration_cap_take_no_walk(
+        monkeypatch):
+    def walk(*_):
+        raise AssertionError("walked the DAG")
+    monkeypatch.setattr("funalg.derivation.fold", walk)
+    chain, tower = _comp_chain(100_000), _tower(I, 64)
+    assert chain.node_count() == 200_001
+    assert tower.node_count() == 2**65 - 1
+    outside = comp(pr(S, S), chain)
+    for c in _EVERY_CLASS:
+        assert validate(chain, c) and validate(tower, c)
+        assert validate(outside, c) is (Op.PR in c.allowed)
+    with pytest.raises(EnumerationError,
+                       match="has 200001 tree nodes, over 1000"):
+        index_of(chain, DA)
+    with pytest.raises(EnumerationError, match="not in class DA"):
+        index_of(outside, DA)
+
