@@ -135,19 +135,20 @@ def cmd_reduce(args) -> int:
     defs = _read_defs(args.file)
     d = _find_def(defs, args.fn)
     env = _compile_env(defs)
+    # every line is built before any is written, so a refusal, such as
+    # d_print's OutputTooLarge, leaves stdout empty
     if args.to == "pr":
         art = reduce_recursive_to_pr(d, env)
-        print(f"h: {print_cl(art.h_def)}")
+        lines = [f"h: {print_cl(art.h_def)}"]
         if art.f1_def is not None:
-            print(f"f1: {print_cl(art.f1_def)}")
-        print(f"J: {art.J}")
-        print(f"iterations: {art.mu_desc}")
-        print(f"result: {d_print(art.result)}")
+            lines.append(f"f1: {print_cl(art.f1_def)}")
+        lines += [f"J: {art.J}", f"iterations: {art.mu_desc}",
+                  f"result: {d_print(art.result)}"]
     else:
         bound = _parse_bound(args.bound)
         res = reduce_bounded_nested_to_snr(d, bound, env)
-        print(f"bound: {bound}")
-        print(f"result: {d_print(res)}")
+        lines = [f"bound: {bound}", f"result: {d_print(res)}"]
+    print("\n".join(lines))
     return 0
 
 

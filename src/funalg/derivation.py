@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import islice
-from operator import length_hint
+from operator import index, length_hint
 from threading import Lock
 from typing import Any, Callable
 from weakref import ref
@@ -369,7 +369,25 @@ def _print_rule(d: Derivation, kids: list[str]) -> str:
     return f"({_SPELLING[d.op]} {' '.join(kids)})"
 
 
+# d_print and str of a bound spell out at most this many tree nodes.  A
+# shared DAG can expand exponentially: a P-tower of height 48 has 49
+# distinct nodes and 2^49 - 1 tree nodes.
+_PRINT_NODES = 1 << 22
+
+
+class OutputTooLarge(ValueError):
+    """An output too large to build: the text of a derivation or bound of
+    over _PRINT_NODES tree nodes, or a bound's value at n whose width
+    bound passes _BOUND_BITS.  The check reads stored facts, so it takes
+    O(1), before anything is built."""
+
+
 def d_print(d: Derivation) -> str:
+    """The S-expression text of d; OutputTooLarge over _PRINT_NODES tree
+    nodes."""
+    if (n := d.size) > _PRINT_NODES:
+        raise OutputTooLarge(f"derivation has {n} tree nodes, over "
+                             f"{_PRINT_NODES}")
     return fold(d, lambda n: n.children, _print_rule)
 
 
@@ -479,24 +497,39 @@ class EnumerationError(ValueError):
     operator, a negative index or more than _ENUM_NODES tree nodes."""
 
 
+# per class: its operators' offsets (see _table) and its arity profile
+_OFFSETS: dict[AlgebraClass, tuple[dict[Op, tuple[int, int, int]],
+                                   tuple[int, int, int]]] = {}
+
+
 def _table(c: AlgebraClass, k: int):
-    """The class's operators in order, and the counts and pairs of its
+    """The class's operator offsets, and the counts and pairs of its
     arity profile (how many atoms, unary and binary operators it has),
     kept in _TABLES and grown to size k: counts[j] derivations have j
-    nodes, and pairs[j] ordered pairs of them have j - 1 nodes together."""
-    a0, a1, a2 = (sum(ARITY[op] == a for op in c.allowed) for a in range(3))
+    nodes, and pairs[j] ordered pairs of them have j - 1 nodes together.
+
+    An operator's offsets (b0, b1, b2) are how many atoms, unary and
+    binary operators of the class precede it in _ENUM_TAG_ORDER, in that
+    order as keys.  So b0 if k == 1 else b1 * counts[k - 1] + b2 *
+    pairs[k] derivations of k nodes have a root that precedes it, as an
+    atom has one derivation of 1 node, a unary operator counts[k - 1]
+    and a binary one pairs[k] of k nodes."""
+    known = _OFFSETS.get(c)
+    if known is None:
+        at, before = {}, [0, 0, 0]
+        for op in _ENUM_TAG_ORDER:
+            if op in c.allowed:
+                at[op] = tuple(before)
+                before[ARITY[op]] += 1
+        known = _OFFSETS[c] = at, tuple(before)
+    at, (a0, a1, a2) = known
     with _TABLES_LOCK:  # two threads growing one table would both append
         counts, pairs = _TABLES.setdefault((a0, a1, a2), ([0, a0], [0, 0]))
         for j in range(len(counts), k + 1):
             pairs.append(sum(counts[i] * counts[j - 1 - i]
                              for i in range(1, j - 1)))
             counts.append(a1 * counts[j - 1] + a2 * pairs[j])
-    return [op for op in _ENUM_TAG_ORDER if op in c.allowed], counts, pairs
-
-
-def _per_op(ops, counts, pairs, k: int) -> list[int]:
-    """How many derivations with k nodes have each of ops at the root."""
-    return [(k == 1, counts[k - 1], pairs[k])[ARITY[op]] for op in ops]
+    return at, counts, pairs
 
 
 def _as_class(c) -> AlgebraClass:
@@ -518,22 +551,26 @@ def index_of(d: Derivation, c) -> int:
     if (n := d.size) > _ENUM_NODES:
         raise EnumerationError(f"derivation has {n} tree nodes, over "
                                f"{_ENUM_NODES}")
-    ops, counts, pairs = _table(c, n)
+    at, counts, pairs = _table(c, n)
 
     def rule(d: Derivation, kids: list[int]) -> int:
         # d's index among the derivations of its size
         k = d.size
-        r = sum(_per_op(ops, counts, pairs, k)[:ops.index(d.op)])
+        b0, b1, b2 = at[d.op]
+        if k == 1:
+            return b0
+        r = b1 * counts[k - 1] + b2 * pairs[k]
         if len(kids) == 2:  # the pairs before d's, by size and index of g
-            kg, kh = (x.size for x in d.children)
+            g, h = d.children
+            kg = g.size
             # the blocks of g sizes below kg, summed from the shorter end
             if 2 * kg <= k:
                 r += sum(counts[i] * counts[k - 1 - i] for i in range(1, kg))
             else:
                 r += pairs[k] - sum(counts[i] * counts[k - 1 - i]
                                     for i in range(kg, k - 1))
-            r += kids[0] * counts[kh]
-        return r + (kids[-1] if kids else 0)
+            r += kids[0] * counts[h.size]
+        return r + kids[-1]
     return sum(counts[:n]) + fold(d, lambda m: m.children, rule)
 
 
@@ -543,7 +580,7 @@ def derivation_at(i: int, c) -> Derivation:
     if i < 0:
         raise EnumerationError("negative index")
     k, r = 1, i
-    ops, counts, pairs = _table(c, k)
+    at, counts, pairs = _table(c, k)
     while r >= counts[k]:
         k, r = k + 1, r - counts[k]
         if k > _ENUM_NODES:
@@ -559,10 +596,13 @@ def derivation_at(i: int, c) -> Derivation:
         key = k, r = todo.pop()
         if key in plan:
             continue
-        for op, cnt in zip(ops, _per_op(ops, counts, pairs, k)):
-            if r < cnt:
+        # the last operator that at most r derivations of k nodes precede;
+        # an operator with none of them has the offset of the next one
+        for op, (b0, b1, b2) in reversed(at.items()):
+            if (before := b0 if k == 1
+                    else b1 * counts[k - 1] + b2 * pairs[k]) <= r:
                 break
-            r -= cnt
+        r -= before
         kids = ((k - 1, r),) if ARITY[op] == 1 else ()
         if ARITY[op] == 2:
             # find the block of g's size j, scanning from both ends: r
@@ -610,9 +650,19 @@ class PolyBound(Interned):
     two for add and mul, none otherwise; value is a const's value, an
     int >= 0, and 0 for the other kinds.  The fields are checked before
     the intern-table lookup, where True would find the node of 1.
+
+    A bound also holds three facts built from its args' when it is first
+    made: size, the number of nodes of its tree; degree (var 1, const 0,
+    add the larger of its args', mul their sum); and width1, a bound on
+    the width of its value at 1 (const its value's, var 1, add one more
+    than the larger of its args', mul their sum).  As every coefficient
+    is at least 0, b(n) <= b(1) * max(1, n) ** degree, so b(n) has at
+    most width1 + degree * bits(max(1, n)) bits, and str(b) and b(n)
+    refuse in O(1) what is too large to build.  The fields are kind,
+    value and args; pickle, copy and equality see those alone.
     """
 
-    __slots__ = ("kind", "value", "args")
+    __slots__ = ("kind", "value", "args", "size", "degree", "width1")
 
     def __new__(cls, kind: str, value: int = 0,
                 args: tuple["PolyBound", ...] = ()):
@@ -630,7 +680,38 @@ class PolyBound(Interned):
             raise ValueError(f"a {kind} bound holds no value, got {value}")
         return super().__new__(cls, kind, value, args)
 
+    def _build(self, values: tuple) -> None:
+        kind, value, args = values
+        if args:
+            a, b = args
+            size = 1 + a.size + b.size
+            if kind == "add":
+                degree = max(a.degree, b.degree)
+                width1 = 1 + max(a.width1, b.width1)
+            else:
+                degree, width1 = a.degree + b.degree, a.width1 + b.width1
+        elif kind == "var":
+            size, degree, width1 = 1, 1, 1
+        else:
+            size, degree, width1 = 1, 0, value.bit_length()
+        set_ = object.__setattr__
+        set_(self, "kind", kind)
+        set_(self, "value", value)
+        set_(self, "args", args)
+        set_(self, "size", size)
+        set_(self, "degree", degree)
+        set_(self, "width1", width1)
+
+    def _fields(self) -> tuple:
+        return self.kind, self.value, self.args
+
     def __call__(self, n: int) -> int:
+        # a non-int n raises TypeError
+        bits = max(1, index(n).bit_length())
+        if (w := self.width1 + self.degree * bits) > _BOUND_BITS:
+            raise OutputTooLarge(f"a bound's value at a {bits}-bit n may "
+                                 f"have {w} bits, over {_BOUND_BITS}")
+
         def rule(b: PolyBound, v: list[int]) -> int:
             if b.kind == "const":
                 return b.value
@@ -640,6 +721,10 @@ class PolyBound(Interned):
         return fold(self, lambda b: b.args, rule)
 
     def __str__(self):
+        if self.size > _PRINT_NODES:
+            raise OutputTooLarge(f"bound has {self.size} tree nodes, over "
+                                 f"{_PRINT_NODES}")
+
         def rule(b: PolyBound, v: list[str]) -> str:
             if b.kind == "const":
                 return str(b.value)
@@ -654,68 +739,71 @@ class PolyBound(Interned):
 
     def __repr__(self):
         return _repr(self, f"PolyBound {self.kind}",
-                     lambda b: f"PolyBound({str(b)!r})", _tree_nodes(self))
+                     lambda b: f"PolyBound({str(b)!r})", self.size)
 
 
-def _const(k: int) -> PolyBound:
-    return PolyBound("const", k)
+# b(n) refuses when its width bound passes this many bits (2 MiB).
+_BOUND_BITS = 1 << 24
 
-
+# The node of a kind, value and args that are known to be well formed,
+# found or built through the intern table without PolyBound's checks:
+# the node PolyBound(kind, value, args) returns.
+_pnode = partial(Interned.__new__, PolyBound)
+_padd = partial(_pnode, "add", 0)
+_pmul = partial(_pnode, "mul", 0)
 _VAR = PolyBound("var")
-
-
-def _padd(a: PolyBound, b: PolyBound) -> PolyBound:
-    return PolyBound("add", args=(a, b))
-
-
-def _pmul(a: PolyBound, b: PolyBound) -> PolyBound:
-    return PolyBound("mul", args=(a, b))
 
 
 def _subst(b: PolyBound, inner: PolyBound) -> PolyBound:
     """b with inner for its variable; a leaf, or an atom's bound, whose
     arguments are leaves, takes no walk."""
-    if b.kind == "var":
+    if b is _VAR:
         return inner
     if not b.args:
         return b
-    if not (b.args[0].args or b.args[1].args):
-        return PolyBound(b.kind, args=tuple(
-            inner if a.kind == "var" else a for a in b.args))
+    x, y = b.args
+    if not (x.args or y.args):
+        return _pnode(b.kind, 0, (inner if x is _VAR else x,
+                                  inner if y is _VAR else y))
 
     def rule(p: PolyBound, args: list[PolyBound]) -> PolyBound:
-        if p.kind == "var":
+        if p is _VAR:
             return inner
-        return PolyBound(p.kind, args=tuple(args)) if args else p
+        return _pnode(p.kind, 0, tuple(args)) if args else p
     return fold(b, lambda p: p.args, rule)
 
 
-# The bounds of the atoms that poly_bound does not bound by the argument.
-_ATOM_BOUND = {
-    Op.S: _padd(_VAR, _const(1)),
-    Op.ADD: _pmul(_const(2), _VAR),
-    Op.MUL: _pmul(_VAR, _VAR),
-    Op.LT: _const(1),
-    Op.ORACLE: _const(1),
-}
-_TWO = _const(2)
+_ONE, _TWO = PolyBound("const", 1), PolyBound("const", 2)
+# poly_bound walks into P and comp.  Every other operator is a leaf of its
+# walk, whose value is at most its argument's unless this table says
+# otherwise; PR, E and smash have no polynomial bound and no entry.
+_BOUND_WALKS = frozenset({Op.P, Op.COMP})
+_LEAF_BOUND = {op: _VAR for op in Op
+               if op not in _BOUND_WALKS | {Op.PR, Op.E, Op.SMASH}}
+_LEAF_BOUND.update({
+    Op.S: _padd((_VAR, _ONE)),
+    Op.ADD: _pmul((_TWO, _VAR)),
+    Op.MUL: _pmul((_VAR, _VAR)),
+    Op.LT: _ONE,
+    Op.ORACLE: _ONE,
+})
 
 
 def _bound_rule(d: Derivation, kids: list[PolyBound]) -> PolyBound:
-    op = d.op
-    if op in (Op.PR, Op.E, Op.SMASH):
-        raise UnboundedOperatorError(f"{op.value} has no polynomial bound")
     if not kids:
-        return _ATOM_BOUND.get(op, _VAR)
+        b = _LEAF_BOUND.get(d.op)
+        if b is None:
+            raise UnboundedOperatorError(
+                f"{d.op.value} has no polynomial bound")
+        return b
     bg, bh = kids
-    if op is Op.P:
-        s = _padd(_padd(bg, bh), _TWO)
-        return _pmul(s, s)
+    if d.op is Op.P:
+        s = _padd((_padd((bg, bh)), _TWO))
+        return _pmul((s, s))
     return _subst(bg, bh)  # comp
 
 
 def poly_bound(d: Derivation) -> PolyBound:
     """A monotone polynomial dominating the function of the derivation."""
-    # the other operators bound their value by their argument, or not at all
-    return fold(d, lambda n: n.children if n.op in (Op.P, Op.COMP) else (),
+    return fold(d, lambda n: n.children if n.op in _BOUND_WALKS else (),
                 _bound_rule)

@@ -127,6 +127,18 @@ def test_reduce_snr_with_bound(capsys, corpus_file):
     assert code == 0 and "result: (" in out
 
 
+@pytest.mark.parametrize("to", ["pr", "snr"])
+def test_a_refused_reduce_result_prints_nothing(capsys, corpus_file,
+                                                monkeypatch, to):
+    # the result has more tree nodes than the lowered print limit
+    monkeypatch.setattr("funalg.derivation._PRINT_NODES", 50)
+    code, out, err = run(capsys, "reduce", corpus_file, "--fn", "L",
+                         "--to", to)
+    assert code == 1 and out == ""
+    assert err.startswith("error: OutputTooLarge: derivation has ")
+    assert err.endswith(" tree nodes, over 50\n")
+
+
 def test_reduce_bad_bound(capsys, corpus_file):
     code, _, err = run(capsys, "reduce", corpus_file, "--fn", "L",
                        "--to", "snr", "--bound", "n - 1")

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import pickle
 import random
+import time
 import weakref
 from functools import lru_cache
 
@@ -16,10 +17,11 @@ from funalg.compiler import compile_explicit
 from funalg.corpus import corpus_def, corpus_defs
 from funalg.derivation import (ADD, ARITY, CLASSES, DA, DEA, E, LT, ORACLE,
                                SMASH, AlgebraClass, Derivation,
-                               EnumerationError, I, Op, P, PRA, ParseError,
-                               PolyBound, S, SA, TA,
-                               UnboundedOperatorError, _ENUM_NODES,
-                               _ENUM_TAG_ORDER, _as_class,
+                               EnumerationError, I, Op, OutputTooLarge, P,
+                               PRA, ParseError, PolyBound, S, SA, TA,
+                               UnboundedOperatorError, _BOUND_BITS,
+                               _ENUM_NODES, _ENUM_TAG_ORDER, _PRINT_NODES,
+                               _as_class, _table,
                                comp, d_parse, d_print, derivation_at,
                                enumerate_derivations, fold, index_of, mu,
                                poly_bound, pr, snr, validate)
@@ -443,6 +445,65 @@ def rec_derivation_at(i: int, c) -> Derivation:
     raise EnumerationError("index decoding failed")
 
 
+# The per-operator lists that index_of and derivation_at placed an
+# operator with before its offsets: count tables as now, one list per node.
+
+def _per_op(ops, counts, pairs, k: int) -> list[int]:
+    """How many derivations with k nodes have each of ops at the root."""
+    return [(k == 1, counts[k - 1], pairs[k])[ARITY[op]] for op in ops]
+
+
+def _per_op_tables(c: AlgebraClass, k: int):
+    _, counts, pairs = _table(c, k)
+    return _class_tags(c), counts, pairs
+
+
+def per_op_index_of(d: Derivation, c: AlgebraClass) -> int:
+    """index_of by the per-operator lists it placed an operator with
+    before its offsets."""
+    n = d.size
+    ops, counts, pairs = _per_op_tables(c, n)
+
+    def rule(d: Derivation, kids: list[int]) -> int:
+        k = d.size
+        r = sum(_per_op(ops, counts, pairs, k)[:ops.index(d.op)])
+        if len(kids) == 2:
+            kg, kh = (x.size for x in d.children)
+            r += sum(counts[i] * counts[k - 1 - i] for i in range(1, kg))
+            r += kids[0] * counts[kh]
+        return r + (kids[-1] if kids else 0)
+    return sum(counts[:n]) + fold(d, lambda m: m.children, rule)
+
+
+def per_op_derivation_at(i: int, c: AlgebraClass) -> Derivation:
+    """derivation_at by the per-operator lists, one node at a time."""
+    k = 1
+    ops, counts, pairs = _per_op_tables(c, k)
+    while i >= counts[k]:
+        k, i = k + 1, i - counts[k]
+        ops, counts, pairs = _per_op_tables(c, k)
+    todo, plan = [root := (k, i)], {}
+    while todo:
+        key = k, r = todo.pop()
+        for op, cnt in zip(ops, _per_op(ops, counts, pairs, k)):
+            if r < cnt:
+                break
+            r -= cnt
+        kids = ((k - 1, r),) if ARITY[op] == 1 else ()
+        if ARITY[op] == 2:
+            j = 1
+            while r >= (block := counts[j] * counts[k - 1 - j]):
+                r, j = r - block, j + 1
+            qg, qh = divmod(r, counts[k - 1 - j])
+            kids = (j, qg), (k - 1 - j, qh)
+        plan[key] = op, kids
+        todo.extend(kids)
+    for key in sorted(plan):
+        op, kids = plan[key]
+        plan[key] = Derivation(op, tuple(plan[kid] for kid in kids))
+    return plan[root]
+
+
 def _random_dag(rng, cls, steps):
     """A derivation of the class whose children are drawn from a pool of
     earlier nodes, so subterms are shared."""
@@ -598,8 +659,9 @@ def test_enumeration_matches_recursive_oracle_on_first_2000(cname):
     text = "\n".join(map(d_print, ds))
     assert hashlib.sha256(text.encode()).hexdigest() == _FIRST_2000[cname]
     for i, d in enumerate(ds):
-        assert d is rec_derivation_at(i, cls)
+        assert d is rec_derivation_at(i, cls) is per_op_derivation_at(i, cls)
         assert index_of(d, cls) == i == rec_index_of(d, cls)
+        assert per_op_index_of(d, cls) == i
 
 
 def _shared_dag(rng, cls, limit):
@@ -628,8 +690,9 @@ def test_enumeration_matches_recursive_oracle_on_shared_dags(cname, rng,
         _block_start(cname, k)
     d = _shared_dag(rng, cls, limit)
     i = index_of(d, cls)
-    assert i == rec_index_of(d, cls)
+    assert i == rec_index_of(d, cls) == per_op_index_of(d, cls)
     assert derivation_at(i, cls) is d is rec_derivation_at(i, cls)
+    assert per_op_derivation_at(i, cls) is d
 
 
 @settings(max_examples=60, deadline=None)
@@ -795,15 +858,18 @@ def test_every_constructor_form_gives_one_node(d):
     (("bogus",), ValueError, "unknown bound kind 'bogus'"),
     (("mul", 0, (PolyBound("var"),)), ValueError, "mul takes 2 args, got 1"),
     (("var", 0, (PolyBound("var"),)), ValueError, "var takes 0 args, got 1"),
-    (("const", True), TypeError, "is an int, got bool"),
-    (("const", 2.0), TypeError, "is an int, got float"),
-    (("const", -1), ValueError, "at least 0, got -1"),
+    (("const", True), TypeError, "a bound's value is an int, got bool"),
+    (("const", 2.0), TypeError, "a bound's value is an int, got float"),
+    (("const", -1), ValueError, "a const bound is at least 0, got -1"),
     (("var", 5), ValueError, "a var bound holds no value, got 5"),
+    (("mul", 1, (PolyBound("var"),) * 2), ValueError,
+     "a mul bound holds no value, got 1"),
 ], ids=["kind", "mul-args", "var-args", "bool", "float", "negative",
-        "var-value"])
+        "var-value", "mul-value"])
 def test_a_malformed_bound_is_rejected(args, error, message):
-    with pytest.raises(error, match=message):
+    with pytest.raises(error) as got:
         PolyBound(*args)
+    assert type(got.value) is error and str(got.value) == message
 
 
 def test_a_bool_constant_does_not_find_the_node_of_one():
@@ -1019,4 +1085,155 @@ def test_node_count_validate_and_the_enumeration_cap_take_no_walk(
         index_of(chain, DA)
     with pytest.raises(EnumerationError, match="not in class DA"):
         index_of(outside, DA)
+
+
+# --- The facts a bound stores, and the output limits -----------------------
+
+def _walked_bound_facts(b: PolyBound) -> tuple[int, int, int]:
+    """b's tree size, degree and width bound at 1, by one fold each."""
+    def degree(p, kids):
+        if not kids:
+            return int(p.kind == "var")
+        return max(kids) if p.kind == "add" else sum(kids)
+
+    def width1(p, kids):
+        if not kids:
+            return 1 if p.kind == "var" else p.value.bit_length()
+        return 1 + max(kids) if p.kind == "add" else sum(kids)
+    return (fold(b, lambda p: p.args, lambda p, kids: 1 + sum(kids)),
+            fold(b, lambda p: p.args, degree),
+            fold(b, lambda p: p.args, width1))
+
+
+def _bound_facts(b: PolyBound) -> tuple[int, int, int]:
+    return b.size, b.degree, b.width1
+
+
+def _random_bound(rng: random.Random, steps: int) -> PolyBound:
+    """A bound whose args are drawn from a pool of recent nodes, so
+    subterms are shared; constants are small or wide."""
+    pool = [PolyBound("var"), PolyBound("const", 0)]
+    for _ in range(steps):
+        r = rng.random()
+        if r < 0.2:
+            pool.append(PolyBound("const", rng.choice(
+                [0, 1, 2, rng.randrange(1000), rng.getrandbits(80)])))
+        else:
+            pool.append(PolyBound("add" if r < 0.6 else "mul",
+                                  args=(rng.choice(pool[-6:]),
+                                        rng.choice(pool[-6:]))))
+    return pool[-1]
+
+
+def test_stored_bound_facts_match_the_walks_across_round_trips():
+    rng = random.Random(31)
+    samples = [_random_bound(rng, rng.randint(0, 40)) for _ in range(300)]
+    samples += [poly_bound(d) for d in (comp(S, P(I, I)), _tower(I, 12),
+                                        _comp_chain(300))]
+    want = [_walked_bound_facts(b) for b in samples]
+    for b, w in zip(samples, want):
+        assert _bound_facts(b) == w
+        assert _bound_facts(copy.deepcopy(b)) == w
+        size, degree, width1 = w
+        # the bound that b(n)'s check rests on: b(n) <= b(1) * n^degree
+        assert b(1).bit_length() <= width1
+        for n in (0, 1, 2, 7, 100):
+            v = b(n)
+            assert v <= b(1) * max(1, n) ** degree
+            assert v.bit_length() <= width1 + degree * max(1, n.bit_length())
+    pickles = [pickle.dumps(b) for b in samples]
+    # rebuilt from their pickles with the nodes dropped, so their facts
+    # are made anew
+    del samples, b
+    gc.collect()
+    for data, w in zip(pickles, want):
+        assert _bound_facts(pickle.loads(data)) == w
+
+
+def test_the_internal_bound_builders_give_the_public_node():
+    from funalg.derivation import _pnode, _padd, _pmul, _subst
+    var, seven = PolyBound("var"), PolyBound("const", 7)
+    # fresh args, so that each builder makes its node first in one round
+    # and finds it in the other
+    for internal_first in (True, False):
+        a = PolyBound("add", args=(seven, PolyBound("const", 11)))
+        b = PolyBound("mul", args=(a, var))
+        pairs = [(lambda: _padd((a, b)),
+                  lambda: PolyBound("add", args=(a, b))),
+                 (lambda: _pmul((b, a)),
+                  lambda: PolyBound("mul", 0, (b, a))),
+                 (lambda: _pnode("mul", 0, (a, a)),
+                  lambda: PolyBound("mul", args=(a, a))),
+                 (lambda: _subst(b, b),
+                  lambda: PolyBound("mul", args=(a, b))),
+                 (lambda: _subst(PolyBound("mul", args=(var, seven)), a),
+                  lambda: PolyBound("mul", args=(a, seven)))]
+        for internal, public in pairs:
+            if internal_first:
+                assert internal() is public()
+            else:
+                assert public() is internal()
+        del a, b, pairs
+        gc.collect()
+
+
+def _best_ms(call, error) -> float:
+    """The shortest of three timed calls of call, each of which must raise
+    error, in ms."""
+    times = []
+    for _ in range(3):
+        t = time.perf_counter()
+        with pytest.raises(error):
+            call()
+        times.append(time.perf_counter() - t)
+    return 1000 * min(times)
+
+
+def test_a_p_tower_of_height_64_is_refused_in_under_10_ms():
+    t = _tower(I, 64)
+    assert _best_ms(lambda: d_print(t), OutputTooLarge) < 10
+    assert _best_ms(lambda: str(poly_bound(t)), OutputTooLarge) < 10
+    assert _best_ms(lambda: poly_bound(t)(3), OutputTooLarge) < 10
+
+
+def test_the_refusals_take_no_walk(monkeypatch):
+    t = _tower(I, 64)
+    b = poly_bound(t)
+    assert b.size > 2**64 and b.degree == 2**64
+    assert repr(b).endswith(f" distinct nodes, {b.size} tree nodes>")
+
+    def walk(*_):
+        raise AssertionError("walked the DAG")
+    monkeypatch.setattr("funalg.derivation.fold", walk)
+    with pytest.raises(OutputTooLarge,
+                       match=f"derivation has {2**65 - 1} tree nodes, "
+                             f"over {_PRINT_NODES}$"):
+        d_print(t)
+    with pytest.raises(OutputTooLarge,
+                       match=f"bound has {b.size} tree nodes, over "
+                             f"{_PRINT_NODES}$"):
+        str(b)
+    with pytest.raises(OutputTooLarge,
+                       match=f"a bound's value at a 2-bit n may have "
+                             f"{b.width1 + 2 * b.degree} bits, over "
+                             f"{_BOUND_BITS}$"):
+        b(3)
+
+
+def test_the_limits_are_inclusive(monkeypatch):
+    t = _tower(I, 16)
+    b = poly_bound(_tower(I, 3))
+    width = b.width1 + b.degree * 4
+    monkeypatch.setattr("funalg.derivation._PRINT_NODES", t.size)
+    assert d_print(t) == rec_print(t)
+    with pytest.raises(OutputTooLarge):
+        d_print(P(t, I))
+    monkeypatch.setattr("funalg.derivation._PRINT_NODES", b.size)
+    assert str(b) == rec_bound_str(b)
+    with pytest.raises(OutputTooLarge):
+        str(PolyBound("add", args=(b, PolyBound("var"))))
+    monkeypatch.setattr("funalg.derivation._BOUND_BITS", width)
+    assert b(15) == rec_bound_call(b, 15) and b(8) == rec_bound_call(b, 8)
+    with pytest.raises(OutputTooLarge, match=f"may have {width + b.degree} "):
+        b(16)
 
